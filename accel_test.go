@@ -30,9 +30,9 @@ func TestBatchReachNilIndexMatchesOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		pairs := make([]Pair, 1000) // > 15 blocks of 64, plus a ragged tail
 		for i := range pairs {
-			pairs[i] = Pair{V(rng.Intn(g.N())), V(rng.Intn(g.N()))}
+			pairs[i] = Pair{S: V(rng.Intn(g.N())), T: V(rng.Intn(g.N()))}
 		}
-		pairs[17] = Pair{pairs[17].S, pairs[17].S} // self pair inside a block
+		pairs[17] = Pair{S: pairs[17].S, T: pairs[17].S} // self pair inside a block
 		for _, workers := range []int{0, 1, 2, 7, 64} {
 			got, err := BatchReach(nil, g, pairs, workers)
 			if err != nil {
@@ -60,7 +60,7 @@ func TestBatchReachCtx(t *testing.T) {
 	pairs := make([]Pair, 300)
 	rng := rand.New(rand.NewSource(25))
 	for i := range pairs {
-		pairs[i] = Pair{V(rng.Intn(g.N())), V(rng.Intn(g.N()))}
+		pairs[i] = Pair{S: V(rng.Intn(g.N())), T: V(rng.Intn(g.N()))}
 	}
 	want, err := BatchReach(ix, g, pairs, 1)
 	if err != nil {

@@ -14,50 +14,35 @@ import (
 func labelSetOf(mask uint64) labelset.Set { return labelset.Set(mask) }
 
 // Pair is one (source, target) query of a batch.
-type Pair struct {
-	S, T V
-}
+type Pair = core.Pair
 
-// batchObserver is implemented by instrumented indexes (core.Instrumented)
-// to count batch submissions; per-query metrics record through Reach.
-type batchObserver interface {
-	ObserveBatch(n int)
-}
-
-// batchGrain is the number of queries a batch worker claims per steal.
-// Small enough that one expensive run of queries (deep guided-DFS
-// fallbacks cluster in adversarial orderings) cannot strand a worker with
-// a long private chunk, large enough to amortize the atomic claim.
-const batchGrain = 16
-
-// BatchReach evaluates many plain reachability queries concurrently over
-// a shared index. Indexes in this library are safe for concurrent readers
-// once built (they are immutable after construction; dynamic indexes must
-// not be updated while a batch runs). g must be the graph ix was built
-// over — it bounds the vertex validation; every pair is checked before
-// any query runs, so an out-of-range pair yields ErrVertexRange with no
-// partial work. workers <= 0 selects GOMAXPROCS.
-// Instrumented indexes (see Instrument) additionally count the batch and
-// its size; individual queries record through the wrapper as usual — the
-// per-query counters are atomic, so concurrent workers stay race-free.
+// BatchReach evaluates many plain reachability queries over a shared
+// index: the "many" form is the same index probed many times, not a second
+// engine. Indexes in this library are safe for concurrent readers once
+// built (they are immutable after construction; dynamic indexes must not
+// be updated while a batch runs). g must be the graph ix was built over —
+// it bounds the vertex validation; every pair is checked before any query
+// runs, so an out-of-range pair yields ErrVertexRange with no partial
+// work. workers <= 0 selects GOMAXPROCS.
 //
-// Workers claim grain-sized runs of the batch from a shared atomic
-// counter rather than pre-assigned static chunks, so a cluster of
-// expensive queries (negative queries that exhaust a guided fallback)
-// cannot leave the other workers idle while one drains its chunk.
+// The pairs are answered by core.BatchReach: an index with a batch form
+// of its own (the sharded engine's per-shard scatter-gather, the
+// instrumented wrapper that counts the batch and its size) is handed the
+// whole batch; any other index is probed once per pair on a work-stealing
+// pool, small batches inline. This is the §5 parallel-computation
+// direction applied to the query side — throughput workloads (the "many
+// negative queries" regime) are embarrassingly parallel. A panic inside
+// the index on any worker stops the batch and surfaces as ErrIndexPanic.
 //
-// Throughput-oriented workloads (the §5 "many negative queries" regime)
-// are embarrassingly parallel; this helper is the §5 parallel-computation
-// direction applied to the query side. A panic inside the index on any
-// worker stops the batch and surfaces as ErrIndexPanic.
-//
-// A nil index selects the index-free bit-parallel path: the batch is cut
-// into blocks of 64 pairs and each block is answered by ONE multi-source
-// BFS sweep (traversal.MultiSourceReach) in which every pair owns one bit
-// of a per-vertex frontier word — ~len(pairs)/64 graph sweeps instead of
-// len(pairs) separate searches. This is how to evaluate a batch when no
-// index has been built (ad-hoc analytics, or validating a build), and it
-// is exact on general graphs.
+// A nil index selects the index-free bit-parallel kernel: the batch is
+// cut into blocks of 64 pairs and each block is answered by ONE
+// multi-source BFS sweep (traversal.MultiSourceReach) in which every pair
+// owns one bit of a per-vertex frontier word — ~len(pairs)/64 graph sweeps
+// instead of len(pairs) separate searches, exact on general graphs. It is
+// the right tool when no index has been built (ad-hoc analytics,
+// validating a build; the exact-TC builder uses the same sweep), and only
+// then: a built index answers a pair faster than any sweep amortizes, so
+// DB.BatchReachCtx and /v1/batch never come here.
 func BatchReach(ix Index, g *Graph, pairs []Pair, workers int) (out []bool, err error) {
 	return BatchReachCtx(nil, ix, g, pairs, workers)
 }
@@ -67,80 +52,67 @@ func BatchReach(ix Index, g *Graph, pairs []Pair, workers int) (out []bool, err 
 // path) and the batch returns ctx.Err() with no partial results when the
 // context is canceled or past its deadline. A nil ctx never cancels.
 func BatchReachCtx(ctx context.Context, ix Index, g *Graph, pairs []Pair, workers int) (out []bool, err error) {
+	defer core.Recover(&err)
+	return batchReach(ctx, ix, g, pairs, workers)
+}
+
+// batchReach is BatchReachCtx without the panic boundary, for callers that
+// bring their own (DB.BatchReachCtx counts the fault).
+func batchReach(ctx context.Context, ix Index, g *Graph, pairs []Pair, workers int) ([]bool, error) {
 	n := g.N()
 	for _, p := range pairs {
 		if err := core.CheckPair(n, p.S, p.T); err != nil {
 			return nil, err
 		}
 	}
-	var done <-chan struct{}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		done = ctx.Done()
-	}
-	// stop is the workers' cooperative poll: claims already running finish,
-	// no further ones start, and the batch reports ctx.Err().
-	stop := func() bool {
-		if done == nil {
-			return false
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	if bo, ok := ix.(batchObserver); ok {
-		bo.ObserveBatch(len(pairs))
 	}
 	if workers < 0 {
 		workers = 0 // documented contract: <= 0 selects GOMAXPROCS
 	}
-	defer core.Recover(&err)
-	out = make([]bool, len(pairs))
-	if ix == nil {
-		blocks := (len(pairs) + traversal.WordSources - 1) / traversal.WordSources
-		par.Do(workers, blocks, func(b int) {
-			if stop() {
-				return
-			}
-			lo := b * traversal.WordSources
-			hi := lo + traversal.WordSources
-			if hi > len(pairs) {
-				hi = len(pairs)
-			}
-			sc := scratch.Get(0)
-			defer scratch.Put(sc)
-			words := sc.Words(n)
-			srcs := sc.Aux[:0]
-			for i := lo; i < hi; i++ {
-				srcs = append(srcs, pairs[i].S)
-			}
-			sc.Aux = srcs
-			traversal.MultiSourceReach(g, srcs, words)
-			for i := lo; i < hi; i++ {
-				out[i] = words[pairs[i].T]&(1<<uint(i-lo)) != 0
-			}
-		})
+	out := make([]bool, len(pairs))
+	var err error
+	if ix != nil {
+		err = core.BatchReach(ctx, ix, pairs, out, workers)
 	} else {
-		par.DoGrain(workers, len(pairs), batchGrain, func(_, lo, hi int) {
-			if stop() {
-				return
-			}
-			for i := lo; i < hi; i++ {
-				out[i] = ix.Reach(pairs[i].S, pairs[i].T)
-			}
-		})
+		err = batchKernel(ctx, g, pairs, out, workers)
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// batchKernel is the nil-index path of BatchReach: one 64-way multi-source
+// BFS sweep per block of 64 pairs, blocks spread over the pool.
+func batchKernel(ctx context.Context, g *Graph, pairs []Pair, out []bool, workers int) error {
+	blocks := (len(pairs) + traversal.WordSources - 1) / traversal.WordSources
+	par.Do(workers, blocks, func(b int) {
+		if ctx != nil && ctx.Err() != nil {
+			return
+		}
+		lo := b * traversal.WordSources
+		hi := min(lo+traversal.WordSources, len(pairs))
+		sc := scratch.Get(0)
+		defer scratch.Put(sc)
+		words := sc.Words(g.N())
+		srcs := sc.Aux[:0]
+		for i := lo; i < hi; i++ {
+			srcs = append(srcs, pairs[i].S)
+		}
+		sc.Aux = srcs
+		traversal.MultiSourceReach(g, srcs, words)
+		for i := lo; i < hi; i++ {
+			out[i] = words[pairs[i].T]&(1<<uint(i-lo)) != 0
+		}
+	})
+	if ctx != nil {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // LCRPair is one alternation-constrained query of a batch.
@@ -162,7 +134,7 @@ func BatchReachLC(ix LCRIndex, g *Graph, pairs []LCRPair, workers int) (out []bo
 	}
 	defer core.Recover(&err)
 	out = make([]bool, len(pairs))
-	par.DoGrain(workers, len(pairs), batchGrain, func(_, lo, hi int) {
+	par.DoGrain(workers, len(pairs), core.BatchGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := pairs[i]
 			out[i] = p.S == p.T || ix.ReachLC(p.S, p.T, labelSetOf(p.Allowed))

@@ -1,0 +1,229 @@
+package reach
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/gen"
+	"repro/internal/tc"
+)
+
+// allPairs is every (s, t) of g in row-major order: 81 pairs on Fig. 1
+// (answered inline), thousands on the generated graphs (answered on the
+// pool).
+func allPairs(g *Graph) []Pair {
+	pairs := make([]Pair, 0, g.N()*g.N())
+	for s := 0; s < g.N(); s++ {
+		for t := 0; t < g.N(); t++ {
+			pairs = append(pairs, Pair{S: V(s), T: V(t)})
+		}
+	}
+	return pairs
+}
+
+// checkBatch asserts DB.BatchReachCtx == per-pair DB.Reach == the exact
+// closure on every pair. It reports through t.Errorf so it is safe on any
+// goroutine.
+func checkBatch(t *testing.T, db *DB, oracle *tc.Closure, pairs []Pair, when string) {
+	t.Helper()
+	got, err := db.BatchReachCtx(context.Background(), pairs)
+	if err != nil {
+		t.Errorf("%s: BatchReachCtx: %v", when, err)
+		return
+	}
+	for i, p := range pairs {
+		want := oracle.Reach(p.S, p.T)
+		single, err := db.Reach(p.S, p.T)
+		if err != nil || single != want || got[i] != want {
+			t.Errorf("%s: (%d,%d): batch %v, Reach %v (%v), closure %v", when, p.S, p.T, got[i], single, err, want)
+			return
+		}
+	}
+}
+
+// TestDBBatchMatchesReachAndClosure: whatever serves the plain route — a
+// frozen index, the advisor's pick across forced hot swaps, the sharded
+// engine, a mutable DB's loaded state with an empty or a pinned overlay —
+// DB.BatchReachCtx answers exactly what per-pair DB.Reach and the
+// internal/tc closure answer. Run under -race in CI.
+func TestDBBatchMatchesReachAndClosure(t *testing.T) {
+	graphs := map[string]*Graph{
+		"fig1":   Fig1Plain(),
+		"dag":    gen.RandomDAG(gen.Config{N: 60, M: 150, Seed: 5}),
+		"cyclic": gen.ErdosRenyi(gen.Config{N: 50, M: 110, Seed: 6}),
+	}
+	for name, g := range graphs {
+		oracle := tc.NewClosure(g)
+		pairs := allPairs(g)
+
+		t.Run(name+"/frozen", func(t *testing.T) {
+			for _, metrics := range []bool{false, true} {
+				db, err := NewDB(g, DBConfig{Metrics: metrics})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBatch(t, db, oracle, pairs, "frozen")
+			}
+		})
+
+		t.Run(name+"/autotuned-hot-swap", func(t *testing.T) {
+			// The tuner never ticks on its own; the test publishes.
+			db, err := NewDB(g, DBConfig{Metrics: true, AutoTune: &AutoTuneConfig{CheckInterval: time.Hour}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			var stop atomic.Bool
+			var batches atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < 3; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() && !t.Failed() {
+						checkBatch(t, db, oracle, pairs, "across hot swap")
+						batches.Add(1)
+					}
+				}()
+			}
+			for i, kind := range []Kind{KindPLL, KindGRAIL, KindBFL, KindPLL} {
+				ix, err := Build(kind, g, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for seen := batches.Load(); batches.Load() == seen && !t.Failed(); {
+					time.Sleep(time.Millisecond) // at least one batch between swaps
+				}
+				db.aut.publish(string(kind), ix)
+				if st, _ := db.AdvisorStatus(); st.CurrentKind != string(kind) {
+					t.Fatalf("swap %d: serving %q, want %q", i, st.CurrentKind, kind)
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			checkBatch(t, db, oracle, pairs, "after the last swap")
+		})
+
+		for _, k := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/sharded-k%d", name, k), func(t *testing.T) {
+				sdb, err := NewShardedDB(g, ShardedConfig{Shards: k, Metrics: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBatch(t, sdb.DB, oracle, pairs, "sharded")
+			})
+		}
+
+		t.Run(name+"/mutable", func(t *testing.T) {
+			db := newMutableDB(t, g, MutationConfig{RebuildThreshold: -1, Fsync: FsyncNever}, true)
+			checkBatch(t, db, oracle, pairs, "empty overlay")
+			mirror := mutableCopy(g)
+			rng := rand.New(rand.NewSource(int64(g.N())))
+			ops := make([]EdgeOp, 12)
+			for i := range ops {
+				ops[i] = randomOp(rng, mirror)
+			}
+			if err := db.Mutate(context.Background(), ops); err != nil {
+				t.Fatal(err)
+			}
+			if ms, _ := db.MutationStats(); ms.OverlayAdded+ms.OverlayRemoved == 0 {
+				t.Fatal("overlay is empty after 12 mutations")
+			}
+			checkBatch(t, db, tc.NewClosure(mirror.freeze()), pairs, "pinned overlay")
+		})
+	}
+}
+
+// TestDBBatchProbesTheIndex is the guard that cannot flake: it counts, it
+// does not time. One 1024-pair DB.BatchReachCtx advances the serving
+// index's query counter by exactly 1024 and its batch counters by one
+// batch of 1024 — the serving path provably went through the index, not
+// around it. The sharded engine answers the batch in its own scatter-
+// gather form and is counted from its answers, to the same totals.
+func TestDBBatchProbesTheIndex(t *testing.T) {
+	g := gen.RandomDAG(gen.Config{N: 2000, M: 8000, Seed: 9})
+	frozen, err := NewDB(g, DBConfig{Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewShardedDB(g, ShardedConfig{Shards: 3, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	pairs := make([]Pair, 1024)
+	for i := range pairs {
+		pairs[i] = Pair{S: V(rng.Intn(g.N())), T: V(rng.Intn(g.N()))}
+	}
+	for name, db := range map[string]*DB{"BFL": frozen, "sharded": sharded.DB} {
+		before, _ := db.MetricsSnapshot()
+		if _, err := db.BatchReachCtx(context.Background(), pairs); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := db.MetricsSnapshot()
+		b, a := before.Indexes[name], after.Indexes[name]
+		if got := a.Queries - b.Queries; got != 1024 {
+			t.Errorf("%s: queries advanced by %d, want 1024", name, got)
+		}
+		if got := a.Decided + a.Fallback - b.Decided - b.Fallback; got != 1024 {
+			t.Errorf("%s: decided+fallback advanced by %d, want 1024", name, got)
+		}
+		if a.Batches-b.Batches != 1 || a.BatchQueries-b.BatchQueries != 1024 {
+			t.Errorf("%s: batches +%d, batch_queries +%d, want +1 and +1024",
+				name, a.Batches-b.Batches, a.BatchQueries-b.BatchQueries)
+		}
+	}
+}
+
+// probeFaultSite is hit by faultyIndex on every probe.
+const probeFaultSite = "test/index-probe"
+
+// faultyIndex is a real index with a fault-injection site inside Reach.
+type faultyIndex struct{ Index }
+
+func (f faultyIndex) Reach(s, t V) bool {
+	faultinject.Hit(probeFaultSite)
+	return f.Index.Reach(s, t)
+}
+
+// TestDBBatchIndexPanic: a panic inside the index in the middle of a
+// batch — inline and on a pool worker — is ErrIndexPanic to the caller,
+// one more on the panics counter, and the next batch succeeds.
+func TestDBBatchIndexPanic(t *testing.T) {
+	g := gen.RandomDAG(gen.Config{N: 500, M: 2000, Seed: 12})
+	ix, err := Build(KindBFL, g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := NewDB(g, DBConfig{PlainIndex: faultyIndex{ix}, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := tc.NewClosure(g)
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{40, 1024} {
+		pairs := make([]Pair, n)
+		for i := range pairs {
+			pairs[i] = Pair{S: V(rng.Intn(g.N())), T: V(rng.Intn(g.N()))}
+		}
+		before, _ := db.MetricsSnapshot()
+		faultinject.Activate(&faultinject.Plan{Site: probeFaultSite, Kind: faultinject.Panic, After: n / 2})
+		out, err := db.BatchReachCtx(context.Background(), pairs)
+		faultinject.Deactivate()
+		if !errors.Is(err, ErrIndexPanic) || out != nil {
+			t.Fatalf("n=%d: BatchReachCtx = %v, %v; want nil, ErrIndexPanic", n, out, err)
+		}
+		after, _ := db.MetricsSnapshot()
+		if got := after.Panics - before.Panics; got != 1 {
+			t.Errorf("n=%d: panics counter advanced by %d, want 1", n, got)
+		}
+		checkBatch(t, db, oracle, pairs, "after the contained panic")
+	}
+}

@@ -18,7 +18,7 @@ func TestBatchReachMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pairs := make([]Pair, 3000)
 	for i := range pairs {
-		pairs[i] = Pair{V(rng.Intn(g.N())), V(rng.Intn(g.N()))}
+		pairs[i] = Pair{S: V(rng.Intn(g.N())), T: V(rng.Intn(g.N()))}
 	}
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		got, err := BatchReach(ix, g, pairs, workers)

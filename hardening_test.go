@@ -77,7 +77,7 @@ func TestVertexRangeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BatchReach(ix, pg, []Pair{{0, 1}, {0, V(pg.N())}}, 2); !errors.Is(err, ErrVertexRange) {
+	if _, err := BatchReach(ix, pg, []Pair{{S: 0, T: 1}, {S: 0, T: V(pg.N())}}, 2); !errors.Is(err, ErrVertexRange) {
 		t.Errorf("BatchReach err = %v, want ErrVertexRange", err)
 	}
 	lg := Fig1Labeled()
@@ -383,7 +383,7 @@ func TestQueryPanicContainment(t *testing.T) {
 // the batch and surfaces as ErrIndexPanic on the caller.
 func TestBatchPanicContainment(t *testing.T) {
 	pg := Fig1Plain()
-	pairs := make([]Pair, 64)
+	pairs := make([]Pair, 512) // past the inline threshold: answered on the pool
 	if _, err := BatchReach(panicIndex{}, pg, pairs, 4); !errors.Is(err, ErrIndexPanic) {
 		t.Fatalf("BatchReach err = %v, want ErrIndexPanic", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/graph"
@@ -143,9 +144,30 @@ func (w *Instrumented) TryReach(s, t graph.V) (bool, bool) {
 	return w.inner.Reach(s, t), true
 }
 
-// ObserveBatch records a batch submission (see reach.BatchReach).
-func (w *Instrumented) ObserveBatch(n int) {
+// BatchReach implements BatchIndex: the batch and its size are counted
+// once, then the pairs go to the inner index's own batch form when it has
+// one (outcomes are counted from the answers, as Reach would have) and
+// through Reach, pair by pair, otherwise — so a batch advances the
+// per-query counters exactly as the same pairs asked one at a time. The
+// counters are atomic, so concurrent workers stay race-free.
+func (w *Instrumented) BatchReach(ctx context.Context, pairs []Pair, out []bool, workers int) error {
 	if w.m != nil {
-		w.m.ObserveBatch(n)
+		w.m.ObserveBatch(len(pairs))
 	}
+	bx, ok := w.inner.(BatchIndex)
+	if !ok {
+		return batchEach(ctx, w, pairs, out, workers)
+	}
+	err := bx.BatchReach(ctx, pairs, out, workers)
+	if err == nil && w.m != nil {
+		pos := 0
+		for _, r := range out {
+			if r {
+				pos++
+			}
+		}
+		w.m.Positive.Add(int64(pos))
+		w.m.Negative.Add(int64(len(out) - pos))
+	}
+	return err
 }

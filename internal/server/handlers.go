@@ -176,56 +176,70 @@ func (s *Server) handleAllowed(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reachResponse{Reachable: res})
 }
 
-// batchRequest is the /v1/batch body: {"pairs":[{"s":0,"t":"G"},...]}.
-// Vertices are JSON numbers (ids) or strings (ids or names).
-type batchRequest struct {
-	Pairs []struct {
-		S vertexRef `json:"s"`
-		T vertexRef `json:"t"`
-	} `json:"pairs"`
-}
-
 type batchResponse struct {
 	Results []bool `json:"results"`
 }
 
+// handleBatch answers POST /v1/batch: decode the body into pairs, have
+// the DB's serving index answer them (DB.BatchReachCtx), and append the
+// response document rather than reflect it. The request's trace gets one
+// phase per step, so /debug/traces shows where a batch went.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	db := s.DB()
-	g := db.Graph()
-	var req batchRequest
-	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad batch body: "+err.Error())
+	tr := obs.TraceFrom(r.Context())
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer putBatchScratch(sc)
+
+	tok := tr.Begin("decode")
+	ok := s.decodeBatchBody(w, r, db.Graph(), sc)
+	tr.End(tok)
+	if !ok {
 		return
 	}
-	if len(req.Pairs) > s.cfg.MaxBatch {
-		writeErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch has %d pairs, limit is %d", len(req.Pairs), s.cfg.MaxBatch))
-		return
-	}
-	pairs := make([]reach.Pair, len(req.Pairs))
-	for i, p := range req.Pairs {
-		sv, err := p.S.resolve(g)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("pair %d: %v", i, err))
-			return
-		}
-		tv, err := p.T.resolve(g)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("pair %d: %v", i, err))
-			return
-		}
-		pairs[i] = reach.Pair{S: sv, T: tv}
-	}
-	// The DB picks the batch path: the 64-way bit-parallel kernel when
-	// the graph is frozen (or the mutation overlay is empty), exact
-	// per-pair overlay evaluation when live mutations are pending.
-	out, err := db.BatchReachCtx(r.Context(), pairs)
+	tok = tr.Begin("index/probe")
+	out, err := db.BatchReachCtx(r.Context(), sc.pairs)
+	tr.End(tok)
 	if err != nil {
 		s.writeQueryErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: out})
+	tok = tr.Begin("encode")
+	sc.resp = appendBatchResponse(sc.resp[:0], out)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.resp)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(sc.resp) // nothing sensible to do with a write error: client owns the conn
+	tr.End(tok)
+}
+
+// decodeBatchBody reads the request body once into sc.body and decodes it
+// into sc.pairs, resolved against g: in one pass when the body is the
+// documented grammar (scanBatch), through encoding/json — same bytes,
+// that decoder's answers — when it is not. A body with more than MaxBatch
+// pairs is refused at the first pair over the limit, not after decoding
+// all of them. On failure the error response is written and ok is false.
+func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request, g *reach.Graph, sc *batchScratch) (ok bool) {
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBody)); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad batch body: "+err.Error())
+		return false
+	}
+	var verdict scanVerdict
+	sc.pairs, verdict = scanBatch(sc.body.Bytes(), g, s.cfg.MaxBatch, sc.pairs)
+	if verdict == scanDeclined {
+		var err error
+		sc.pairs, verdict, err = decodeBatch(sc.body.Bytes(), g, s.cfg.MaxBatch, sc.pairs)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err.Error())
+			return false
+		}
+	}
+	if verdict == scanTooMany {
+		writeErr(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch has more than %d pairs", s.cfg.MaxBatch))
+		return false
+	}
+	return true
 }
 
 type pathResponse struct {
@@ -551,33 +565,6 @@ func labelOf(g *reach.Graph, tok string) (reach.Label, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown label %q", tok)
-}
-
-// vertexRef is a JSON vertex reference: a number (id) or a string (id or
-// name).
-type vertexRef struct {
-	raw string
-}
-
-func (v *vertexRef) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v.raw = s
-		return nil
-	}
-	var n json.Number
-	if err := json.Unmarshal(b, &n); err != nil {
-		return err
-	}
-	v.raw = n.String()
-	return nil
-}
-
-func (v vertexRef) resolve(g *reach.Graph) (reach.V, error) {
-	return vertexOf(g, v.raw)
 }
 
 // firstLine trims an error to its first line: contained-panic errors

@@ -132,9 +132,10 @@ func TestEndpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("oversized batch: status %d, want 413", resp.StatusCode)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "batch has more than 4 pairs") {
+			t.Errorf("oversized batch: status %d body %s, want 413 naming the limit", resp.StatusCode, body)
 		}
 	})
 	t.Run("batch-method", func(t *testing.T) {

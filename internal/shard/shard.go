@@ -265,8 +265,8 @@ type BuildFunc func(shard int, sub *graph.Digraph) (core.Index, error)
 
 // Index is a sharded reachability index over the original graph's vertex
 // ids: per-shard local indexes plus the 2-hop boundary summary. It
-// implements core.Index (and core.Sized) so it slots into the existing
-// DB/query machinery unchanged.
+// implements core.Index (plus core.Sized and core.BatchIndex) so it slots
+// into the existing DB/query machinery unchanged.
 type Index struct {
 	plan  *Plan
 	ixs   []core.Index
@@ -428,20 +428,20 @@ func (x *Index) cross(cs, ct, ss, st uint32) bool {
 // context polls.
 const batchCtxStride = 64
 
-// BatchReach evaluates many queries with per-shard scatter-gather:
+// BatchReach implements core.BatchIndex with per-shard scatter-gather:
 // same-shard pairs are bucketed by shard and each bucket runs on its own
 // worker against that shard's local index (answers land in caller-indexed
 // slots of out, so the result is deterministic at any worker count);
 // cross-shard pairs form one extra bucket probing through the summary.
 // out must have len(pairs) slots. Every pair is validated before any
 // query runs.
-func (x *Index) BatchReach(ctx context.Context, pairs [][2]graph.V, out []bool, workers int) error {
+func (x *Index) BatchReach(ctx context.Context, pairs []core.Pair, out []bool, workers int) error {
 	if len(out) != len(pairs) {
 		return fmt.Errorf("shard: batch out has %d slots for %d pairs", len(out), len(pairs))
 	}
 	n := x.plan.g.N()
 	for _, p := range pairs {
-		if err := core.CheckPair(n, p[0], p[1]); err != nil {
+		if err := core.CheckPair(n, p.S, p.T); err != nil {
 			return err
 		}
 	}
@@ -449,7 +449,7 @@ func (x *Index) BatchReach(ctx context.Context, pairs [][2]graph.V, out []bool, 
 	buckets := make([][]int32, x.plan.k+1)
 	crossBucket := x.plan.k
 	for i, p := range pairs {
-		cs, ct := x.plan.comp[p[0]], x.plan.comp[p[1]]
+		cs, ct := x.plan.comp[p.S], x.plan.comp[p.T]
 		if cs == ct {
 			out[i] = true
 			continue
@@ -477,7 +477,7 @@ func (x *Index) BatchReach(ctx context.Context, pairs [][2]graph.V, out []bool, 
 				}
 			}
 			p := pairs[i]
-			cs, ct := x.plan.comp[p[0]], x.plan.comp[p[1]]
+			cs, ct := x.plan.comp[p.S], x.plan.comp[p.T]
 			if b == crossBucket {
 				out[i] = x.cross(cs, ct, x.plan.shardOf[cs], x.plan.shardOf[ct])
 			} else {

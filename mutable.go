@@ -686,38 +686,32 @@ func (st *mutState) witnessPath(s, t V) []V {
 	return nil
 }
 
+// overlaid is a serving state with pending mutations seen as an Index —
+// every Reach is the exact delta-overlay decision — so a batch over a
+// non-empty overlay runs through the same call as any other.
+type overlaid struct{ *mutState }
+
+func (o overlaid) Name() string      { return o.ix.Name() }
+func (o overlaid) Stats() Stats      { return o.ix.Stats() }
+func (o overlaid) Reach(s, t V) bool { return o.reach(s, t) }
+
 // BatchReachCtx evaluates many plain reachability queries against the
-// live graph. On a sharded DB the batch scatter-gathers across the
-// per-shard indexes; on a DB with an empty (or no) overlay it runs the
-// 64-way bit-parallel batch kernel over the current frozen graph; with a
-// non-empty overlay each pair is answered by the exact delta-overlay
-// path, polling ctx periodically.
+// live graph, and has one route: pin the serving plain index once for the
+// whole batch — the advisor's current pick on an auto-tuned DB, the
+// sharded engine on a sharded one, the loaded state's index (behind the
+// overlay decision while mutations are pending) on a mutable one — and
+// hand it to BatchReachCtx. A hot swap or commit mid-batch therefore never
+// splits a batch across two indexes. Panics inside the index are contained
+// and counted like on every other query entry point.
 func (db *DB) BatchReachCtx(ctx context.Context, pairs []Pair) (out []bool, err error) {
-	if db.mut == nil {
-		if sx, ok := shardEngine(db.plain); ok {
-			return db.shardBatch(ctx, sx, pairs)
-		}
-		return BatchReachCtx(ctx, nil, db.g, pairs, 0)
-	}
-	st := db.mut.state.Load()
-	if st.ov.Empty() {
-		return BatchReachCtx(ctx, nil, st.g, pairs, 0)
-	}
-	n := st.g.N()
-	for _, p := range pairs {
-		if err := core.CheckPair(n, p.S, p.T); err != nil {
-			return nil, err
-		}
-	}
 	defer db.boundary(&err)
-	out = make([]bool, len(pairs))
-	for i, p := range pairs {
-		if ctx != nil && i%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	ix, g := db.plainCurrent(), db.g
+	if db.mut != nil {
+		st := db.mut.state.Load()
+		ix, g = st.ix, st.g
+		if !st.ov.Empty() {
+			ix = overlaid{st}
 		}
-		out[i] = st.reach(p.S, p.T)
 	}
-	return out, nil
+	return batchReach(ctx, ix, g, pairs, 0)
 }

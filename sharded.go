@@ -5,8 +5,9 @@ package reach
 // and answer global queries through a 2-hop summary over the boundary
 // vertices. The sharded engine implements Index, so it slots into DB as
 // the plain engine — every DB entry point (Reach, Query, caching,
-// metrics, HTTP serving) works unchanged, and BatchReach additionally
-// scatter-gathers buckets across shards. See DESIGN.md ("Sharding").
+// metrics, HTTP serving) works unchanged, and a batch scatter-gathers
+// buckets across shards (the engine is a core.BatchIndex). See DESIGN.md
+// ("Sharding").
 
 import (
 	"context"
@@ -234,23 +235,4 @@ func (db *DB) ShardInfo() (shards []ShardStats, summary ShardSummaryStats, ok bo
 		return nil, ShardSummaryStats{}, false
 	}
 	return sx.Shards(), sx.Summary(), true
-}
-
-// shardBatch routes a DB batch through the sharded engine's
-// scatter-gather path (instead of the index-free bit-parallel kernel the
-// unsharded DB uses).
-func (db *DB) shardBatch(ctx context.Context, sx *shard.Index, pairs []Pair) (out []bool, err error) {
-	defer db.boundary(&err)
-	if ob, ok := db.plain.(batchObserver); ok {
-		ob.ObserveBatch(len(pairs))
-	}
-	ps := make([][2]V, len(pairs))
-	for i, p := range pairs {
-		ps[i] = [2]V{p.S, p.T}
-	}
-	out = make([]bool, len(pairs))
-	if err := sx.BatchReach(ctx, ps, out, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
