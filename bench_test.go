@@ -8,10 +8,12 @@ package reach_test
 import (
 	"context"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
 	reach "repro"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/labelset"
 	"repro/internal/obs"
@@ -294,6 +296,47 @@ func BenchmarkE4_NegHeavy_BFS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := neg[i%len(neg)]
 		traversal.BFS(g, q.S, q.T)
+	}
+}
+
+// --- Fallback cost at scale ---------------------------------------------
+//
+// BenchmarkFallbackReach is DB.Reach with the default index (BFL) over a
+// pool of known-positive pairs — the queries the Bloom labels leave to the
+// guided DFS — at n=10⁴ and n=10⁶, same edge density. expanded/op is the
+// mean number of vertices that DFS expands: a handful at either size, so
+// ns/op should follow it, not n (the arena is emptied by what a query
+// touched; see internal/scratch).
+func BenchmarkFallbackReach(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"n=1e4", 10_000}, {"n=1e6", 1_000_000}} {
+		b.Run(size.name, func(b *testing.B) {
+			g := gen.RandomDAG(gen.Config{N: size.n, M: 4 * size.n, Seed: 41})
+			// A sink source contributes negatives even at ratio 1: drop them.
+			pool := slices.DeleteFunc(gen.QueriesWithRatio(g, 4096, 1.0, 42),
+				func(q gen.Query) bool { return !q.Want })
+			db, err := reach.NewDB(g, reach.DBConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix, _ := db.PlainIndex(reach.KindBFL)
+			expanded := 0
+			for _, q := range pool {
+				_, k, _ := ix.(core.ReachCounter).ReachCounted(q.S, q.T)
+				expanded += k
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := pool[i%len(pool)]
+				if ok, err := db.Reach(q.S, q.T); err != nil || !ok {
+					b.Fatalf("Reach(%d,%d) = %v, %v; want true", q.S, q.T, ok, err)
+				}
+			}
+			b.ReportMetric(float64(expanded)/float64(len(pool)), "expanded/op")
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 // Package bitset provides dense bit sets used throughout the reachability
-// indexes: visited sets for traversals, rows of transitive-closure matrices,
-// and Bloom-filter backing storage.
+// indexes: reachable sets the builders retain, rows of transitive-closure
+// matrices, and Bloom-filter backing storage. A query's transient visited
+// set is not one of these: it comes from the pooled arena
+// (internal/scratch), whose own set type is emptied by the words a query
+// touched rather than by a clear of the whole set.
 //
 // The zero value of Set is an empty set with zero capacity; it grows on
 // demand when bits are set.
@@ -40,23 +43,6 @@ func (s *Set) grow(i int) {
 	nw := make([]uint64, w)
 	copy(nw, s.words)
 	s.words = nw
-}
-
-// EnsureClear makes s an empty set with capacity for bits [0, n),
-// reusing the backing storage when it is large enough. This is the
-// pooled-scratch fast path: after the first few queries warm a pool
-// entry up to the graph size, EnsureClear is a pure memclr — no
-// allocation (see internal/scratch).
-func (s *Set) EnsureClear(n int) {
-	w := (n + wordBits - 1) / wordBits
-	if cap(s.words) < w {
-		s.words = make([]uint64, w)
-		return
-	}
-	s.words = s.words[:w]
-	for i := range s.words {
-		s.words[i] = 0
-	}
 }
 
 // Set sets bit i to 1, growing the set if needed.

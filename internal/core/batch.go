@@ -53,11 +53,13 @@ func BatchReach(ctx context.Context, ix Index, pairs []Pair, out []bool, workers
 	if bx, ok := ix.(BatchIndex); ok {
 		return bx.BatchReach(ctx, pairs, out, workers)
 	}
-	return batchEach(ctx, ix, pairs, out, workers)
+	return BatchEach(ctx, ix, pairs, out, workers)
 }
 
-// batchEach is the per-pair form of BatchReach.
-func batchEach(ctx context.Context, ix Index, pairs []Pair, out []bool, workers int) error {
+// BatchEach is the per-pair form of BatchReach, for a BatchIndex whose own
+// batch form only adds to it (the instrumented wrapper's count, the
+// overlay adapter's).
+func BatchEach(ctx context.Context, ix Index, pairs []Pair, out []bool, workers int) error {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()

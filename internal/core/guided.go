@@ -20,44 +20,14 @@ import (
 // The traversal itself provides ground truth for anything the filter leaves
 // undecided, so the combination is exact.
 func GuidedDFS(g Adjacency, s, t graph.V, try func(u, t graph.V) (bool, bool)) bool {
-	if s == t {
-		return true
-	}
-	if r, ok := try(s, t); ok {
-		return r
-	}
-	sc := scratch.Get(g.N())
-	defer scratch.Put(sc)
-	visited := sc.Visited()
-	visited.Set(int(s))
-	sc.Queue = append(sc.Queue, s)
-	for len(sc.Queue) > 0 {
-		v := sc.Queue[len(sc.Queue)-1]
-		sc.Queue = sc.Queue[:len(sc.Queue)-1]
-		for _, w := range g.Succ(v) {
-			if w == t {
-				return true
-			}
-			if visited.Test(int(w)) {
-				continue
-			}
-			visited.Set(int(w))
-			if r, ok := try(w, t); ok {
-				if r {
-					return true
-				}
-				continue // pruned: w cannot reach t
-			}
-			sc.Queue = append(sc.Queue, w)
-		}
-	}
-	return false
+	r, _ := CountingGuidedDFS(g, s, t, try)
+	return r
 }
 
-// CountingGuidedDFS is GuidedDFS instrumented with the number of vertices
-// expanded; the E1/E4 experiments report it as "traversal work".
+// CountingGuidedDFS is GuidedDFS that also reports the number of vertices
+// it expanded — the E1/E4 "traversal work" and the fallback accounting of
+// the instrumented wrapper. Zero means the first probe decided the query.
 func CountingGuidedDFS(g Adjacency, s, t graph.V, try func(u, t graph.V) (bool, bool)) (bool, int) {
-	expanded := 0
 	if s == t {
 		return true, 0
 	}
@@ -69,6 +39,7 @@ func CountingGuidedDFS(g Adjacency, s, t graph.V, try func(u, t graph.V) (bool, 
 	visited := sc.Visited()
 	visited.Set(int(s))
 	sc.Queue = append(sc.Queue, s)
+	expanded := 0
 	for len(sc.Queue) > 0 {
 		v := sc.Queue[len(sc.Queue)-1]
 		sc.Queue = sc.Queue[:len(sc.Queue)-1]
@@ -85,7 +56,7 @@ func CountingGuidedDFS(g Adjacency, s, t graph.V, try func(u, t graph.V) (bool, 
 				if r {
 					return true, expanded
 				}
-				continue
+				continue // pruned: w cannot reach t
 			}
 			sc.Queue = append(sc.Queue, w)
 		}

@@ -156,7 +156,7 @@ func (w *Instrumented) BatchReach(ctx context.Context, pairs []Pair, out []bool,
 	}
 	bx, ok := w.inner.(BatchIndex)
 	if !ok {
-		return batchEach(ctx, w, pairs, out, workers)
+		return BatchEach(ctx, w, pairs, out, workers)
 	}
 	err := bx.BatchReach(ctx, pairs, out, workers)
 	if err == nil && w.m != nil {

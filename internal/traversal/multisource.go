@@ -46,10 +46,10 @@ func MultiSourceReach(g *graph.Digraph, sources []graph.V, words []uint64) {
 	sc := scratch.Get(n)
 	defer scratch.Put(sc)
 	visited := sc.Visited()
-	onstack := sc.Visited2(n)
-	stack := sc.Queue[:0]  // DFS stack of vertices
-	child := sc.Aux[:0]    // per-frame next-successor index, parallel to stack
-	order := sc.Queue2[:0] // post-order of the reachable subgraph
+	finished := sc.Visited2(n) // popped off the DFS stack
+	stack := sc.Queue[:0]      // DFS stack of vertices
+	child := sc.Aux[:0]        // per-frame next-successor index, parallel to stack
+	order := sc.Queue2[:0]     // post-order of the reachable subgraph
 	cyclic := false
 	for j, s := range sources {
 		words[s] |= 1 << uint(j)
@@ -57,7 +57,6 @@ func MultiSourceReach(g *graph.Digraph, sources []graph.V, words []uint64) {
 			continue
 		}
 		visited.Set(int(s))
-		onstack.Set(int(s))
 		stack = append(stack, s)
 		child = append(child, 0)
 		for len(stack) > 0 {
@@ -66,10 +65,11 @@ func MultiSourceReach(g *graph.Digraph, sources []graph.V, words []uint64) {
 			succ := g.Succ(v)
 			ci := int(child[top])
 			for ci < len(succ) && visited.Test(int(succ[ci])) {
-				// A back edge to a vertex still on the DFS stack is the
-				// witness that the reachable subgraph has a cycle (and so
-				// needs the fixpoint passes below).
-				if !cyclic && onstack.Test(int(succ[ci])) {
+				// A back edge to a vertex still on the DFS stack (visited,
+				// not yet finished) is the witness that the reachable
+				// subgraph has a cycle (and so needs the fixpoint passes
+				// below).
+				if !cyclic && !finished.Test(int(succ[ci])) {
 					cyclic = true
 				}
 				ci++
@@ -78,14 +78,13 @@ func MultiSourceReach(g *graph.Digraph, sources []graph.V, words []uint64) {
 				w := succ[ci]
 				child[top] = graph.V(ci + 1)
 				visited.Set(int(w))
-				onstack.Set(int(w))
 				stack = append(stack, w)
 				child = append(child, 0)
 				continue
 			}
 			stack = stack[:top]
 			child = child[:top]
-			onstack.Clear(int(v))
+			finished.Set(int(v))
 			order = append(order, v)
 		}
 	}

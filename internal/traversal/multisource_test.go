@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/scratch"
 	"repro/internal/traversal"
 )
 
@@ -143,20 +143,19 @@ func TestPooledTraversalsAllocFree(t *testing.T) {
 	g := gen.ErdosRenyi(gen.Config{N: 2000, M: 8000, Seed: 3})
 	sources := []graph.V{1, 2, 3, 4, 5, 6, 7, 8}
 	words := make([]uint64, g.N())
+	set := bitset.New(g.N()) // the caller's reused set of the Into forms
 	// Warm the pool before measuring.
 	traversal.CountVisitedBFS(g, 0)
 	traversal.MultiSourceReach(g, sources, words)
 	checks := map[string]func(){
 		"CountVisitedBFS": func() { traversal.CountVisitedBFS(g, 0) },
 		"ReachableFromInto": func() {
-			sc := scratch.Get(g.N())
-			traversal.ReachableFromInto(g, 0, sc.Visited())
-			scratch.Put(sc)
+			set.Reset()
+			traversal.ReachableFromInto(g, 0, set)
 		},
 		"ReachingInto": func() {
-			sc := scratch.Get(g.N())
-			traversal.ReachingInto(g, 0, sc.Visited())
-			scratch.Put(sc)
+			set.Reset()
+			traversal.ReachingInto(g, 0, set)
 		},
 		"MultiSourceReach": func() {
 			clear(words)
@@ -176,10 +175,10 @@ func BenchmarkPooledReachable(b *testing.B) {
 	g := gen.ErdosRenyi(gen.Config{N: 20000, M: 80000, Seed: 3})
 	b.Run("ReachableFromInto", func(b *testing.B) {
 		b.ReportAllocs()
+		set := bitset.New(g.N())
 		for i := 0; i < b.N; i++ {
-			sc := scratch.Get(g.N())
-			traversal.ReachableFromInto(g, graph.V(i%g.N()), sc.Visited())
-			scratch.Put(sc)
+			set.Reset()
+			traversal.ReachableFromInto(g, graph.V(i%g.N()), set)
 		}
 	})
 	b.Run("ReachableFromRetained", func(b *testing.B) {
@@ -216,13 +215,13 @@ func BenchmarkMultiSourceReach(b *testing.B) {
 	b.Run("sequential64", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
+		set := bitset.New(g.N())
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sc := scratch.Get(g.N())
 			for _, s := range sources {
-				sc.Visited().EnsureClear(g.N())
-				traversal.ReachableFromInto(g, s, sc.Visited())
+				set.Reset()
+				traversal.ReachableFromInto(g, s, set)
 			}
-			scratch.Put(sc)
 		}
 	})
 }

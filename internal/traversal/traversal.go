@@ -120,15 +120,15 @@ func BiBFS(g *graph.Digraph, s, t graph.V) bool {
 
 // ReachableFrom returns the set of vertices reachable from s (including s).
 // The returned set is freshly allocated because callers (the O'Reach index)
-// retain it; query paths that only inspect the set transiently should use
-// ReachableFromInto with a pooled set instead.
+// retain it; callers that only inspect the set transiently should use
+// ReachableFromInto with a set they reuse instead.
 func ReachableFrom(g *graph.Digraph, s graph.V) *bitset.Set {
 	return ReachableFromInto(g, s, bitset.New(g.N()))
 }
 
 // ReachableFromInto computes the forward reachable set of s into visited,
-// which must already be cleared with capacity for bits [0, g.N()) — pass a
-// scratch arena's Visited() for an allocation-free traversal. It returns
+// which must already be cleared with capacity for bits [0, g.N()) — reuse
+// one set across calls for an allocation-free traversal. It returns
 // visited for convenience; the set belongs to the caller.
 func ReachableFromInto(g *graph.Digraph, s graph.V, visited *bitset.Set) *bitset.Set {
 	visited.Set(int(s))
@@ -150,7 +150,7 @@ func ReachableFromInto(g *graph.Digraph, s graph.V, visited *bitset.Set) *bitset
 
 // Reaching returns the set of vertices that can reach t (including t). The
 // returned set is freshly allocated (retained by the O'Reach index); use
-// ReachingInto with a pooled set for transient lookups.
+// ReachingInto with a reused set for transient lookups.
 func Reaching(g *graph.Digraph, t graph.V) *bitset.Set {
 	return ReachingInto(g, t, bitset.New(g.N()))
 }
@@ -219,45 +219,10 @@ type DFAIface interface {
 
 // ProductBFS answers the general path-constrained query Qr(s, t, α) by BFS
 // over the product of g and the DFA of α (the "guided graph traversal" of
-// §2.3). A query holds iff some s-t path spells a word of L(α). The
-// product-space visited set is pooled; the (vertex, state) queue is local
-// because its element type does not fit the shared arena.
+// §2.3). A query holds iff some s-t path spells a word of L(α).
 func ProductBFS(g *graph.Digraph, s, t graph.V, dfa DFAIface) bool {
-	start := dfa.Start()
-	if s == t && dfa.Accepting(start) {
-		return true
-	}
-	ns := dfa.NumStates()
-	sc := scratch.Get(g.N() * ns)
-	defer scratch.Put(sc)
-	visited := sc.Visited()
-	id := func(v graph.V, q int) int { return int(v)*ns + q }
-	visited.Set(id(s, start))
-	type state struct {
-		v graph.V
-		q int
-	}
-	queue := []state{{s, start}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		succ := g.Succ(cur.v)
-		labs := g.SuccLabels(cur.v)
-		for i, w := range succ {
-			nq := dfa.Step(cur.q, labs[i])
-			if nq < 0 {
-				continue
-			}
-			if w == t && dfa.Accepting(nq) {
-				return true
-			}
-			if !visited.Test(id(w, nq)) {
-				visited.Set(id(w, nq))
-				queue = append(queue, state{w, nq})
-			}
-		}
-	}
-	return false
+	r, _ := ProductBFSCtx(nil, g, s, t, dfa) // a nil context never cancels
+	return r
 }
 
 // productPollStride is how many product-state dequeues pass between
@@ -271,14 +236,14 @@ const productPollStride = 256
 // with ctx.Err() when the context is canceled or past its deadline. The
 // product space is |V| × |DFA| — the one query route whose work is not
 // bounded by an index — which is why the DB's query deadline threads to
-// exactly this loop.
+// exactly this loop. The product-space visited set is pooled, and emptied
+// by what the search touched, not by |V| × |DFA| bits; the (vertex,
+// state) queue is local because its element type does not fit the shared
+// arena.
 func ProductBFSCtx(ctx context.Context, g *graph.Digraph, s, t graph.V, dfa DFAIface) (bool, error) {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
-	}
-	if done == nil {
-		return ProductBFS(g, s, t, dfa), nil
 	}
 	start := dfa.Start()
 	if s == t && dfa.Accepting(start) {
@@ -296,7 +261,7 @@ func ProductBFSCtx(ctx context.Context, g *graph.Digraph, s, t graph.V, dfa DFAI
 	}
 	queue := []state{{s, start}}
 	for qi := 0; qi < len(queue); qi++ {
-		if qi%productPollStride == 0 {
+		if done != nil && qi%productPollStride == 0 {
 			select {
 			case <-done:
 				return false, ctx.Err()
@@ -330,5 +295,16 @@ func ProductBFSCtx(ctx context.Context, g *graph.Digraph, s, t graph.V, dfa DFAI
 func CountVisitedBFS(g *graph.Digraph, s graph.V) int {
 	sc := scratch.Get(g.N())
 	defer scratch.Put(sc)
-	return ReachableFromInto(g, s, sc.Visited()).Count()
+	visited := sc.Visited()
+	visited.Set(int(s))
+	sc.Queue = append(sc.Queue, s)
+	for qi := 0; qi < len(sc.Queue); qi++ {
+		for _, w := range g.Succ(sc.Queue[qi]) {
+			if !visited.Test(int(w)) {
+				visited.Set(int(w))
+				sc.Queue = append(sc.Queue, w)
+			}
+		}
+	}
+	return len(sc.Queue)
 }

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/obs"
+	"repro/internal/scratch"
 )
 
 // FsyncMode re-exports the WAL durability policy.
@@ -564,57 +566,64 @@ func (st *mutState) reach(s, t V) bool {
 // edges. An added edge (u, v) activates when some anchor base-reaches u;
 // an anchor that base-reaches t wins. Each of the A added edges
 // activates at most once, giving O(A²) index probes worst case — A is
-// bounded by the rebuild threshold, and probes are microseconds.
+// bounded by the rebuild threshold, and probes are microseconds. The
+// anchors (Queue), the edge list (Queue2 → Aux) and the set of anchored
+// vertices all live in the query arena.
 func (st *mutState) reachWithAdds(s, t V) bool {
-	type edge struct{ u, v V }
-	edges := make([]edge, 0, st.ov.AddedCount())
+	sc := scratch.Get(st.g.N())
+	defer scratch.Put(sc)
 	st.ov.AddedEdges(func(u, v uint32) {
-		edges = append(edges, edge{u, v})
+		sc.Queue2 = append(sc.Queue2, u)
+		sc.Aux = append(sc.Aux, v)
 	})
-	anchors := []V{s}
-	seen := map[V]bool{s: true}
-	used := make([]bool, len(edges))
-	for i := 0; i < len(anchors); i++ {
-		a := anchors[i]
+	anchored := sc.Visited()
+	anchored.Set(int(s))
+	sc.Queue = append(sc.Queue, s)
+	for i := 0; i < len(sc.Queue); i++ {
+		a := sc.Queue[i]
 		if i > 0 && (a == t || st.ix.Reach(a, t)) {
 			// i == 0 is s itself, whose base probe the caller already made.
 			return true
 		}
-		for j, e := range edges {
-			if used[j] || seen[e.v] {
-				continue
-			}
-			if a == e.u || st.ix.Reach(a, e.u) {
-				used[j] = true
-				seen[e.v] = true
-				anchors = append(anchors, e.v)
+		for j, u := range sc.Queue2 {
+			v := sc.Aux[j]
+			if !anchored.Test(int(v)) && (a == u || st.ix.Reach(a, u)) {
+				anchored.Set(int(v))
+				sc.Queue = append(sc.Queue, v)
 			}
 		}
 	}
 	return false
 }
 
-// bfsOverlaid runs a plain BFS over the overlaid adjacency — base
-// successors minus removed edges plus added ones. The exact fallback
-// when removals invalidate the frozen index's positives.
+// bfsOverlaid decides s→t by BFS over the overlaid adjacency. The exact
+// fallback when removals invalidate the frozen index's positives.
 func (st *mutState) bfsOverlaid(s, t V) bool {
-	n := st.g.N()
-	visited := make([]bool, n)
-	visited[s] = true
-	queue := make([]V, 1, 64)
-	queue[0] = s
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		found := st.eachSucc(u, func(v V) bool {
-			if v == t {
-				return true
+	sc := scratch.Get(st.g.N())
+	defer scratch.Put(sc)
+	return st.bfs(sc, s, t)
+}
+
+// bfs runs a plain BFS from s over the overlaid adjacency — base
+// successors minus removed edges plus added ones — in the arena sc, until
+// it discovers t. sc.Queue holds the vertices in discovery order and
+// sc.Aux, in parallel, the queue position each was discovered from, so
+// the shortest path to a found t (the queue's last entry) can be read
+// back without per-vertex storage.
+func (st *mutState) bfs(sc *scratch.T, s, t V) bool {
+	visited := sc.Visited()
+	visited.Set(int(s))
+	sc.Queue = append(sc.Queue, s)
+	sc.Aux = append(sc.Aux, 0)
+	for qi := 0; qi < len(sc.Queue); qi++ {
+		found := st.eachSucc(sc.Queue[qi], func(v V) bool {
+			if visited.Test(int(v)) {
+				return false
 			}
-			if !visited[v] {
-				visited[v] = true
-				queue = append(queue, v)
-			}
-			return false
+			visited.Set(int(v))
+			sc.Queue = append(sc.Queue, v)
+			sc.Aux = append(sc.Aux, V(qi))
+			return v == t
 		})
 		if found {
 			return true
@@ -643,47 +652,24 @@ func (st *mutState) eachSucc(u V, fn func(v V) bool) bool {
 	return false
 }
 
-// witnessPath reconstructs a shortest s→t path on the overlaid graph by
-// parent-tracking BFS. Caller has established reachability.
+// witnessPath reconstructs a shortest s→t path on the overlaid graph from
+// the BFS's discovery links. Caller has established reachability.
 func (st *mutState) witnessPath(s, t V) []V {
 	if s == t {
 		return []V{s}
 	}
-	n := st.g.N()
-	parent := make([]int64, n)
-	for i := range parent {
-		parent[i] = -1
+	sc := scratch.Get(st.g.N())
+	defer scratch.Put(sc)
+	if !st.bfs(sc, s, t) {
+		return nil
 	}
-	parent[s] = int64(s)
-	queue := make([]V, 1, 64)
-	queue[0] = s
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		done := st.eachSucc(u, func(v V) bool {
-			if parent[v] >= 0 {
-				return false
-			}
-			parent[v] = int64(u)
-			if v == t {
-				return true
-			}
-			queue = append(queue, v)
-			return false
-		})
-		if done {
-			path := []V{t}
-			for v := t; v != s; {
-				v = V(parent[v])
-				path = append(path, v)
-			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-			return path
-		}
+	var path []V
+	for i := len(sc.Queue) - 1; i > 0; i = int(sc.Aux[i]) {
+		path = append(path, sc.Queue[i])
 	}
-	return nil
+	path = append(path, s)
+	slices.Reverse(path)
+	return path
 }
 
 // overlaid is a serving state with pending mutations seen as an Index —
@@ -694,6 +680,16 @@ type overlaid struct{ *mutState }
 func (o overlaid) Name() string      { return o.ix.Name() }
 func (o overlaid) Stats() Stats      { return o.ix.Stats() }
 func (o overlaid) Reach(s, t V) bool { return o.reach(s, t) }
+
+// BatchReach implements core.BatchIndex: the adapter hides the
+// instrumented index underneath from core.BatchReach, so it counts the
+// batch there itself, as that index would have, then answers pair by pair.
+func (o overlaid) BatchReach(ctx context.Context, pairs []Pair, out []bool, workers int) error {
+	if w, ok := o.ix.(*core.Instrumented); ok { // only ever made with metrics on
+		w.Metrics().ObserveBatch(len(pairs))
+	}
+	return core.BatchEach(ctx, o, pairs, out, workers)
+}
 
 // BatchReachCtx evaluates many plain reachability queries against the
 // live graph, and has one route: pin the serving plain index once for the
