@@ -65,18 +65,24 @@ func Advise(ctx context.Context, g *Graph, recs []WorkloadRecord, cfg AdviseConf
 	if opt.Prepared == nil {
 		opt.Prepared = Prepare(g)
 	}
-	var kinds []string
-	for _, k := range cfg.Candidates {
-		kinds = append(kinds, string(k))
-	}
 	return advise.Run(ctx, opt.Prepared, recs, advise.Config{
 		Build:         buildFuncFor(g, opt),
-		Candidates:    kinds,
+		Candidates:    kindNames(cfg.Candidates),
 		MaxCandidates: cfg.MaxCandidates,
 		BuildTimeout:  cfg.BuildTimeout,
 		Budget:        cfg.Budget,
 		MaxReplay:     cfg.MaxReplay,
 	})
+}
+
+// kindNames is a kind list as internal/advise takes it; nil (no override)
+// stays nil.
+func kindNames(kinds []Kind) []string {
+	var names []string
+	for _, k := range kinds {
+		names = append(names, string(k))
+	}
+	return names
 }
 
 // buildFuncFor closes BuildCtx over the graph and shared options — the

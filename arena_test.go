@@ -25,7 +25,7 @@ func fallbackPairs(t testing.TB, db *DB, g *Graph, want int, seed int64) []Pair 
 	t.Helper()
 	fallbacks := func() int64 {
 		snap, _ := db.MetricsSnapshot()
-		return snap.Indexes[db.plain.Name()].Fallback
+		return snap.Indexes[db.cur.Load().ix.Name()].Fallback
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var pairs []Pair

@@ -1,12 +1,12 @@
 package reach
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"context"
 
 	"repro/internal/advise"
 	"repro/internal/core"
@@ -19,9 +19,9 @@ import (
 // an in-memory ring, and a background loop periodically runs the index
 // advisor over the sample — shortlist, shadow-build, trace-replay — and
 // hot-swaps the serving plain index when the pick's measured p99 beats
-// the current index by the margin. The swap is a single atomic pointer
-// publish; in-flight queries pin the index they started on, so no
-// request ever fails because of a swap.
+// the current index by the margin. The swap is one publish of the DB's
+// serving snapshot (serving.go); in-flight queries pin the snapshot they
+// started on, so no request ever fails because of a swap.
 type AutoTuneConfig struct {
 	// CheckInterval is how often the background loop evaluates. Default
 	// 30s.
@@ -56,10 +56,6 @@ func checkAutoTuneConfig(cfg DBConfig) error {
 		return nil
 	}
 	switch {
-	case cfg.Mutation != nil:
-		return fmt.Errorf("%w: AutoTune is mutually exclusive with Mutation (the reindexer owns that swap path)", ErrBadOptions)
-	case cfg.PlainIndex != nil:
-		return fmt.Errorf("%w: AutoTune is mutually exclusive with PlainIndex (no single kind to retune)", ErrBadOptions)
 	case at.MinImprovement < 0:
 		return fmt.Errorf("%w: AutoTune.MinImprovement must be >= 0, got %v", ErrBadOptions, at.MinImprovement)
 	case at.MinSamples < 0 || at.SampleWindow < 0 || at.Budget < 0:
@@ -68,40 +64,27 @@ func checkAutoTuneConfig(cfg DBConfig) error {
 		return fmt.Errorf("%w: negative AutoTune intervals", ErrBadOptions)
 	}
 	for _, k := range at.Candidates {
-		if !validKind(k) {
+		if !slices.Contains(Kinds(), k) {
 			return fmt.Errorf("%w: unknown AutoTune candidate kind %q", ErrBadOptions, k)
 		}
 	}
 	return nil
 }
 
-func validKind(k Kind) bool {
-	for _, known := range Kinds() {
-		if k == known {
-			return true
-		}
-	}
-	return false
-}
-
-// autoTuner is the background auto-tuning engine. It reuses the mutate
-// reindexer's containment pattern: the evaluation goroutine recovers
-// panics (core.Recover), failures only count a metric and wait for the
-// next tick, and the publish is one atomic store under no lock.
+// autoTuner is the background auto-tuning engine, a producer of the DB's
+// serving snapshot. It reuses the mutate reindexer's containment pattern:
+// the evaluation goroutine recovers panics (core.Recover) and failures
+// only count a metric and wait for the next tick.
 type autoTuner struct {
 	db   *DB
 	cfg  AutoTuneConfig
-	opt  Options
+	opt  Options // shadow-build options: Spans stripped, Prepared set per evaluation
 	m    *obs.AdvisorMetrics
 	reps int
-
-	cur  atomic.Pointer[Index]  // the serving plain index
-	kind atomic.Pointer[string] // its kind name
 
 	mu   sync.Mutex
 	ring []workload.Record // most recent plain uncached query samples
 	next int               // ring write cursor
-	n    int               // records currently held (≤ SampleWindow)
 
 	report atomic.Pointer[AdvisorReport] // last completed evaluation
 
@@ -109,16 +92,10 @@ type autoTuner struct {
 	runCtx  context.Context
 	done    chan struct{}
 	closing sync.Once
-
-	// testHookSwapped observes a published swap (kind name) in tests.
-	testHookSwapped func(kind string)
-	// testHookEvaluated observes every completed evaluation in tests.
-	testHookEvaluated func(err error)
 }
 
 // initAutoTune wires the auto-tuner into a freshly built DB: defaults,
-// metrics, the initial published index (the instrumented Plain), and
-// the background loop.
+// metrics, and the background loop.
 func (db *DB) initAutoTune(cfg DBConfig) {
 	at := &autoTuner{db: db, cfg: *cfg.AutoTune, m: &obs.AdvisorMetrics{}, reps: 8}
 	if at.cfg.CheckInterval <= 0 {
@@ -139,16 +116,12 @@ func (db *DB) initAutoTune(cfg DBConfig) {
 	if at.cfg.BuildTimeout <= 0 {
 		at.cfg.BuildTimeout = 30 * time.Second
 	}
-	// Shadow builds share the DB's preprocessing memo but not its span
-	// sink: the advisor's background builds must not splice phantom
-	// phases into the DB's build timeline.
+	// Shadow builds share the serving snapshot's preprocessing memo but
+	// not the DB's span sink: the advisor's background builds must not
+	// splice phantom phases into the DB's build timeline.
 	at.opt = cfg.Options
-	at.opt.Prepared = db.prep
 	at.opt.Spans = nil
-	ix := db.plain
-	at.cur.Store(&ix)
-	k := string(db.plainKind)
-	at.kind.Store(&k)
+	k := string(db.cur.Load().kind)
 	at.m.SetKinds(k, k)
 	if db.metrics != nil {
 		db.metrics.SetAdvisor(at.m)
@@ -159,12 +132,6 @@ func (db *DB) initAutoTune(cfg DBConfig) {
 	go at.run()
 }
 
-// current returns the serving plain index.
-func (at *autoTuner) current() Index { return *at.cur.Load() }
-
-// currentKind returns the serving plain index's kind name.
-func (at *autoTuner) currentKind() string { return *at.kind.Load() }
-
 // observe feeds one plain uncached query sample into the ring. Called
 // from the query path via db.record: one short mutex hold, no
 // allocation after the ring warms up.
@@ -172,12 +139,11 @@ func (at *autoTuner) observe(rec workload.Record) {
 	at.mu.Lock()
 	if len(at.ring) < at.cfg.SampleWindow {
 		at.ring = append(at.ring, rec)
-		at.n = len(at.ring)
 	} else {
 		at.ring[at.next] = rec
 		at.next = (at.next + 1) % len(at.ring)
 	}
-	n := at.n
+	n := len(at.ring)
 	at.mu.Unlock()
 	at.m.TraceRecords.Set(int64(n))
 }
@@ -211,31 +177,26 @@ func (at *autoTuner) evaluate() {
 	if len(recs) < at.cfg.MinSamples {
 		return
 	}
-	err := at.evaluateOnce(recs)
-	if err != nil {
+	if err := at.evaluateOnce(recs); err != nil {
 		at.m.Failures.Inc()
 	} else {
 		at.m.Evaluations.Inc()
-	}
-	if at.testHookEvaluated != nil {
-		at.testHookEvaluated(err)
 	}
 }
 
 func (at *autoTuner) evaluateOnce(recs []workload.Record) (err error) {
 	defer core.Recover(&err)
 	// Measure the serving index on the same sample the candidates will
-	// replay: the swap decision compares like with like.
-	curIx := at.current()
-	curKind := at.currentKind()
-	curMeas := advise.MeasurePlain(curIx, recs, at.reps)
-	var kinds []string
-	for _, k := range at.cfg.Candidates {
-		kinds = append(kinds, string(k))
-	}
-	rep, err := advise.Run(at.runCtx, at.db.prep, recs, advise.Config{
-		Build:         buildFuncFor(at.db.g, at.opt),
-		Candidates:    kinds,
+	// replay: the swap decision compares like with like. Candidates are
+	// shadow-built over the snapshot's graph and memo; the overlay is the
+	// same for whichever index serves under it.
+	snap := at.db.cur.Load()
+	curMeas := advise.MeasurePlain(snap.ix, recs, at.reps)
+	opt := at.opt
+	opt.Prepared = snap.prep
+	rep, err := advise.Run(at.runCtx, snap.prep, recs, advise.Config{
+		Build:         buildFuncFor(snap.g, opt),
+		Candidates:    kindNames(at.cfg.Candidates),
 		MaxCandidates: at.cfg.MaxCandidates,
 		BuildTimeout:  at.cfg.BuildTimeout,
 		Budget:        at.cfg.Budget,
@@ -259,31 +220,37 @@ func (at *autoTuner) evaluateOnce(recs []workload.Record) (err error) {
 	}
 	at.m.LastImprovementPermille.Set(int64(1000 * improvement))
 	ix, ok := rep.ChosenIndex()
-	if !ok || rep.Chosen == curKind || improvement < at.cfg.MinImprovement {
+	if !ok || rep.Chosen == string(snap.kind) || improvement < at.cfg.MinImprovement {
 		at.m.SwapsSkipped.Inc()
 		return nil
 	}
-	at.publish(rep.Chosen, ix)
+	at.offer(snap, Kind(rep.Chosen), ix)
 	return nil
 }
 
-// publish hot-swaps the serving plain index: instrument (when metrics
-// are on), then one atomic pointer store. Queries load the pointer once
-// per request, so in-flight requests finish on the index they started
-// with and no request observes a half-swapped state.
-func (at *autoTuner) publish(kind string, ix Index) {
-	at.db.recordFootprint(ix)
-	if at.db.metrics != nil {
-		ix = core.Instrument(ix, at.db.g, at.db.metrics.Index(ix.Name()))
+// offer hands publish an index of the given kind built over built's
+// graph. The candidate keeps the serving graph, memo and overlay and
+// replaces only the index; when a rebuild has moved the serving graph on
+// since built was loaded, the candidate answers a superseded graph and is
+// dropped (counted in swaps_skipped) — the next evaluation builds over the
+// new one.
+func (at *autoTuner) offer(built *serving, kind Kind, ix Index) bool {
+	ix = at.db.instrument(ix, built.g)
+	st := at.db.publish(func(cur *serving) *serving {
+		if cur.g != built.g {
+			return nil
+		}
+		next := *cur
+		next.ix, next.kind = ix, kind
+		return &next
+	})
+	if st == nil {
+		at.m.SwapsSkipped.Inc()
+		return false
 	}
-	at.cur.Store(&ix)
-	k := kind
-	at.kind.Store(&k)
-	at.m.SetKinds(kind, "")
+	at.m.SetKinds(string(kind), "")
 	at.m.Swaps.Inc()
-	if at.testHookSwapped != nil {
-		at.testHookSwapped(kind)
-	}
+	return true
 }
 
 // close stops the background loop and waits for it to exit. The last

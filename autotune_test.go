@@ -13,7 +13,6 @@ import (
 func TestAutoTuneConfigValidation(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 50, M: 100, Seed: 1})
 	bad := []DBConfig{
-		{AutoTune: &AutoTuneConfig{}, Mutation: &MutationConfig{}},
 		{AutoTune: &AutoTuneConfig{MinImprovement: -1}},
 		{AutoTune: &AutoTuneConfig{MinSamples: -1}},
 		{AutoTune: &AutoTuneConfig{CheckInterval: -time.Second}},
@@ -24,13 +23,13 @@ func TestAutoTuneConfigValidation(t *testing.T) {
 			t.Errorf("config %d: err = %v, want ErrBadOptions", i, err)
 		}
 	}
-	// PlainIndex exclusion.
+	// An engine installed pre-built has no producer to retune it.
 	ix, err := Build(KindBFL, g, Options{})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	if _, err := NewDB(g, DBConfig{PlainIndex: ix, AutoTune: &AutoTuneConfig{}}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("PlainIndex+AutoTune: err = %v, want ErrBadOptions", err)
+	if _, err := NewDB(g, DBConfig{PlainIndex: ix, AutoTune: &AutoTuneConfig{}}); !errors.Is(err, ErrPrebuiltEngine) || !errors.Is(err, ErrBadOptions) {
+		t.Errorf("PlainIndex+AutoTune: err = %v, want ErrPrebuiltEngine (an ErrBadOptions)", err)
 	}
 	// Status reads false when the tuner is off.
 	db, err := NewDB(g, DBConfig{})

@@ -101,7 +101,7 @@ func TestDBBatchMatchesReachAndClosure(t *testing.T) {
 				for seen := batches.Load(); batches.Load() == seen && !t.Failed(); {
 					time.Sleep(time.Millisecond) // at least one batch between swaps
 				}
-				db.aut.publish(string(kind), ix)
+				db.aut.offer(db.cur.Load(), kind, ix)
 				if st, _ := db.AdvisorStatus(); st.CurrentKind != string(kind) {
 					t.Fatalf("swap %d: serving %q, want %q", i, st.CurrentKind, kind)
 				}

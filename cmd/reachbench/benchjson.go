@@ -511,14 +511,12 @@ func measureAccel(scale int, seed int64) *accelReport {
 		a.DBCacheHitRate = float64(snap.Hits) / float64(snap.Hits+snap.Misses)
 	}
 
-	mdb, err := reach.NewDB(g, reach.DBConfig{
-		Plain:      reach.KindBFL,
-		ExtraPlain: []reach.Kind{reach.KindFeline, reach.KindPReaCH},
-		Options:    reach.Options{Bits: 256, Seed: seed},
-	})
-	if err != nil {
-		panic(err)
+	prep := reach.Prepare(g)
+	for _, kind := range []reach.Kind{reach.KindBFL, reach.KindFeline, reach.KindPReaCH} {
+		if _, err := reach.Build(kind, g, reach.Options{Bits: 256, Seed: seed, Prepared: prep}); err != nil {
+			panic(err)
+		}
 	}
-	a.CondenseMemoHits = mdb.Prepared().Hits()
+	a.CondenseMemoHits = prep.Hits()
 	return a
 }

@@ -22,7 +22,9 @@
 // topological ranges, builds one plain index per shard in parallel, and
 // answers cross-shard queries through a 2-hop summary over the boundary
 // vertices; answers are exact for every k. With -snapshot, each shard
-// warm-starts from <snapshot>.shard<i>. Incompatible with -wal.
+// warm-starts from <snapshot>.shard<i>. The sharded engine is handed to
+// the DB pre-built, and a pre-built engine has nothing that can rebuild
+// it: -shards refuses -wal and -autotune (reach.ErrPrebuiltEngine).
 //
 // With -snapshot the graph's CSR arrays are also persisted to
 // <snapshot>.graph, so later boots page-map the adjacency instead of
@@ -32,17 +34,18 @@
 // -wal makes the DB writable: edge mutations group-commit to the named
 // write-ahead log before acknowledging, queries stay exact via a delta
 // overlay, and a restart on the same -wal (and -graph/-snapshot) replays
-// the log so acknowledged writes survive crashes. /admin/reload is
-// disabled under -wal — reloading from the graph file would silently
-// drop logged mutations.
+// the log so acknowledged writes survive crashes. -cache and -autotune
+// work under -wal: every commit advances the serving epoch the cache keys
+// carry, and the reindexer rebuilds whichever kind the tuner has serving.
+// /admin/reload is disabled under -wal — a reload is a second DB, and a
+// second DB cannot replay the WAL the first one is writing.
 //
 // -autotune runs the index advisor over a rolling sample of the live
 // plain-query traffic at the given interval: candidates from the survey
 // taxonomy are shadow-built in the background and trace-replayed, and
 // the serving plain index is hot-swapped when the pick's measured p99
 // beats it by -autotune-margin. /admin/advise reports the tuner's state
-// and the last evaluation. Incompatible with -wal and -shards (each owns
-// its own index-swap path).
+// and the last evaluation.
 //
 // Logs are structured (log/slog); -log-format json switches the sink to
 // JSON lines, -log-level sets the floor. -record captures the query
@@ -83,13 +86,13 @@ func main() {
 	bits := flag.Int("bits", 0, "Bloom filter width (BFL/DBL); 0 = default")
 	maxseq := flag.Int("maxseq", 0, "RLC max concatenation length κ; 0 = default")
 	workers := flag.Int("workers", 0, "build worker cap; 0 = GOMAXPROCS")
-	cache := flag.Int("cache", 0, "query-result cache entries; 0 disables")
+	cache := flag.Int("cache", 0, "query-result cache entries; 0 disables (under -wal a commit advances the epoch its keys carry, so no stale answer is served)")
 	metrics := flag.Bool("metrics", true, "enable the observability layer")
 	degraded := flag.Bool("degraded", false, "keep serving when an optional index build fails")
 	snapshot := flag.String("snapshot", "", "plain-index snapshot file: load when present, write after a fresh build (bfl/pll/dl kinds)")
 	mmapSnap := flag.Bool("mmap", false, "use the mapped snapshot layout: write aligned+checksummed snapshots and cold-start by page-mapping them (zero-copy) instead of decoding")
-	shards := flag.Int("shards", 0, "partition the DAG into this many shards with per-shard indexes and a boundary summary; 0 disables (incompatible with -wal)")
-	walPath := flag.String("wal", "", "write-ahead log file; enables POST /v1/mutate and replays the log on start (unlabeled graphs, disables -cache and /admin/reload)")
+	shards := flag.Int("shards", 0, "partition the DAG into this many shards with per-shard indexes and a boundary summary; 0 disables (a pre-built engine: refuses -wal and -autotune)")
+	walPath := flag.String("wal", "", "write-ahead log file; enables POST /v1/mutate and replays the log on start (unlabeled graphs, disables /admin/reload)")
 	walFsync := flag.String("wal-fsync", "always", "WAL durability: always (fsync before acking each group commit) or never (OS page cache)")
 	mutateBatch := flag.Int("mutate-batch", 0, "max mutation ops per group commit; 0 = default")
 	mutateDelay := flag.Duration("mutate-delay", 0, "max time a mutation waits to share a group commit; 0 = default")
@@ -104,7 +107,7 @@ func main() {
 	traceBuf := flag.Int("trace-buffer", 256, "recent-trace ring size for /debug/traces; 0 disables tracing")
 	slowQuery := flag.Duration("slow-query", 250*time.Millisecond, "log and retain traces of requests slower than this; 0 disables the slow log")
 	record := flag.String("record", "", "capture the query workload to this file (replay with `reachcli replay`)")
-	autotune := flag.Duration("autotune", 0, "evaluate the index advisor over live traffic this often and hot-swap the plain index when its pick is faster; 0 disables (incompatible with -wal and -shards)")
+	autotune := flag.Duration("autotune", 0, "evaluate the index advisor over live traffic this often and hot-swap the plain index when its pick is faster; 0 disables")
 	autotuneMargin := flag.Float64("autotune-margin", 0, "min fractional p99 improvement before a hot swap (0 = default 0.10)")
 	autotuneBudget := flag.Int64("autotune-budget", 0, "index footprint budget in bytes for auto-tune candidates; 0 = unlimited")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -124,16 +127,10 @@ func main() {
 	if *demo == (*graphPath != "") {
 		lg.Fatal("need exactly one of -graph or -demo")
 	}
-	if *shards > 0 && *walPath != "" {
-		// The mutation pipeline rebuilds and hot-swaps a single index; a
-		// sharded engine has no overlay path, so writable serving stays
-		// unsharded.
-		lg.Fatal("-shards is incompatible with -wal")
-	}
-	if *autotune > 0 && (*walPath != "" || *shards > 0) {
-		// The auto-tuner owns the plain-index swap path; the mutation
-		// reindexer and the sharded engine each own theirs.
-		lg.Fatal("-autotune is incompatible with -wal and -shards")
+	if *shards > 0 && (*walPath != "" || *autotune > 0) {
+		// NewShardedDB takes neither option, so the DB's own check never
+		// sees the pair; the refusal and its reason are the same.
+		lg.Fatalf("-shards with -wal or -autotune: %v", reach.ErrPrebuiltEngine)
 	}
 
 	var tracer *obs.Tracer
@@ -166,15 +163,7 @@ func main() {
 		Degraded:       *degraded,
 		Tracing:        tracer != nil,
 		RecordWorkload: recorder,
-		CacheSize: func() int {
-			if *cache < 0 || *walPath != "" {
-				// The query cache has no invalidation path, so a
-				// writable DB must run without it (NewDBCtx rejects
-				// the combination).
-				return 0
-			}
-			return *cache
-		}(),
+		CacheSize:      max(*cache, 0),
 	}
 	if *autotune > 0 {
 		cfg.AutoTune = &reach.AutoTuneConfig{
@@ -232,9 +221,9 @@ func main() {
 		EnablePprof:    *pprofOn,
 	}
 	if *walPath != "" {
-		// Reload re-reads the graph file, which would discard every
-		// mutation the WAL has acknowledged; a writable server swaps
-		// indexes through the mutation pipeline's own rebuilds instead.
+		// A reload is a whole second DB built from the graph file: it
+		// would discard every mutation the WAL has acknowledged, and it
+		// cannot replay a WAL the serving DB still writes.
 		scfg.Rebuild = nil
 		logger.Info("mutation enabled; /admin/reload disabled", "wal", *walPath, "fsync", *walFsync)
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -28,11 +30,18 @@ import (
 // contains panics escaping an index implementation (ErrIndexPanic), so a
 // broken or partially built index can fail a query but never the process.
 type DB struct {
-	g         *Graph
-	plain     Index
-	plainKind Kind
-	lcr       LCRIndex
-	rlc       RLCIndex
+	// g is the graph the DB was built over. It fixes what never changes —
+	// the vertex universe, names and labels — so it bounds every vertex
+	// check and serves the labeled routes (a labeled graph is never
+	// mutable). The graph plain reachability answers over is cur's.
+	g *Graph
+	// cur is the serving snapshot of the plain engine — graph, memo, index,
+	// kind, overlay, epoch — and wmu the lock its one writer, publish,
+	// holds (see serving.go). Every plain read loads cur exactly once.
+	cur atomic.Pointer[serving]
+	wmu sync.Mutex
+	lcr LCRIndex
+	rlc RLCIndex
 	// lcrErr/rlcErr are non-nil when the corresponding build failed and
 	// DBConfig.Degraded kept the DB serving: the route runs index-free
 	// (online traversal) and Stats/DegradedRoutes expose the cause.
@@ -40,13 +49,6 @@ type DB struct {
 	// registered holds dedicated indexes for hot constraints (§5's
 	// query-log-driven scenario), keyed by normalized expression.
 	registered map[string]*ConstraintIndex
-	// extra holds the additional plain indexes of DBConfig.ExtraPlain,
-	// built over the shared preprocessing memo.
-	extra map[Kind]Index
-	// prep is the DB's shared preprocessing memo: every DAG-only index the
-	// DB builds draws its SCC condensation from here, so the condensation
-	// runs exactly once per NewDB no matter how many indexes want it.
-	prep *PreparedGraph
 	// cache is the sharded query-result cache, nil unless
 	// DBConfig.CacheSize enabled it (every qcache method is nil-safe).
 	cache *qcache.Cache
@@ -60,15 +62,15 @@ type DB struct {
 	// recorder appends one workload record per completed query when
 	// DBConfig.RecordWorkload installed it; nil otherwise.
 	recorder *workload.Recorder
+	// timed is set when something consumes a query's latency — metrics,
+	// the recorder, or the auto-tuner's sample ring — so a DB with none of
+	// them never reads the clock.
+	timed bool
 	// mut is the live-mutation engine, nil unless DBConfig.Mutation
-	// enabled it (see mutable.go). When non-nil, plain-reachability
-	// queries go through the delta-overlay path so answers stay exact
-	// between background rebuilds.
+	// enabled it (see mutable.go), and aut the auto-tuning engine, nil
+	// unless DBConfig.AutoTune enabled it (see autotune.go). Both only
+	// produce snapshots for cur; no read asks which of them is running.
 	mut *mutDB
-	// aut is the auto-tuning engine, nil unless DBConfig.AutoTune enabled
-	// it (see autotune.go). When non-nil, the serving plain index is the
-	// one aut currently publishes — initially the configured Plain, later
-	// whatever the advisor's measured pick hot-swapped in.
 	aut *autoTuner
 }
 
@@ -106,9 +108,10 @@ func TraceFrom(ctx context.Context) *Trace {
 }
 
 // Cache key route tags. Only routes whose (route, s, t, extra) tuple fully
-// determines the answer are cached: plain reachability, alternation star
-// and plus (extra = label mask), and short concatenation sequences (extra
-// = packed sequence). Product-automaton and registered-constraint queries
+// determines the answer are cached: plain reachability (extra = the
+// serving epoch, so an answer cached before a commit is never read after
+// it), alternation star and plus (extra = label mask), and short
+// concatenation sequences (extra = packed sequence). Product-automaton and registered-constraint queries
 // are keyed by an expression string, which does not fit an exact fixed
 // key, so they are never cached. Degraded routes ARE cached — the online
 // fallback is exact, just slow, which makes it the route that profits most.
@@ -160,17 +163,14 @@ type DBConfig struct {
 	// plain-index failures always fail NewDB — there is nothing sensible
 	// to degrade to. Default false: any build failure fails NewDB.
 	Degraded bool
-	// ExtraPlain builds additional plain indexes alongside Plain (e.g. a
-	// fast-but-big index next to a compact one for comparison serving).
-	// All of them share the DB's preprocessing memo, so the SCC
-	// condensation runs once regardless of how many kinds are listed.
-	// Query them via PlainIndex; duplicates of Plain are skipped.
-	ExtraPlain []Kind
 	// CacheSize enables the sharded query-result cache with room for this
 	// many entries (0 disables it, the default). Cached routes are the
 	// ones whose key determines the answer exactly — plain reachability,
 	// alternation masks, short concatenation sequences — including their
 	// degraded fallbacks; see OBSERVABILITY.md for the cache/* counters.
+	// On a mutable DB every commit advances the serving epoch the plain
+	// route's keys carry, so earlier entries are never read again and age
+	// out through CLOCK.
 	CacheSize int
 	// Tracing enables request-scoped trace recording: the *Ctx query
 	// entry points look for an obs.Trace in their context (placed there
@@ -206,27 +206,27 @@ type DBConfig struct {
 	// engine instead of building (or snapshot-loading) one. The index must
 	// answer over g; Plain should name it (when empty it defaults to the
 	// index's Name()). This is how NewShardedDB mounts the sharded
-	// scatter-gather engine behind the full DB surface. Mutually exclusive
-	// with PlainSnapshot, PlainSnapshotMapped, and Mutation.
+	// scatter-gather engine behind the full DB surface. It replaces the
+	// snapshot warm starts, and an engine installed pre-built has no
+	// producer that can rebuild it: Mutation and AutoTune are refused with
+	// ErrPrebuiltEngine.
 	PlainIndex Index
 	// Mutation, when non-nil, makes the DB writable: AddEdge/RemoveEdge/
 	// Mutate group-commit through a write-ahead log, queries answer
 	// exactly from the frozen index plus a delta overlay, and a
 	// background reindexer periodically folds the delta into a fresh
-	// index published by hot swap. Unlabeled graphs only; mutually
-	// exclusive with CacheSize and ExtraPlain. An existing WAL at
-	// Mutation.WALPath is replayed during NewDB (after any PlainSnapshot
-	// load), so acknowledged mutations survive restarts. See mutable.go
-	// and DESIGN.md ("Mutation & durability").
+	// index published by hot swap. Unlabeled graphs only. An existing WAL
+	// at Mutation.WALPath is replayed during NewDB (after any
+	// PlainSnapshot load), so acknowledged mutations survive restarts. See
+	// mutable.go and DESIGN.md ("Mutation & durability").
 	Mutation *MutationConfig
 	// AutoTune, when non-nil, runs the workload-adaptive index advisor in
 	// the background: the DB samples its own plain-query traffic, and at
 	// every check interval the advisor shortlists and shadow-builds
 	// candidate kinds, replays the sampled trace against each, and
 	// hot-swaps the serving plain index when the pick's measured p99
-	// improves on the current index by the configured margin. Mutually
-	// exclusive with Mutation (the reindexer owns that swap path) and
-	// PlainIndex (the sharded engine has no single kind to retune). See
+	// improves on the current index by the configured margin. On a
+	// mutable DB the reindexer rebuilds whichever kind is serving. See
 	// autotune.go and DESIGN.md ("Advisor").
 	AutoTune *AutoTuneConfig
 }
@@ -256,6 +256,9 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 	if cfg.LCR == "" {
 		cfg.LCR = LCRP2H
 	}
+	if cfg.PlainIndex != nil && (cfg.Mutation != nil || cfg.AutoTune != nil) {
+		return nil, ErrPrebuiltEngine
+	}
 	if err := checkMutationConfig(g, cfg); err != nil {
 		return nil, err
 	}
@@ -264,10 +267,10 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 	}
 	db := &DB{
 		g:            g,
-		plainKind:    cfg.Plain,
 		cache:        qcache.New(cfg.CacheSize),
 		traceEnabled: cfg.Tracing,
 		recorder:     cfg.RecordWorkload,
+		timed:        cfg.Metrics || cfg.RecordWorkload != nil || cfg.AutoTune != nil,
 	}
 	if cfg.Metrics {
 		db.metrics = obs.NewDBMetrics()
@@ -284,7 +287,7 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 	if cfg.Options.Prepared == nil {
 		cfg.Options.Prepared = Prepare(g)
 	}
-	db.prep = cfg.Options.Prepared
+	var plain Index
 	var err error
 	warm := cfg.PlainSnapshot != nil || cfg.PlainSnapshotMapped != ""
 	if warm && cfg.PlainIndex == nil && !snapshottableKind(cfg.Plain) {
@@ -294,59 +297,41 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 	switch {
 	case cfg.PlainIndex != nil && warm:
 		return nil, fmt.Errorf("%w: PlainIndex is mutually exclusive with snapshot warm-start", ErrBadOptions)
-	case cfg.PlainIndex != nil && cfg.Mutation != nil:
-		return nil, fmt.Errorf("%w: PlainIndex is mutually exclusive with Mutation", ErrBadOptions)
 	case cfg.PlainSnapshot != nil && cfg.PlainSnapshotMapped != "":
 		return nil, fmt.Errorf("%w: PlainSnapshot and PlainSnapshotMapped are mutually exclusive", ErrBadOptions)
 	case cfg.PlainIndex != nil:
-		db.plain = cfg.PlainIndex
+		plain = cfg.PlainIndex
 	case cfg.PlainSnapshotMapped != "":
-		db.plain, err = LoadIndexMapped(cfg.PlainSnapshotMapped, g, cfg.Options)
+		plain, err = LoadIndexMapped(cfg.PlainSnapshotMapped, g, cfg.Options)
 	case cfg.PlainSnapshot != nil:
-		db.plain, err = LoadIndex(cfg.PlainSnapshot, g, cfg.Options)
+		plain, err = LoadIndex(cfg.PlainSnapshot, g, cfg.Options)
 	default:
-		db.plain, err = BuildCtx(ctx, cfg.Plain, g, cfg.Options)
+		plain, err = BuildCtx(ctx, cfg.Plain, g, cfg.Options)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if warm {
-		if want, got := plainKindName(cfg.Plain), db.plain.Name(); want != got {
+		if want, got := plainKindName(cfg.Plain), plain.Name(); want != got {
 			return nil, fmt.Errorf("%w: snapshot contains a %q index but Plain is %q (%s)", ErrBadOptions, got, cfg.Plain, want)
 		}
 	}
-	db.recordFootprint(db.plain)
-	if db.metrics != nil {
-		db.plain = core.Instrument(db.plain, g, db.metrics.Index(db.plain.Name()))
-	}
-	for _, kind := range cfg.ExtraPlain {
-		if kind == cfg.Plain || db.extra[kind] != nil {
-			continue
-		}
-		ix, err := BuildCtx(ctx, kind, g, cfg.Options)
-		if err != nil {
-			return nil, err
-		}
-		if db.extra == nil {
-			db.extra = make(map[Kind]Index, len(cfg.ExtraPlain))
-		}
-		db.extra[kind] = ix
-		db.recordFootprint(ix)
-	}
+	boot := &serving{g: g, prep: cfg.Options.Prepared, ix: db.instrument(plain, g), kind: cfg.Plain, ov: noOverlay}
+	db.publish(func(*serving) *serving { return boot })
 	if g.Labeled() {
 		if db.lcr, err = BuildLCRCtx(ctx, cfg.LCR, g, cfg.Options); err != nil {
 			if !degradable(cfg, err) {
 				return nil, err
 			}
 			db.lcrErr = err
-			db.countBuildFault(err)
+			db.countFault(err)
 		}
 		if db.rlc, err = BuildRLCCtx(ctx, g, cfg.Options); err != nil {
 			if !degradable(cfg, err) {
 				return nil, err
 			}
 			db.rlcErr = err
-			db.countBuildFault(err)
+			db.countFault(err)
 		}
 	}
 	if db.metrics != nil {
@@ -392,18 +377,6 @@ func plainKindName(k Kind) string {
 	return string(k)
 }
 
-// recordFootprint publishes ix's section-split footprint into the
-// metrics layer (index_size_bytes on /metrics) when both observability
-// and the index's size breakdown are available.
-func (db *DB) recordFootprint(ix Index) {
-	if db.metrics == nil || ix == nil {
-		return
-	}
-	if b, ok := core.SizesOf(ix); ok {
-		db.metrics.Index(ix.Name()).SetFootprint(int64(b.Offsets), int64(b.Labels), int64(b.Aux))
-	}
-}
-
 // degradable reports whether cfg tolerates this build failure. Only
 // runtime faults (panic, cancellation) degrade; configuration errors
 // would fail identically on every rebuild and so fail fast.
@@ -412,7 +385,10 @@ func degradable(cfg DBConfig, err error) bool {
 		(errors.Is(err, ErrIndexPanic) || errors.Is(err, ErrBuildCanceled))
 }
 
-func (db *DB) countBuildFault(err error) {
+// countFault is the one fault triple: every failure the DB contains — a
+// panic at a query boundary, a tolerated build failure, a rejected commit,
+// a failed rebuild — counts an error, and a panic or a cancellation too.
+func (db *DB) countFault(err error) {
 	if db.metrics == nil {
 		return
 	}
@@ -425,46 +401,32 @@ func (db *DB) countBuildFault(err error) {
 	}
 }
 
-// Graph returns the underlying graph. On a mutable DB this is the
-// current frozen base graph (the one the serving index was built over) —
-// it advances at every background rebuild but does not reflect the
-// not-yet-folded overlay; the vertex universe and names never change.
-func (db *DB) Graph() *Graph {
-	if db.mut != nil {
-		return db.mut.state.Load().g
-	}
-	return db.g
-}
+// Graph returns the graph the serving plain index was built over. On a
+// mutable DB it advances at every background rebuild but does not reflect
+// the not-yet-folded overlay; the vertex universe and names never change.
+func (db *DB) Graph() *Graph { return db.cur.Load().g }
 
-// Prepared returns the DB's shared preprocessing memo. Tests and callers
-// building further indexes over the same graph can pass it through
+// Prepared returns the serving graph's preprocessing memo. Tests and
+// callers building further indexes over the same graph can pass it through
 // Options.Prepared to keep sharing the condensation.
-func (db *DB) Prepared() *PreparedGraph { return db.prep }
+func (db *DB) Prepared() *PreparedGraph { return db.cur.Load().prep }
 
-// PlainIndex returns the plain index built for kind: the primary one when
-// kind is the configured Plain, otherwise the matching ExtraPlain entry.
-// ok is false when no index of that kind was built. On an auto-tuned DB
-// the advisor's currently serving kind resolves to the swapped-in index.
+// PlainIndex returns the serving plain index when kind is the serving
+// kind — the configured Plain until the advisor swaps another in; ok is
+// false for any other kind. On a mutable DB the index answers the graph it
+// was built over (Graph), not the pending overlay.
 func (db *DB) PlainIndex(kind Kind) (ix Index, ok bool) {
-	if db.aut != nil && string(kind) == db.aut.currentKind() {
-		return db.aut.current(), true
+	st := db.cur.Load()
+	if kind != st.kind {
+		return nil, false
 	}
-	if kind == db.plainKind {
-		return db.plain, true
-	}
-	ix, ok = db.extra[kind]
-	return ix, ok
+	return st.ix, true
 }
 
-// plainCurrent resolves the serving plain index: the advisor's current
-// pick on an auto-tuned DB, the built Plain otherwise. Query paths load
-// it once per query so a concurrent hot swap cannot split a decision.
-func (db *DB) plainCurrent() Index {
-	if db.aut != nil {
-		return db.aut.current()
-	}
-	return db.plain
-}
+// Epoch returns the serving snapshot's epoch: it advances by one at every
+// commit (the WAL replay at boot is the first), background rebuild and
+// advisor swap, and never otherwise.
+func (db *DB) Epoch() uint64 { return db.cur.Load().epoch }
 
 // CacheStats snapshots the query-result cache counters; ok is false when
 // DBConfig.CacheSize left the cache disabled.
@@ -523,17 +485,8 @@ func (db *DB) boundary(errp *error) {
 	if r == nil {
 		return
 	}
-	err := core.PanicError(r)
-	*errp = err
-	if db.metrics != nil {
-		db.metrics.Errors.Inc()
-		if errors.Is(err, ErrIndexPanic) {
-			db.metrics.Panics.Inc()
-		}
-		if errors.Is(err, ErrBuildCanceled) {
-			db.metrics.Canceled.Inc()
-		}
-	}
+	*errp = core.PanicError(r)
+	db.countFault(*errp)
 }
 
 // Reach answers the plain reachability query Qr(s, t). Out-of-range
@@ -559,11 +512,11 @@ func (db *DB) ReachCtx(ctx context.Context, s, t V) (res bool, err error) {
 	defer db.boundary(&err)
 	tr := db.traceFrom(ctx)
 	var start time.Time
-	timed := db.metrics != nil || db.recorder != nil || db.aut != nil
-	if timed {
+	if db.timed {
 		start = time.Now()
 	}
-	key := qcache.Key{Route: cacheRoutePlain, S: s, T: t}
+	st := db.cur.Load()
+	key := qcache.Key{Route: cacheRoutePlain, S: s, T: t, Extra: st.epoch}
 	var hit bool
 	if db.cache != nil {
 		tok := tr.Begin("cache/lookup")
@@ -572,12 +525,12 @@ func (db *DB) ReachCtx(ctx context.Context, s, t V) (res bool, err error) {
 	}
 	if !hit {
 		tok := tr.Begin("index/probe")
-		res = db.reachCurrent(s, t)
+		res = st.reach(s, t)
 		tr.End(tok)
 		db.cache.Put(key, res)
 	}
 	tr.SetRoute(obs.RoutePlain.String())
-	if timed {
+	if db.timed {
 		d := time.Since(start)
 		if db.metrics != nil {
 			db.metrics.Route(obs.RoutePlain).Observe(res, d)
@@ -670,8 +623,7 @@ func (db *DB) QueryCtx(ctx context.Context, s, t V, alpha string) (res bool, err
 	}
 	defer db.boundary(&err)
 	tr := db.traceFrom(ctx)
-	timed := db.metrics != nil || db.recorder != nil
-	if !timed {
+	if !db.timed {
 		res, route, _, err := db.query(ctx, tr, s, t, alpha)
 		if err == nil {
 			tr.SetRoute(route.String())
@@ -845,23 +797,14 @@ func (db *DB) queryUnlabeled(s, t V, alpha string) (bool, error) {
 	if s == t && !cl.PlusOnly {
 		return true, nil
 	}
+	st := db.cur.Load()
 	if cl.PlusOnly {
 		// At least one edge: step to every successor, then plain-star.
-		if db.mut != nil {
-			st := db.mut.state.Load()
-			return st.eachSucc(s, func(w V) bool {
-				return w == t || st.reach(w, t)
-			}), nil
-		}
-		ix := db.plainCurrent()
-		for _, w := range db.g.Succ(s) {
-			if w == t || ix.Reach(w, t) {
-				return true, nil
-			}
-		}
-		return false, nil
+		return st.eachSucc(s, func(w V) bool {
+			return w == t || st.reach(w, t)
+		}), nil
 	}
-	return db.reachCurrent(s, t), nil
+	return st.reach(s, t), nil
 }
 
 // plusAlternation answers (l1|l2|...)+ — at least one edge — by stepping
@@ -926,22 +869,13 @@ func (db *DB) ReachPath(s, t V) (path []V, err error) {
 		return nil, err
 	}
 	defer db.boundary(&err)
-	if db.mut != nil {
-		// One state load for both the decision and the witness, so a
-		// concurrent commit or hot swap cannot split them.
-		st := db.mut.state.Load()
-		if !st.reach(s, t) {
-			return nil, nil
-		}
-		if st.ov.Empty() {
-			return traversal.WitnessPath(st.g, s, t), nil
-		}
-		return st.witnessPath(s, t), nil
-	}
-	if !db.plainCurrent().Reach(s, t) {
+	// One snapshot for both the decision and the witness, so a concurrent
+	// commit or hot swap cannot split them.
+	st := db.cur.Load()
+	if !st.reach(s, t) {
 		return nil, nil
 	}
-	return traversal.WitnessPath(db.g, s, t), nil
+	return st.witnessPath(s, t), nil
 }
 
 // QueryPath returns the traversed edges of a path satisfying Qr(s, t, α),
@@ -974,8 +908,7 @@ func (db *DB) QueryAllowed(s, t V, labels ...Label) (res bool, err error) {
 		return false, fmt.Errorf("%w: no LCR index (graph unlabeled)", ErrBadQuery)
 	}
 	defer db.boundary(&err)
-	timed := db.metrics != nil || db.recorder != nil
-	if !timed {
+	if !db.timed {
 		if s == t {
 			return true, nil
 		}
@@ -997,15 +930,12 @@ func (db *DB) QueryAllowed(s, t V, labels ...Label) (res bool, err error) {
 	return res, nil
 }
 
-// Stats returns the footprint of every built index keyed by its name.
+// Stats returns the footprint of every serving index keyed by its name.
 // Degraded routes appear under "degraded:lcr"/"degraded:rlc" with zero
 // footprint, so operators see at a glance which class lost its index.
 func (db *DB) Stats() map[string]Stats {
-	plain := db.plainCurrent()
+	plain := db.cur.Load().ix
 	out := map[string]Stats{plain.Name(): plain.Stats()}
-	for _, ix := range db.extra {
-		out[ix.Name()] = ix.Stats()
-	}
 	if db.lcr != nil {
 		out[db.lcr.Name()] = db.lcr.Stats()
 	} else if db.lcrErr != nil {

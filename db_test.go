@@ -307,7 +307,7 @@ func TestDBMetricsDecidedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := tc.NewClosure(g)
-	probe, ok := db.plain.(PartialIndex)
+	probe, ok := db.cur.Load().ix.(PartialIndex)
 	if !ok {
 		t.Fatal("instrumented BFL should still expose TryReach")
 	}

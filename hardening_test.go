@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/gen"
-	"repro/internal/obs"
 	"repro/internal/tc"
 )
 
@@ -361,7 +360,10 @@ func (panicIndex) Reach(s, t V) bool { panic("query-time bug") }
 // contained at the DB boundary as ErrIndexPanic and counted.
 func TestQueryPanicContainment(t *testing.T) {
 	pg := Fig1Plain()
-	db := &DB{g: pg, plain: panicIndex{}, metrics: obs.NewDBMetrics()}
+	db, err := NewDB(pg, DBConfig{PlainIndex: panicIndex{}, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := db.Reach(0, 1); !errors.Is(err, ErrIndexPanic) {
 		t.Fatalf("Reach err = %v, want ErrIndexPanic", err)
 	}
@@ -373,7 +375,7 @@ func TestQueryPanicContainment(t *testing.T) {
 		t.Errorf("panics/errors = %d/%d, want 2/2", snap.Panics, snap.Errors)
 	}
 	// The error message carries the panic value and a stack for the logs.
-	_, err := db.Reach(0, 1)
+	_, err = db.Reach(0, 1)
 	if !strings.Contains(err.Error(), "query-time bug") {
 		t.Errorf("error does not carry the panic value: %v", err)
 	}

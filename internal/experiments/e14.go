@@ -78,14 +78,12 @@ func E14(w io.Writer, sc Scale, seed int64) {
 	t2.Row("uncached", (uncached / time.Duration(queries)).Round(time.Nanosecond), "1.0x", "-")
 	t2.Write(w)
 
-	db, err := reach.NewDB(g, reach.DBConfig{
-		Plain:      reach.KindBFL,
-		ExtraPlain: []reach.Kind{reach.KindFeline, reach.KindPReaCH, reach.KindGRAIL},
-		Options:    reach.Options{Bits: 256, K: 3, Seed: seed},
-	})
-	if err != nil {
-		panic(err)
+	prep := reach.Prepare(g)
+	for _, kind := range []reach.Kind{reach.KindBFL, reach.KindFeline, reach.KindPReaCH, reach.KindGRAIL} {
+		if _, err := reach.Build(kind, g, reach.Options{Bits: 256, K: 3, Seed: seed, Prepared: prep}); err != nil {
+			panic(err)
+		}
 	}
-	fmt.Fprintf(w, "E14c — condensation sharing: NewDB built 4 DAG-only kinds, "+
-		"condensed once, memo hits = %d\n\n", db.Prepared().Hits())
+	fmt.Fprintf(w, "E14c — condensation sharing: 4 DAG-only kinds built over one Prepare(g), "+
+		"condensed once, memo hits = %d\n\n", prep.Hits())
 }

@@ -261,6 +261,9 @@ type DBMetrics struct {
 	Errors   Counter
 	Panics   Counter // index panics contained at the query boundary (ErrIndexPanic)
 	Canceled Counter // builds/queries abandoned via context cancellation
+	// ServingEpoch is the epoch of the DB's serving snapshot: set at every
+	// publish (commit, background rebuild, advisor swap), nowhere else.
+	ServingEpoch Gauge
 
 	routes [NumRoutes]RouteMetrics
 
@@ -321,6 +324,7 @@ type Snapshot struct {
 	Errors   int64                    `json:"errors"`
 	Panics   int64                    `json:"panics,omitempty"`
 	Canceled int64                    `json:"canceled,omitempty"`
+	Epoch    int64                    `json:"epoch"`
 	Degraded []string                 `json:"degraded,omitempty"`
 }
 
@@ -334,6 +338,7 @@ func (m *DBMetrics) Snapshot() Snapshot {
 		Errors:   m.Errors.Load(),
 		Panics:   m.Panics.Load(),
 		Canceled: m.Canceled.Load(),
+		Epoch:    m.ServingEpoch.Load(),
 	}
 	m.mu.Lock()
 	cells := make(map[string]*IndexMetrics, len(m.indexes))

@@ -363,6 +363,7 @@ type statsResponse struct {
 		Labels   int `json:"labels"`
 	} `json:"graph"`
 	Indexes   map[string]reach.Stats `json:"indexes"`
+	Epoch     uint64                 `json:"epoch"`
 	Degraded  map[string]string      `json:"degraded,omitempty"`
 	Cache     *reach.CacheSnapshot   `json:"cache,omitempty"`
 	Mutation  *reach.MutationStats   `json:"mutation,omitempty"`
@@ -418,6 +419,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	g := db.Graph()
 	resp := statsResponse{
 		Indexes:   db.Stats(),
+		Epoch:     db.Epoch(),
 		Server:    s.metrics.Snapshot(),
 		Draining:  s.draining.Load(),
 		Reloading: s.reloading.Load(),

@@ -19,9 +19,10 @@
 //     and finishes every in-flight request under the caller's deadline;
 //   - atomic hot-swap reload: /admin/reload rebuilds a DB in the
 //     background (Config.Rebuild, typically NewDBCtx over a re-read
-//     graph file) and swaps it behind an atomic pointer — requests
-//     pin the DB once at admission, so traffic never observes a
-//     half-swapped state and zero requests fail across a swap;
+//     graph file), swaps it behind an atomic pointer and closes the one
+//     it replaced — requests pin the DB once at admission, so traffic
+//     never observes a half-swapped state and zero requests fail across
+//     a swap;
 //   - ops surfaces /healthz, /readyz, /metrics (text snapshot),
 //     /debug/vars (expvar) and /admin/stats.
 //
@@ -220,7 +221,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Reload rebuilds the DB via Config.Rebuild and atomically swaps it in.
 // Requests running against the old DB finish there; requests admitted
-// after the swap see the new DB. At most one reload runs at a time
+// after the swap see the new DB. The replaced DB is then closed, which
+// stops its background engines (the advisor loop, its ticker and shadow
+// builds) and nothing else — queries in flight on it keep working; a Close
+// that fails is logged and counted in server/reload_errors, the reload
+// itself has succeeded. At most one reload runs at a time
 // (ErrReloadInProgress otherwise); a failed rebuild leaves the old DB
 // serving and counts server/reload_errors.
 func (s *Server) Reload(ctx context.Context) error {
@@ -241,7 +246,12 @@ func (s *Server) Reload(ctx context.Context) error {
 		s.cfg.Log.Printf("reload failed after %v: %v", time.Since(start).Round(time.Millisecond), err)
 		return err
 	}
-	s.db.Store(db)
+	if old := s.db.Swap(db); old != db {
+		if err := old.Close(); err != nil {
+			s.metrics.ReloadErrors.Inc()
+			s.cfg.Log.Printf("reload: closing the replaced DB: %v", err)
+		}
+	}
 	s.metrics.Reloads.Inc()
 	s.cfg.Log.Printf("reload complete in %v (%d vertices, %d edges)",
 		time.Since(start).Round(time.Millisecond), db.Graph().N(), db.Graph().M())

@@ -381,6 +381,57 @@ func TestReloadDuringTraffic(t *testing.T) {
 
 // TestReloadConflict verifies concurrent reloads serialize: the second
 // gets ErrReloadInProgress while the first is still rebuilding.
+// TestReloadRetiresReplacedDB: a reload closes the DB it replaces, so an
+// auto-tuned DB's advisor loop (its ticker and shadow builds) ends with the
+// reload instead of running on behind a DB nothing serves from. The old DB
+// keeps answering queries, as requests still in flight on it need.
+func TestReloadRetiresReplacedDB(t *testing.T) {
+	tuned := func(ctx context.Context) (*reach.DB, error) {
+		return reach.NewDBCtx(ctx, reach.Fig1Plain(), reach.DBConfig{AutoTune: &reach.AutoTuneConfig{
+			CheckInterval: 2 * time.Millisecond,
+			MinSamples:    4,
+			Candidates:    []reach.Kind{reach.KindBFL},
+		}})
+	}
+	old, err := tuned(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, Config{DB: old, Rebuild: tuned})
+	t.Cleanup(func() { s.DB().Close() })
+	// passes is how many advisor passes db's loop has finished; traffic
+	// keeps its sample ring over MinSamples.
+	passes := func(db *reach.DB) int64 {
+		for v := reach.V(1); v < 9; v++ {
+			if _, err := db.Reach(0, v); err != nil {
+				t.Fatalf("Reach on a DB a reload replaced: %v", err)
+			}
+		}
+		st, _ := db.AdvisorStatus()
+		return st.Metrics.Evaluations + st.Metrics.Failures
+	}
+	for deadline := time.Now().Add(10 * time.Second); passes(old) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the advisor loop never ran")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Reload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s.DB() == old {
+		t.Fatal("reload did not swap the DB")
+	}
+	before := passes(old)
+	time.Sleep(60 * time.Millisecond)
+	if after := passes(old); after != before {
+		t.Fatalf("the replaced DB's advisor loop still runs: %d passes, then %d", before, after)
+	}
+	if n := s.Metrics().ReloadErrors.Load(); n != 0 {
+		t.Fatalf("reload_errors = %d after a clean reload", n)
+	}
+}
+
 func TestReloadConflict(t *testing.T) {
 	block := make(chan struct{})
 	s, _ := newTestServer(t, Config{

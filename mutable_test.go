@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,7 +49,7 @@ func checkExact(t *testing.T, db *DB, mirror *mutableCopy2, when string) {
 				t.Fatalf("%s: Reach(%d,%d): %v", when, s, tt, err)
 			}
 			if want := oracle.Reach(V(s), V(tt)); got != want {
-				st := db.mut.state.Load()
+				st := db.cur.Load()
 				t.Fatalf("%s: Reach(%d,%d) = %v, want %v (overlay +%d/-%d)",
 					when, s, tt, got, want, st.ov.AddedCount(), st.ov.RemovedCount())
 			}
@@ -170,7 +171,7 @@ func TestMutableRebaseRevertAcrossSwap(t *testing.T) {
 	if got, _ := db.Reach(0, 2); !got {
 		t.Fatal("re-added edge lost across rebuild hot swap (rebase bug)")
 	}
-	st := db.mut.state.Load()
+	st := db.cur.Load()
 	if !st.ov.HasAdded(1, 2) {
 		t.Fatalf("overlay after swap: +%d/-%d, want 1→2 net-added",
 			st.ov.AddedCount(), st.ov.RemovedCount())
@@ -477,6 +478,54 @@ func TestMutableRebuildPanicAvailability(t *testing.T) {
 	checkExact(t, db, mirror, "after recovery rebuild")
 }
 
+// TestMutableRebuildRefreshesIndexView: after the reindexer publishes,
+// every view of "the plain index" — PlainIndex, Stats (and with it
+// /admin/stats.indexes) — is the serving index, not the one built at boot.
+func TestMutableRebuildRefreshesIndexView(t *testing.T) {
+	// 0→1→2→3 with 3→4 missing: the rebuild folds it in.
+	b := NewBuilder(5)
+	for v := V(0); v < 3; v++ {
+		b.AddEdge(v, v+1)
+	}
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DBConfig{Plain: KindPLL, Mutation: &MutationConfig{
+		WALPath:          filepath.Join(t.TempDir(), "view.wal"),
+		RebuildThreshold: 1,
+		Fsync:            FsyncNever,
+	}}
+	db, err := NewDB(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	boot := db.Stats()
+	if err := db.AddEdge(context.Background(), 3, 4); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		ms, _ := db.MutationStats()
+		if !ms.Rebuilding && ms.OverlayAdded+ms.OverlayRemoved == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the rebuild never folded the overlay: %+v", ms)
+		}
+	}
+	ix, ok := db.PlainIndex(cfg.Plain)
+	if !ok || !ix.Reach(0, 4) {
+		t.Fatalf("PlainIndex(%s) = %v, %v: not the index the rebuild published (it must reach 0→4)", cfg.Plain, ix, ok)
+	}
+	if now := db.Stats(); reflect.DeepEqual(boot, now) {
+		t.Fatalf("Stats() still describes the boot-time index: %+v", now)
+	}
+	if !db.Graph().HasEdge(3, 4) {
+		t.Fatal("Graph() is not the graph the serving index was built over")
+	}
+}
+
 // TestMutableConfigValidation: every invalid Mutation configuration is a
 // typed ErrBadOptions at construction, and mutation entry points on a
 // non-mutable DB are typed ErrNotMutable.
@@ -489,8 +538,7 @@ func TestMutableConfigValidation(t *testing.T) {
 	}{
 		{"missing WAL path", Fig1Plain(), DBConfig{Mutation: &MutationConfig{}}},
 		{"labeled graph", Fig1Labeled(), DBConfig{Mutation: &MutationConfig{WALPath: wal}}},
-		{"cache", Fig1Plain(), DBConfig{CacheSize: 64, Mutation: &MutationConfig{WALPath: wal}}},
-		{"extra plain", Fig1Plain(), DBConfig{ExtraPlain: []Kind{KindPLL}, Mutation: &MutationConfig{WALPath: wal}}},
+		{"pre-built engine", Fig1Plain(), DBConfig{PlainIndex: panicIndex{}, Mutation: &MutationConfig{WALPath: wal}}},
 		{"bad fsync", Fig1Plain(), DBConfig{Mutation: &MutationConfig{WALPath: wal, Fsync: FsyncMode(9)}}},
 	}
 	for _, tc := range cases {

@@ -130,22 +130,3 @@ func TestBatchReachWorkStealing(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedParallelStillWorks pins the compatibility contract of the
-// deprecated Options.Parallel bool: setting it builds successfully and
-// answers identically to Workers-based builds.
-func TestDeprecatedParallelStillWorks(t *testing.T) {
-	g := gen.Zipf(gen.ErdosRenyi(gen.Config{N: 100, M: 400, Seed: 4}), 5, 0.6, 5)
-	old, err := reach.BuildLCR(reach.LCRLandmark, g, reach.Options{K: 8, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := reach.BuildLCR(reach.LCRLandmark, g, reach.Options{K: 8, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Stats().Entries != cur.Stats().Entries {
-		t.Fatalf("deprecated Parallel build diverged: %d vs %d entries",
-			old.Stats().Entries, cur.Stats().Entries)
-	}
-}

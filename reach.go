@@ -227,12 +227,6 @@ type Options struct {
 	// at n. Guarantee: for a fixed Seed the built index answers
 	// identically at any worker count (see TestParallelBuildDeterminism).
 	Workers int
-	// Parallel enables concurrent construction.
-	//
-	// Deprecated: use Workers. The bool keeps working — Parallel == true
-	// with Workers == 0 selects GOMAXPROCS, which is also what
-	// Workers == 0 alone selects, so the field is now redundant.
-	Parallel bool
 	// LabelEnc selects the label storage encoding of the 2-hop label
 	// families (PLL, TFL, DL, HL, TOL): EncRaw (default) keeps flat
 	// uint32 arrays, EncVarint delta-compresses them (~25-40% smaller

@@ -230,7 +230,7 @@ func shardEngine(ix Index) (*shard.Index, bool) {
 // DB's plain engine is sharded; ok is false otherwise. The server's
 // /admin/shards endpoint serves this.
 func (db *DB) ShardInfo() (shards []ShardStats, summary ShardSummaryStats, ok bool) {
-	sx, ok := shardEngine(db.plain)
+	sx, ok := shardEngine(db.cur.Load().ix)
 	if !ok {
 		return nil, ShardSummaryStats{}, false
 	}
