@@ -95,7 +95,6 @@ func main() {
 	walPath := flag.String("wal", "", "write-ahead log file; enables POST /v1/mutate and replays the log on start (unlabeled graphs, disables /admin/reload)")
 	walFsync := flag.String("wal-fsync", "always", "WAL durability: always (fsync before acking each group commit) or never (OS page cache)")
 	mutateBatch := flag.Int("mutate-batch", 0, "max mutation ops per group commit; 0 = default")
-	mutateDelay := flag.Duration("mutate-delay", 0, "max time a mutation waits to share a group commit; 0 = default")
 	rebuildThreshold := flag.Int("rebuild-threshold", 0, "overlay edges that trigger a background reindex; 0 = default, negative disables")
 	labelEnc := flag.String("labelenc", "raw", "2-hop label storage encoding: raw (flat uint32 arrays) or varint (delta-compressed)")
 	maxInFlight := flag.Int("max-inflight", 256, "max concurrently executing query requests")
@@ -182,7 +181,6 @@ func main() {
 			WALPath:          *walPath,
 			Fsync:            fsync,
 			BatchOps:         *mutateBatch,
-			BatchDelay:       *mutateDelay,
 			RebuildThreshold: *rebuildThreshold,
 		}
 	}

@@ -184,10 +184,59 @@ func TestComposedAgainstOracle(t *testing.T) {
 					}
 					checkComposed(t, db, model, when)
 				}
+				removeHeavyThenFold(t, db, model, rng)
 				cachedThenMutated(t, db, model)
 			})
 		}
 	}
+}
+
+// removeHeavyThenFold is the stretch a reindexer that cannot keep up leaves
+// behind: seeded commits, three removals of edges of the serving graph to
+// one add, pile up with no fold until the overlay holds four times what
+// would have triggered one; then a single forced rebuild folds them all.
+// Reads are checked against the closure on the way up, at the top and
+// after the fold.
+func removeHeavyThenFold(t *testing.T, db *DB, model *mutableCopy2, rng *rand.Rand) {
+	t.Helper()
+	const foldAt = 8 // the RebuildThreshold a background reindexer would have had
+	ctx := context.Background()
+	base := db.cur.Load().g
+	removeBaseEdge := func() EdgeOp {
+		for i, off := 0, rng.Intn(model.n); i < model.n; i++ {
+			u := V((off + i) % model.n)
+			for _, v := range base.Succ(u) {
+				if model.edges[[2]V{u, v}] {
+					model.remove(u, v)
+					return EdgeOp{Remove: true, From: u, To: v}
+				}
+			}
+		}
+		return seededOp(rng, model) // every edge of the base is gone already
+	}
+	for step := 0; db.cur.Load().ov.Size() < 4*foldAt; step++ {
+		if step == 200 {
+			t.Fatalf("the overlay never passed %d entries: %d after %d commits", 4*foldAt, db.cur.Load().ov.Size(), step)
+		}
+		ops := []EdgeOp{removeBaseEdge(), removeBaseEdge(), removeBaseEdge(), seededOp(rng, model)}
+		if err := db.Mutate(ctx, ops); err != nil {
+			t.Fatal(err)
+		}
+		if step%4 == 0 {
+			checkComposed(t, db, model, fmt.Sprintf("remove-heavy step %d", step))
+		}
+	}
+	if db.cur.Load().g != base {
+		t.Fatal("a rebuild ran during the remove-heavy stretch")
+	}
+	checkComposed(t, db, model, "at 4x the fold threshold")
+	if err := db.mut.rebuildOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.cur.Load(); st.g == base || !st.ov.Empty() {
+		t.Fatalf("the forced rebuild left the old graph serving (%v) or %d overlay entries", st.g == base, st.ov.Size())
+	}
+	checkComposed(t, db, model, "after folding the remove-heavy overlay")
 }
 
 // cachedThenMutated is the hazard the old Mutation×CacheSize refusal

@@ -173,8 +173,8 @@ func (b *Builder) Freeze() (*Digraph, error) {
 	es := b.edges
 	// SortFunc works on the concrete []Edge — no per-comparison interface
 	// dispatch the reflect-based sort.Slice paid — and the IsSortedFunc
-	// pre-check makes re-freezing an already-ordered edge list (Mutate of a
-	// frozen graph, order-preserving RemoveEdge) a linear scan.
+	// pre-check makes re-freezing an already-ordered edge list (Mutate or
+	// Patched of a frozen graph, order-preserving RemoveEdge) a linear scan.
 	if !slices.IsSortedFunc(es, cmpEdge) {
 		slices.SortFunc(es, cmpEdge)
 	}
@@ -254,6 +254,15 @@ func FromEdges(n int, edges [][2]V) *Digraph {
 // producing a modified copy (used by dynamic-index tests to rebuild
 // oracles after updates).
 func Mutate(g *Digraph) *Builder {
+	return Patched(g, nil, nil)
+}
+
+// Patched returns a Builder pre-loaded with g's vertices and g's edges
+// minus removed plus added: the fold of a mutation overlay into its base.
+// Both lists are in (From, To, Label) order. One merge pass over the CSR
+// — O(m + |removed| + |added|) whatever the number of removals — and the
+// edge list comes out in CSR order, so Freeze skips its sort.
+func Patched(g *Digraph, removed, added []Edge) *Builder {
 	b := NewBuilder(g.N())
 	b.labeled = g.Labeled()
 	b.numLabels = g.Labels()
@@ -275,8 +284,31 @@ func Mutate(g *Digraph) *Builder {
 			}
 		}
 	}
-	b.edges = g.EdgeList()
+	b.edges, _ = patchEdges(g, removed, added)
 	return b
+}
+
+// patchEdges is the merge behind Patched. steps counts the loop
+// iterations, for the test that pins the pass as linear.
+func patchEdges(g *Digraph, removed, added []Edge) (es []Edge, steps int) {
+	es = make([]Edge, 0, g.m+len(added))
+	g.Edges(func(e Edge) bool {
+		steps++
+		for len(added) > 0 && cmpEdge(added[0], e) < 0 {
+			es = append(es, added[0])
+			added = added[1:]
+			steps++
+		}
+		for len(removed) > 0 && cmpEdge(removed[0], e) < 0 {
+			removed = removed[1:]
+			steps++
+		}
+		if len(removed) == 0 || removed[0] != e {
+			es = append(es, e)
+		}
+		return true
+	})
+	return append(es, added...), steps + len(added)
 }
 
 // RemoveEdge deletes every occurrence of the exact edge e from the

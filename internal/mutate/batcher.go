@@ -2,16 +2,18 @@ package mutate
 
 import (
 	"context"
+	"slices"
 	"sync"
-	"time"
 )
 
-// Batcher implements group commit: callers submit small op slices and
-// block; a single flusher goroutine coalesces everything queued within a
-// size-or-deadline window into one batch, hands it to the commit
-// function once, and then answers every waiting caller individually.
-// This amortizes the per-commit cost (one WAL append + at most one
-// fsync) across concurrent writers.
+// Batcher implements group commit on arrival: callers submit small op
+// slices and block; a single flusher goroutine takes whatever is queued
+// the moment it is free (up to a size cap), hands it to the commit
+// function once, and then answers every waiting caller individually. No
+// request waits for company: a lone writer is committed at once, and
+// under concurrent writers company forms by itself while the previous
+// commit's fsync is in flight — which is what amortizes the per-commit
+// cost (one WAL append + at most one fsync) across them.
 type Batcher struct {
 	reqs   chan request
 	stop   chan struct{}
@@ -20,41 +22,32 @@ type Batcher struct {
 	closed bool
 
 	maxOps int
-	delay  time.Duration
 	commit func(ops []Op, sync bool) error
 }
 
 // request is one caller's submission. A request with no ops is a flush
-// barrier: it forces the current window to commit immediately and is
-// answered after that commit completes.
+// barrier: it closes the batch it lands in, forces that commit durable,
+// and is answered after it completes.
 type request struct {
 	ops  []Op
 	resp chan error
 }
 
-const (
-	defaultBatchOps   = 128
-	defaultBatchDelay = 2 * time.Millisecond
-)
+const defaultBatchOps = 128
 
-// NewBatcher starts a batcher that flushes when maxOps ops have
-// accumulated (<=0: 128) or delay has elapsed since the window opened
-// (<=0: 2ms), whichever comes first. commit is called from a single
-// goroutine, never concurrently; sync is true when the window contained
-// a flush barrier and the commit must be forced durable regardless of
-// the WAL's fsync policy.
-func NewBatcher(maxOps int, delay time.Duration, commit func(ops []Op, sync bool) error) *Batcher {
+// NewBatcher starts a batcher whose commits carry the requests queued
+// when the flusher picks up, cut off once maxOps ops have accumulated
+// (<=0: 128). commit is called from a single goroutine, never
+// concurrently; sync is true when the batch contained a flush barrier and
+// the commit must be forced durable regardless of the WAL's fsync policy.
+func NewBatcher(maxOps int, commit func(ops []Op, sync bool) error) *Batcher {
 	if maxOps <= 0 {
 		maxOps = defaultBatchOps
 	}
-	if delay <= 0 {
-		delay = defaultBatchDelay
-	}
 	b := &Batcher{
-		reqs:   make(chan request, 64),
+		reqs:   make(chan request, 64), // submitters that queue without blocking while a commit is in flight
 		stop:   make(chan struct{}),
 		maxOps: maxOps,
-		delay:  delay,
 		commit: commit,
 	}
 	b.wg.Add(1)
@@ -68,8 +61,8 @@ func NewBatcher(maxOps int, delay time.Duration, commit func(ops []Op, sync bool
 // commits, so a caller that gave up may still find its ops applied —
 // exactly the contract of any write that times out in flight.
 //
-// Submitting zero ops is a flush barrier: it forces any buffered window
-// to commit now and returns once it has.
+// Submitting zero ops is a flush barrier: it returns once everything
+// queued before it has been committed and forced durable.
 func (b *Batcher) Submit(ctx context.Context, ops []Op) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -119,89 +112,45 @@ func (b *Batcher) Close() {
 
 func (b *Batcher) run() {
 	defer b.wg.Done()
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
-		// Wait for the first request of a window.
-		var first request
 		select {
-		case first = <-b.reqs:
+		case first := <-b.reqs:
+			b.flush(first, false)
 		case <-b.stop:
-			b.drain()
-			return
-		}
-		batch := []request{first}
-		nops := len(first.ops)
-		barrier := len(first.ops) == 0
-		timer.Reset(b.delay)
-		// Fill the window until size, deadline, a barrier, or shutdown.
-		for nops < b.maxOps && !barrier {
-			select {
-			case req := <-b.reqs:
-				batch = append(batch, req)
-				nops += len(req.ops)
-				if len(req.ops) == 0 {
-					barrier = true
+			// Commit whatever is still queued, so a caller that managed
+			// to enqueue before Close is answered rather than abandoned.
+			for {
+				select {
+				case first := <-b.reqs:
+					b.flush(first, true)
+				default:
+					return
 				}
-			case <-timer.C:
-				goto flush
-			case <-b.stop:
-				goto flush
 			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	flush:
-		b.flush(batch, nops, barrier)
-		select {
-		case <-b.stop:
-			b.drain()
-			return
-		default:
 		}
 	}
 }
 
-// flush commits one window and answers every caller in it.
-func (b *Batcher) flush(batch []request, nops int, barrier bool) {
-	ops := make([]Op, 0, nops)
-	for _, req := range batch {
-		ops = append(ops, req.ops...)
+// flush commits first together with everything queued behind it right
+// now — up to maxOps ops or a barrier — and answers every caller in the
+// batch.
+func (b *Batcher) flush(first request, sync bool) {
+	batch := []request{first}
+	ops := slices.Clone(first.ops)
+	barrier := len(first.ops) == 0
+gather:
+	for len(ops) < b.maxOps && !barrier {
+		select {
+		case req := <-b.reqs:
+			batch = append(batch, req)
+			ops = append(ops, req.ops...)
+			barrier = len(req.ops) == 0
+		default:
+			break gather
+		}
 	}
-	var err error
-	if len(ops) > 0 || barrier {
-		err = b.commit(ops, barrier)
-	}
+	err := b.commit(ops, sync || barrier)
 	for _, req := range batch {
 		req.resp <- err
-	}
-}
-
-// drain commits whatever is still queued at shutdown, so a caller that
-// managed to enqueue before Close is answered rather than abandoned.
-func (b *Batcher) drain() {
-	for {
-		var batch []request
-		nops := 0
-	gather:
-		for {
-			select {
-			case req := <-b.reqs:
-				batch = append(batch, req)
-				nops += len(req.ops)
-			default:
-				break gather
-			}
-		}
-		if len(batch) == 0 {
-			return
-		}
-		b.flush(batch, nops, true)
 	}
 }

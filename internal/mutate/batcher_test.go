@@ -46,79 +46,109 @@ func (c *collectCommits) totalOps() int {
 	return n
 }
 
-// TestBatcherCoalesces: with the deadline effectively off, the window
-// closes exactly when maxOps ops have accumulated — so N concurrent
-// single-op submissions must come out as ONE commit carrying all N.
-func TestBatcherCoalesces(t *testing.T) {
-	const writers = 8
-	c := &collectCommits{}
-	b := NewBatcher(writers, time.Hour, c.commit)
-	defer b.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = b.Submit(context.Background(), []Op{{From: uint32(i), To: uint32(i + 1)}})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.batches) != 1 {
-		t.Fatalf("%d commits, want 1 (group commit did not coalesce)", len(c.batches))
-	}
-	if len(c.batches[0]) != writers {
-		t.Fatalf("window carried %d ops, want %d", len(c.batches[0]), writers)
-	}
+// parkFlusher submits one op that the flusher picks up alone and holds
+// inside its commit (c.block withholds the token), and returns the channel
+// that Submit answers on.
+func parkFlusher(b *Batcher, c *collectCommits) chan error {
+	parked := make(chan error, 1)
+	go func() { parked <- b.Submit(context.Background(), []Op{{From: 0, To: 1}}) }()
+	<-c.entered
+	return parked
 }
 
-func TestBatcherFlushesOnSize(t *testing.T) {
+// queueBehind starts k single-op submitters and waits until all of them
+// sit in the queue behind the parked flusher.
+func queueBehind(b *Batcher, k int) chan error {
+	done := make(chan error, k)
+	for i := 0; i < k; i++ {
+		go func(i int) {
+			done <- b.Submit(context.Background(), []Op{{From: uint32(i + 10), To: 1}})
+		}(i)
+	}
+	for len(b.reqs) != k {
+		time.Sleep(time.Millisecond)
+	}
+	return done
+}
+
+// TestBatcherLoneSubmitCommitsOnArrival: there is no window to wait out.
+// One submission, far below the size cap and with nothing behind it, is
+// committed by its arrival alone — one commit, carrying that op.
+func TestBatcherLoneSubmitCommitsOnArrival(t *testing.T) {
 	c := &collectCommits{}
-	b := NewBatcher(1, time.Hour, c.commit) // window closes after 1 op
+	b := NewBatcher(1000, c.commit)
 	defer b.Close()
 	if err := b.Submit(context.Background(), []Op{{From: 1, To: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.totalOps(); got != 1 {
-		t.Fatalf("ops committed = %d (size trigger did not fire; delay is 1h)", got)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.batches) != 1 || len(c.batches[0]) != 1 || c.syncs[0] {
+		t.Fatalf("commits = %v (sync %v), want exactly one with the op, not forced durable", c.batches, c.syncs)
 	}
 }
 
-func TestBatcherFlushesOnDeadline(t *testing.T) {
-	c := &collectCommits{}
-	b := NewBatcher(1000, time.Millisecond, c.commit)
+// TestBatcherCompanyFormsBehindACommit: group commit without a timer. K
+// submitters that arrive while a commit is in flight are answered by
+// exactly one following commit carrying all K.
+func TestBatcherCompanyFormsBehindACommit(t *testing.T) {
+	const writers = 8
+	c := &collectCommits{entered: make(chan struct{}, 16), block: make(chan struct{})}
+	b := NewBatcher(128, c.commit)
 	defer b.Close()
-	done := make(chan error, 1)
-	go func() { done <- b.Submit(context.Background(), []Op{{From: 1, To: 2}}) }()
-	select {
-	case err := <-done:
-		if err != nil {
+	parked := parkFlusher(b, c)
+	done := queueBehind(b, writers)
+	close(c.block)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < writers; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.batches) != 2 || len(c.batches[1]) != writers {
+		t.Fatalf("commits = %v, want the parked op, then one commit carrying all %d", c.batches, writers)
+	}
+}
+
+// TestBatcherCutsAtSize: a commit takes at most maxOps ops of what is
+// queued; the rest ride the next one.
+func TestBatcherCutsAtSize(t *testing.T) {
+	c := &collectCommits{entered: make(chan struct{}, 16), block: make(chan struct{})}
+	b := NewBatcher(2, c.commit)
+	defer b.Close()
+	parked := parkFlusher(b, c)
+	done := queueBehind(b, 4)
+	close(c.block)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("deadline trigger never fired")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.batches) != 3 || len(c.batches[1]) != 2 || len(c.batches[2]) != 2 {
+		t.Fatalf("commits = %v, want 1 op, then 2, then 2", c.batches)
 	}
 }
 
-// TestBatcherBarrier: a barrier coalescing into a window that also holds
-// ops must (a) force the window out immediately — the deadline is an
-// hour — and (b) flag the combined commit sync, so the WAL fsyncs it
-// even under FsyncNever. This is the Flush durability contract.
+// TestBatcherBarrier: a barrier queued behind ops rides their commit and
+// flags it sync, so the WAL fsyncs it even under FsyncNever. This is the
+// Flush durability contract.
 func TestBatcherBarrier(t *testing.T) {
 	c := &collectCommits{entered: make(chan struct{}, 16), block: make(chan struct{})}
-	b := NewBatcher(1000, time.Hour, c.commit)
+	b := NewBatcher(1000, c.commit)
 	defer b.Close()
 
-	// A sacrificial barrier opens a window alone and flushes immediately,
-	// parking the flusher inside commit #1. While it is parked, enqueue —
-	// in order — an op and then a barrier: they become window #2.
+	// A sacrificial barrier is committed alone, parking the flusher inside
+	// commit #1. While it is parked, enqueue — in order — an op and then a
+	// barrier: they become commit #2.
 	sacrificial := make(chan error, 1)
 	go func() { sacrificial <- b.Submit(context.Background(), nil) }()
 	<-c.entered // flusher is inside commit #1
@@ -142,7 +172,7 @@ func TestBatcherBarrier(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("barrier did not force the window out")
+			t.Fatal("barrier was never answered")
 		}
 	}
 	c.mu.Lock()
@@ -151,18 +181,18 @@ func TestBatcherBarrier(t *testing.T) {
 		t.Fatalf("%d commits, want 2: %v", len(c.batches), c.batches)
 	}
 	if len(c.batches[1]) != 1 || !c.syncs[1] {
-		t.Fatalf("window #2 = %d ops, sync=%v — want the op with sync=true",
+		t.Fatalf("commit #2 = %d ops, sync=%v — want the op with sync=true",
 			len(c.batches[1]), c.syncs[1])
 	}
 	if !c.syncs[0] {
-		t.Fatal("barrier-only window #1 not marked sync")
+		t.Fatal("barrier-only commit #1 not marked sync")
 	}
 }
 
 func TestBatcherCommitErrorReachesAllCallers(t *testing.T) {
 	want := errors.New("disk on fire")
 	c := &collectCommits{err: want}
-	b := NewBatcher(2, time.Hour, c.commit)
+	b := NewBatcher(2, c.commit)
 	defer b.Close()
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -183,7 +213,7 @@ func TestBatcherCommitErrorReachesAllCallers(t *testing.T) {
 
 func TestBatcherContextCancelAbandonsWaitNotBatch(t *testing.T) {
 	c := &collectCommits{entered: make(chan struct{}, 16), block: make(chan struct{})}
-	b := NewBatcher(1, time.Hour, c.commit)
+	b := NewBatcher(1, c.commit)
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -206,7 +236,7 @@ func TestBatcherContextCancelAbandonsWaitNotBatch(t *testing.T) {
 
 func TestBatcherPreCancelledContext(t *testing.T) {
 	c := &collectCommits{}
-	b := NewBatcher(1, time.Hour, c.commit)
+	b := NewBatcher(1, c.commit)
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -222,8 +252,8 @@ func TestBatcherPreCancelledContext(t *testing.T) {
 // before Close must be committed and acknowledged, not abandoned.
 func TestBatcherCloseDrainsQueued(t *testing.T) {
 	c := &collectCommits{entered: make(chan struct{}, 16), block: make(chan struct{})}
-	b := NewBatcher(1, time.Hour, c.commit)
-	// The first submission flushes on size and parks inside commit #1.
+	b := NewBatcher(1, c.commit)
+	// The first submission is picked up alone and parks inside commit #1.
 	first := make(chan error, 1)
 	go func() { first <- b.Submit(context.Background(), []Op{{From: 0, To: 1}}) }()
 	<-c.entered
@@ -276,7 +306,7 @@ func TestBatcherCloseDrainsQueued(t *testing.T) {
 }
 
 func TestBatcherCloseIdempotent(t *testing.T) {
-	b := NewBatcher(1, time.Millisecond, (&collectCommits{}).commit)
+	b := NewBatcher(1, (&collectCommits{}).commit)
 	b.Close()
 	b.Close()
 }

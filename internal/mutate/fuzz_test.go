@@ -77,7 +77,7 @@ func fuzzSeedImage(f *testing.F) []byte {
 		f.Fatal(err)
 	}
 	for _, ops := range testBatches {
-		if _, err := l.Append(ops); err != nil {
+		if _, _, err := l.Append(ops, false); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -92,4 +92,47 @@ func fuzzSeedImage(f *testing.F) []byte {
 		f.Fatalf("seed image lacks magic: %q", data[:8])
 	}
 	return data
+}
+
+// FuzzOverlayApply reads data as a program over four vertices — ops
+// gathered into batches, commits, and rebuilds that open and close around
+// further commits — and runs it through the overlay model: after every
+// commit and rebase the sorted-run overlay must equal the map-based oracle
+// and, laid over its base, the live edge set.
+//
+//	0..rfftt  queue an op on edge ff→tt: a remove if r is set, else an add
+//	10......  commit the queued batch
+//	11......  commit, then open a rebuild or close the open one
+func FuzzOverlayApply(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x06, 0x16, 0x06, 0x80})                   // add 1→2, remove it, re-add, in one batch
+	f.Add([]byte{0x11, 0xc0, 0x01, 0x80, 0xc0})             // remove base 0→1, fold, re-add mid-rebuild
+	f.Add([]byte{0x0a, 0x80, 0x1a, 0x0a, 0xc0, 0x1a, 0xc0}) // self-loop 2→2 of the base
+	f.Fuzz(func(t *testing.T, data []byte) {
+		base := edgeSet{}
+		for _, e := range [][2]uint32{{0, 1}, {1, 2}, {2, 2}, {3, 0}} {
+			base[EdgeKey(e[0], e[1])] = struct{}{}
+		}
+		m := newOverlayModel(t, 4, base)
+		var batch []Op
+		for _, b := range data {
+			if b < 0x80 {
+				batch = append(batch, Op{Remove: b>>4&1 == 1, From: uint32(b >> 2 & 3), To: uint32(b & 3)})
+				continue
+			}
+			m.commit(batch)
+			batch = batch[:0]
+			switch {
+			case b < 0xc0:
+			case m.g1 == nil:
+				m.beginRebuild()
+			default:
+				m.endRebuild()
+			}
+		}
+		m.commit(batch)
+		if m.g1 != nil {
+			m.endRebuild()
+		}
+	})
 }

@@ -4,24 +4,23 @@
 // answer. It has three cooperating layers (the fourth, the background
 // reindexer, lives in the root package next to the index builders):
 //
-//   - Batcher: a group-commit accumulator. Callers submit small op
-//     slices and block on a per-caller response channel; a single
-//     flusher goroutine coalesces everything queued into one batch per
-//     size-or-deadline window, commits it once, and answers every
-//     caller individually. Context cancellation abandons the wait, not
-//     the batch.
+//   - Batcher: group commit on arrival. Callers submit small op slices
+//     and block on a per-caller response channel; a single flusher
+//     goroutine takes whatever is queued when it is free, commits it
+//     once, and answers every caller individually — no window, no
+//     timer. Context cancellation abandons the wait, not the batch.
 //   - Log: a write-ahead log on the internal/persist container codec.
 //     One "batch" section per group commit, CRC-32C over the payload,
 //     configurable fsync policy, and recovery that replays the longest
 //     intact prefix and truncates a torn tail — corrupted or truncated
 //     bytes are always an error, never a panic, and never silently
 //     accepted.
-//   - Overlay: the delta the frozen index does not know about, as net
-//     added/removed edge sets. Queries traverse the small delta and
-//     consult the frozen index for the rest, so answers stay exact
-//     between background rebuilds. Overlays are persistent values:
-//     writers publish a fresh Clone+Apply through an atomic pointer,
-//     readers never lock.
+//   - Overlay: the delta the frozen index does not know about, as two
+//     sorted runs of net added/removed edge keys. Queries traverse the
+//     small delta and consult the frozen index for the rest, so answers
+//     stay exact between background rebuilds. Overlays are immutable:
+//     a commit merges its batch into fresh runs and publishes them
+//     through an atomic pointer, readers never lock.
 //
 // The package is deliberately unlabeled-only (uint32 vertex pairs): the
 // root package gates DBConfig.Mutation to unlabeled graphs, where the

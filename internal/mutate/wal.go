@@ -212,6 +212,7 @@ type Log struct {
 	pw    *persist.Writer
 	fsync FsyncMode
 	size  int64 // committed on-disk length (intact prefix)
+	alloc int64 // file length when zeros were written ahead of the tail
 	base  int64 // size minus bytes written through the current pw
 	seq   uint64
 	// broken is set when a failed append could not be rolled back: the
@@ -282,20 +283,44 @@ func Open(path string, fsync FsyncMode) (*Log, Recovery, error) {
 	return l, rec, nil
 }
 
-// Append durably logs one batch and returns the bytes appended. The
-// batch is either fully on disk (per the fsync policy) when Append
-// returns nil, or — on any failure — rolled back so the file again ends
-// at the last committed batch; a rollback that itself fails marks the
-// log broken and every later Append returns that error.
-func (l *Log) Append(ops []Op) (int64, error) {
+// walAhead is how far past a batch the file is extended when the batch
+// would pass its end.
+const walAhead = 8 << 20
+
+// reserve writes zeros ahead of the tail when the next batch would pass the
+// end of the file, so that appends overwrite blocks that exist. Appending at
+// the end of the file, every commit that starts a block waits inside fsync
+// for the filesystem to allocate it and mark it written, which on a
+// saturated box took seconds now and then (DESIGN.md, "Mutation &
+// durability"). Best effort: what it fails to write, the append writes
+// itself. The format knows nothing of it: rollback and Close cut the zeros
+// off, and a process that dies leaves them as a torn tail for the next Open
+// to cut.
+func (l *Log) reserve(end int64) {
+	l.alloc = max(l.alloc, l.size)
+	if end > l.alloc {
+		n, _ := l.f.WriteAt(make([]byte, end+walAhead-l.alloc), l.alloc)
+		l.alloc += int64(n)
+	}
+}
+
+// Append logs one batch and returns the bytes appended and whether it
+// fsynced: it does when the policy is FsyncAlways or force is set (a
+// Flush barrier rode in the batch). The batch is either fully on disk
+// (per the policy and force) when Append returns nil, or — on any
+// failure, the fsync's included — rolled back so the file again ends at
+// the last committed batch; a rollback that itself fails marks the log
+// broken and every later Append returns that error.
+func (l *Log) Append(ops []Op, force bool) (n int64, synced bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.broken != nil {
-		return 0, l.broken
+		return 0, false, l.broken
 	}
 	if err := faultinject.HitErr(SiteWALAppend); err != nil {
-		return 0, err
+		return 0, false, l.rollback(err)
 	}
+	l.reserve(l.size + batchSectionLen(len(ops)))
 	seq := l.seq + 1
 	l.pw.Section(batchSection, func(e *persist.Encoder) {
 		e.U32(crcBatch(seq, ops))
@@ -312,20 +337,21 @@ func (l *Log) Append(ops []Op) (int64, error) {
 			e.U32(op.Label)
 		}
 	})
-	n, err := l.pw.Flush()
+	written, err := l.pw.Flush()
 	if err == nil {
 		err = faultinject.HitErr(SiteWALFsync)
 	}
-	if err == nil && l.fsync == FsyncAlways {
+	synced = l.fsync == FsyncAlways || force
+	if err == nil && synced {
 		err = l.f.Sync()
 	}
 	if err != nil {
-		return 0, l.rollback(err)
+		return 0, false, l.rollback(err)
 	}
-	appended := l.base + n - l.size
-	l.size = l.base + n
+	n = l.base + written - l.size
+	l.size = l.base + written
 	l.seq = seq
-	return appended, nil
+	return n, synced, nil
 }
 
 // rollback restores the on-disk file to the last committed length after
@@ -333,6 +359,7 @@ func (l *Log) Append(ops []Op) (int64, error) {
 // state is now unusable). Returns cause, or the broken-log error when
 // the restore itself failed.
 func (l *Log) rollback(cause error) error {
+	l.alloc = l.size
 	if err := l.f.Truncate(l.size); err != nil {
 		l.broken = fmt.Errorf("mutate: wal unrecoverable after failed append (%v; truncate: %v)", cause, err)
 		return l.broken
@@ -374,13 +401,18 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// Close syncs and closes the file. The log is unusable afterwards.
+// Close cuts the zeros ahead of the tail, syncs and closes the file. The
+// log is unusable afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.broken == nil {
 		l.broken = ErrClosed
-		if err := l.f.Sync(); err != nil {
+		err := l.f.Truncate(l.size)
+		if err == nil {
+			err = l.f.Sync()
+		}
+		if err != nil {
 			l.f.Close()
 			return err
 		}

@@ -38,7 +38,7 @@ func writeTestWAL(t *testing.T) (string, []byte) {
 		t.Fatalf("fresh recovery = %+v, want empty", rec)
 	}
 	for _, ops := range testBatches {
-		if _, err := l.Append(ops); err != nil {
+		if _, _, err := l.Append(ops, false); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestWALOpenTruncatesTornTail(t *testing.T) {
 	if fi, err := os.Stat(path); err != nil || fi.Size() != bs[2] {
 		t.Fatalf("file size after Open = %v/%v, want %d", fi.Size(), err, bs[2])
 	}
-	if _, err := l.Append([]Op{{From: 100, To: 200}}); err != nil {
+	if _, _, err := l.Append([]Op{{From: 100, To: 200}}, false); err != nil {
 		t.Fatalf("Append after recovery: %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -267,7 +267,7 @@ func TestWALOpenTornHeader(t *testing.T) {
 		if len(rec.Batches) != 0 {
 			t.Fatalf("cut %d: recovered %d batches from a headerless file", cut, len(rec.Batches))
 		}
-		if _, err := l.Append([]Op{{From: 1, To: 2}}); err != nil {
+		if _, _, err := l.Append([]Op{{From: 1, To: 2}}, false); err != nil {
 			t.Fatalf("cut %d: Append: %v", cut, err)
 		}
 		if err := l.Close(); err != nil {
@@ -293,14 +293,14 @@ func TestWALAppendRollback(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			if _, err := l.Append([]Op{{From: 1, To: 2}}); err != nil {
+			if _, _, err := l.Append([]Op{{From: 1, To: 2}}, false); err != nil {
 				t.Fatal(err)
 			}
 			committed := l.Size()
 
 			faultinject.Activate(&faultinject.Plan{Site: site, Kind: faultinject.Error})
 			t.Cleanup(faultinject.Deactivate)
-			_, err = l.Append([]Op{{From: 3, To: 4}})
+			_, _, err = l.Append([]Op{{From: 3, To: 4}}, false)
 			var inj *faultinject.Injected
 			if !errors.As(err, &inj) {
 				t.Fatalf("Append with armed %s = %v, want injected error", site, err)
@@ -314,7 +314,7 @@ func TestWALAppendRollback(t *testing.T) {
 
 			// The plan fires once; the retry must commit with seq 2 —
 			// no gap from the failed attempt.
-			if _, err := l.Append([]Op{{From: 3, To: 4}}); err != nil {
+			if _, _, err := l.Append([]Op{{From: 3, To: 4}}, false); err != nil {
 				t.Fatalf("Append after fault cleared: %v", err)
 			}
 			if err := l.Close(); err != nil {
@@ -329,6 +329,67 @@ func TestWALAppendRollback(t *testing.T) {
 				t.Fatalf("batches = %+v, want seqs 1,2", rec.Batches)
 			}
 		})
+	}
+}
+
+// TestWALZerosAheadOfTheTail: an open log keeps zeros past its last batch
+// so that appends overwrite existing blocks — the file grows once per
+// walAhead bytes, not once per block — and the format knows nothing of
+// them. A process that dies leaves them behind as a torn tail: Replay stops
+// at the last batch with a TailErr, the next Open cuts them off. Close cuts
+// them too, so a closed log is exactly its batches.
+func TestWALZerosAheadOfTheTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.wal")
+	l, _, err := Open(path, FsyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileSize := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	ops := make([]Op, 32)
+	grown, last := 0, fileSize()
+	for i := 0; i < 2000; i++ { // ≈1 MB of batches
+		if _, _, err := l.Append(ops, false); err != nil {
+			t.Fatal(err)
+		}
+		if now := fileSize(); now != last {
+			grown, last = grown+1, now
+		}
+	}
+	if last < l.Size() || last > l.Size()+walAhead || grown != 1 {
+		t.Fatalf("%d bytes of batches in a %d-byte file that grew %d times — want the file ahead of the log by at most %d bytes, grown once", l.Size(), last, grown, walAhead)
+	}
+	// Not closed: the process "dies" here, zeros and all.
+	data, _ := os.ReadFile(path)
+	rec, err := Replay(data)
+	if err != nil || rec.TailErr == nil || len(rec.Batches) != 2000 || rec.Intact != l.Size() {
+		t.Fatalf("Replay over the zeros: %v / %v, %d batches, intact %d of %d", err, rec.TailErr, len(rec.Batches), rec.Intact, l.Size())
+	}
+	l2, rec, err := Open(path, FsyncNever)
+	if err != nil || len(rec.Batches) != 2000 {
+		t.Fatalf("Open over the zeros: %v, %d batches", err, len(rec.Batches))
+	}
+	if fileSize() != rec.Intact {
+		t.Fatalf("Open left a %d-byte file for %d intact bytes", fileSize(), rec.Intact)
+	}
+	if _, _, err := l2.Append([]Op{{From: 7, To: 8}}, false); err != nil {
+		t.Fatal(err)
+	}
+	want := l2.Size()
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fileSize() != want {
+		t.Fatalf("closed log is %d bytes on disk, %d of batches", fileSize(), want)
+	}
+	data, _ = os.ReadFile(path)
+	if rec, err := Replay(data); err != nil || rec.TailErr != nil || rec.Intact != want || len(rec.Batches) != 2001 || rec.Batches[2000].Seq != 2001 {
+		t.Fatalf("Replay of the closed log: %v / %v, %d batches", err, rec.TailErr, len(rec.Batches))
 	}
 }
 
@@ -359,7 +420,7 @@ func TestWALClosedAppendFails(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]Op{{From: 1, To: 2}}); !errors.Is(err, ErrClosed) {
+	if _, _, err := l.Append([]Op{{From: 1, To: 2}}, false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
 	if err := l.Sync(); !errors.Is(err, ErrClosed) {
@@ -446,7 +507,7 @@ func walCrashChild(path string) {
 	}
 	w := bufio.NewWriter(os.Stdout)
 	for seq := uint64(1); ; seq++ {
-		if _, err := l.Append([]Op{{From: uint32(seq), To: uint32(seq + 1)}}); err != nil {
+		if _, _, err := l.Append([]Op{{From: uint32(seq), To: uint32(seq + 1)}}, false); err != nil {
 			fmt.Fprintln(os.Stderr, "child append:", err)
 			os.Exit(1)
 		}

@@ -49,11 +49,9 @@ type MutationConfig struct {
 	WALPath string
 	// Fsync selects the durability policy. Default FsyncAlways.
 	Fsync FsyncMode
-	// BatchOps caps ops per group commit. Default 128.
+	// BatchOps caps ops per group commit. Default 128. A commit starts the
+	// moment the previous one ends and carries whatever queued meanwhile.
 	BatchOps int
-	// BatchDelay is the group-commit window: a submitted op waits at most
-	// this long for companions before its batch flushes. Default 2ms.
-	BatchDelay time.Duration
 	// RebuildThreshold is the overlay size (added+removed edges) that
 	// triggers a background reindex folding the delta into a fresh frozen
 	// index. 0 selects 4096; negative disables background rebuilds (the
@@ -96,9 +94,8 @@ type mutDB struct {
 
 	m *obs.MutationMetrics // always allocated; exported only when DB metrics are on
 
-	wal   *mutate.Log
-	fsync FsyncMode
-	bat   *mutate.Batcher
+	wal *mutate.Log
+	bat *mutate.Batcher
 
 	threshold int // overlay size triggering a rebuild; 0 = disabled
 	retries   int
@@ -176,7 +173,6 @@ func (db *DB) initMutation(cfg DBConfig) error {
 		opts:      opts,
 		m:         &obs.MutationMetrics{},
 		wal:       wal,
-		fsync:     mc.Fsync,
 		threshold: orDefault(mc.RebuildThreshold, 4096),
 		retries:   orDefault(mc.RebuildRetries, 3),
 		ctx:       ctx,
@@ -191,7 +187,7 @@ func (db *DB) initMutation(cfg DBConfig) error {
 		db.metrics.SetMutation(mdb.m)
 	}
 	mdb.apply(replay)
-	mdb.bat = mutate.NewBatcher(mc.BatchOps, mc.BatchDelay, mdb.commit)
+	mdb.bat = mutate.NewBatcher(mc.BatchOps, mdb.commit)
 	db.mut = mdb
 	mdb.maybeRebuild()
 	return nil
@@ -202,10 +198,7 @@ func (db *DB) initMutation(cfg DBConfig) error {
 func (mdb *mutDB) apply(ops []mutate.Op) {
 	st := mdb.db.publish(func(cur *serving) *serving {
 		next := *cur
-		next.ov = cur.ov.Clone()
-		for _, op := range ops {
-			next.ov.Apply(op, cur.g.HasEdge)
-		}
+		next.ov = cur.ov.Apply(ops, cur.g.HasEdge)
 		return &next
 	})
 	mdb.setOverlayGauges(st.ov)
@@ -218,38 +211,36 @@ func (mdb *mutDB) setOverlayGauges(ov *mutate.Overlay) {
 
 // commit is the batcher's commit function: WAL first, overlay second,
 // acknowledge third. Runs on the single flusher goroutine. sync forces
-// durability (a Flush barrier was in the window).
+// durability (a Flush barrier was in the batch). A failed append rolled
+// the file back (or marked the log broken): nothing was acknowledged,
+// nothing is applied — the overlay and the WAL stay in lockstep.
 func (mdb *mutDB) commit(ops []mutate.Op, sync bool) error {
 	start := time.Now()
+	var (
+		n      int64
+		synced bool
+		err    error
+	)
 	if len(ops) > 0 {
-		n, err := mdb.wal.Append(ops)
-		if err == nil && sync && mdb.fsync == FsyncNever {
-			err = mdb.wal.Sync()
-			mdb.m.WALFsyncs.Inc()
-		}
-		if err != nil {
-			// The append rolled the file back (or marked the log broken):
-			// nothing was acknowledged, nothing is applied — the overlay
-			// and the WAL stay in lockstep.
-			mdb.m.WALErrors.Inc()
-			mdb.m.Rejected.Add(int64(len(ops)))
-			mdb.db.countFault(err)
-			return err
-		}
+		n, synced, err = mdb.wal.Append(ops, sync)
+	} else if sync {
+		err = mdb.wal.Sync()
+		synced = true
+	}
+	if err != nil {
+		mdb.m.WALErrors.Inc()
+		mdb.m.Rejected.Add(int64(len(ops)))
+		mdb.db.countFault(err)
+		return err
+	}
+	if synced {
+		mdb.m.WALFsyncs.Inc()
+	}
+	if len(ops) > 0 {
 		mdb.m.WALAppends.Inc()
 		mdb.m.WALBytes.Add(n)
-		if mdb.fsync == FsyncAlways {
-			mdb.m.WALFsyncs.Inc()
-		}
 		mdb.apply(ops)
 		mdb.m.Applied.Add(int64(len(ops)))
-	} else if sync {
-		if err := mdb.wal.Sync(); err != nil {
-			mdb.m.WALErrors.Inc()
-			mdb.db.countFault(err)
-			return err
-		}
-		mdb.m.WALFsyncs.Inc()
 	}
 	mdb.m.FlushLatency.Record(time.Since(start))
 	mdb.maybeRebuild()
@@ -280,6 +271,9 @@ func (mdb *mutDB) runRebuild() {
 	defer mdb.rebuilding.Store(false)
 	for attempt := 0; ; attempt++ {
 		err := mdb.rebuildOnce()
+		if mdb.ctx.Err() != nil {
+			return // Close is waiting: a cancelled fold is a stop, not a failure
+		}
 		if err == nil {
 			mdb.m.RebuildDegraded.Set(0)
 			return
@@ -289,7 +283,7 @@ func (mdb *mutDB) runRebuild() {
 			mdb.m.RebuildPanics.Inc()
 		}
 		mdb.db.countFault(err)
-		if attempt >= mdb.retries || mdb.ctx.Err() != nil {
+		if attempt >= mdb.retries {
 			// Give up for now: the old index + overlay keep serving
 			// exactly; the next commit's maybeRebuild tries again.
 			mdb.m.RebuildDegraded.Set(1)
@@ -322,14 +316,17 @@ func (mdb *mutDB) rebuildOnce() (err error) {
 		if snap.ov.Empty() {
 			return nil
 		}
-		b := graph.Mutate(snap.g)
-		snap.ov.RemovedEdges(func(u, v uint32) {
-			b.RemoveEdge(graph.Edge{From: u, To: v})
-		})
-		snap.ov.AddedEdges(func(u, v uint32) {
-			b.AddEdge(u, v)
-		})
+		b := graph.Patched(snap.g, edgesOf(snap.ov.Removed()), edgesOf(snap.ov.Added()))
+		// Close cancels ctx and then waits for this goroutine, so look at
+		// ctx between the steps too: after the fold, after Freeze, and
+		// BuildCtx does on entry, after Prepare.
+		if err := mdb.ctx.Err(); err != nil {
+			return err
+		}
 		g1, err := b.Freeze()
+		if err == nil {
+			err = mdb.ctx.Err()
+		}
 		if err != nil {
 			return err
 		}
@@ -348,7 +345,7 @@ func (mdb *mutDB) rebuildOnce() (err error) {
 				return nil
 			}
 			return &serving{g: g1, prep: opts.Prepared, ix: ix1, kind: snap.kind,
-				ov: mutate.Rebase(cur.ov, snap.ov, snap.g.HasEdge, g1.HasEdge)}
+				ov: mutate.Rebase(cur.ov, snap.ov)}
 		})
 		if st != nil {
 			mdb.m.Rebuilds.Inc()
@@ -356,6 +353,15 @@ func (mdb *mutDB) rebuildOnce() (err error) {
 			return nil
 		}
 	}
+}
+
+// edgesOf unpacks a run of overlay edge keys; the order carries over.
+func edgesOf(keys []uint64) []graph.Edge {
+	es := make([]graph.Edge, len(keys))
+	for i, k := range keys {
+		es[i].From, es[i].To = mutate.KeyEdge(k)
+	}
+	return es
 }
 
 // submit validates nothing (the DB entry points did) and rides the

@@ -190,7 +190,6 @@ func TestMutableConcurrentStress(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 60, M: 150, Seed: 21})
 	db := newMutableDB(t, g, MutationConfig{
 		RebuildThreshold: 8,
-		BatchDelay:       100 * time.Microsecond,
 		Fsync:            FsyncNever,
 	}, true)
 	mirror := mutableCopy(g)

@@ -38,7 +38,7 @@ type serving struct {
 }
 
 // noOverlay is the overlay of every snapshot with no pending mutations to
-// carry. Shared and never written: a commit clones before it applies.
+// carry. Shared: an overlay is immutable, a commit builds the next one.
 var noOverlay = mutate.NewOverlay()
 
 // publish is the only place the serving snapshot changes. Under the
@@ -127,10 +127,11 @@ func (st *serving) reach(s, t V) bool {
 func (st *serving) reachWithAdds(s, t V) bool {
 	sc := scratch.Get(st.g.N())
 	defer scratch.Put(sc)
-	st.ov.AddedEdges(func(u, v uint32) {
+	for _, k := range st.ov.Added() {
+		u, v := mutate.KeyEdge(k)
 		sc.Queue2 = append(sc.Queue2, u)
 		sc.Aux = append(sc.Aux, v)
-	})
+	}
 	anchored := sc.Visited()
 	anchored.Set(int(s))
 	sc.Queue = append(sc.Queue, s)
@@ -189,18 +190,22 @@ func (st *serving) bfs(sc *scratch.T, s, t V) bool {
 
 // eachSucc iterates u's successors in the live graph (base minus removed
 // plus added); fn returning true stops the iteration and is propagated.
+// The removed edges out of u are a sorted subset of the sorted Succ(u), so
+// one merge walk drops them.
 func (st *serving) eachSucc(u V, fn func(v V) bool) bool {
 	ov := st.ov
+	removed := ov.RemovedSucc(u)
 	for _, v := range st.g.Succ(u) {
-		if ov.RemovedCount() > 0 && ov.HasRemoved(u, v) {
+		if len(removed) > 0 && V(removed[0]) == v {
+			removed = removed[1:]
 			continue
 		}
 		if fn(v) {
 			return true
 		}
 	}
-	for _, v := range ov.AddedSucc(u) {
-		if fn(v) {
+	for _, k := range ov.AddedSucc(u) {
+		if fn(V(k)) {
 			return true
 		}
 	}
