@@ -58,8 +58,12 @@ func ProfileGraph(prep *core.Prepared) GraphProfile {
 	cond, _ := prep.Condensation()
 	dag := cond.DAG
 	p.SCCs = dag.N()
+	size := make([]int, dag.N())
+	for _, c := range cond.Comp {
+		size[c]++
+	}
 	inCyc := 0
-	for _, sz := range cond.Size {
+	for _, sz := range size {
 		if sz > p.LargestSCC {
 			p.LargestSCC = sz
 		}

@@ -66,8 +66,9 @@ func ForGeneralPrepared(g *graph.Digraph, spans *obs.Spans, workers int, prep *P
 // records the (much cheaper) deserialization as an "index/load" span —
 // so a warm-started build timeline is distinguishable from a fresh one
 // by span name alone. The condensation still runs (or comes from the
-// prep memo): it is derived from the immutable graph, deterministic, and
-// orders of magnitude cheaper than the filter passes it replaces.
+// prep memo): it is derived from the immutable graph and deterministic,
+// but not free. On a 10⁶-vertex, 4·10⁶-edge random DAG (2 vCPUs) it
+// takes ≈0.6 s, half of it Tarjan, against ≈0.5 s for BFL's whole build.
 func ForGeneralLoaded(g *graph.Digraph, spans *obs.Spans, prep *Prepared, load func(dag *graph.Digraph) (Index, error)) (Index, error) {
 	var cond *scc.Condensation
 	if prep != nil && prep.Graph() == g {

@@ -164,71 +164,118 @@ func cmpEdge(a, b Edge) int {
 	return 0
 }
 
-// Freeze sorts, deduplicates and lays out the accumulated edges as an
-// immutable CSR Digraph.
+// Freeze deduplicates and lays out the accumulated edges as an immutable
+// CSR Digraph in O(n + m): a counting scatter by source, then csr.
 func (b *Builder) Freeze() (*Digraph, error) {
-	if b.labeled && b.numLabels > MaxLabels {
-		return nil, ErrTooManyLabels
-	}
-	es := b.edges
-	// SortFunc works on the concrete []Edge — no per-comparison interface
-	// dispatch the reflect-based sort.Slice paid — and the IsSortedFunc
-	// pre-check makes re-freezing an already-ordered edge list (Mutate or
-	// Patched of a frozen graph, order-preserving RemoveEdge) a linear scan.
-	if !slices.IsSortedFunc(es, cmpEdge) {
-		slices.SortFunc(es, cmpEdge)
-	}
-	// Deduplicate identical (from, to, label) triples.
-	dedup := es[:0]
-	for i, e := range es {
-		if i > 0 && e == es[i-1] {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
-	es = dedup
+	g, _, err := b.freeze()
+	return g, err
+}
 
-	g := &Digraph{n: b.n, m: len(es), numLabels: b.numLabels,
-		labelName: b.labelName, vertName: b.vertName, names: &nameIndex{}}
-	g.succOff = make([]uint32, b.n+1)
-	g.predOff = make([]uint32, b.n+1)
-	g.succ = make([]V, len(es))
-	g.pred = make([]V, len(es))
-	if b.labeled {
-		g.succLab = make([]Label, len(es))
-		g.predLab = make([]Label, len(es))
+// freeze is Freeze; sorts counts the rows csr had to sort, for the test
+// that pins an already-ordered edge list as a linear scan.
+func (b *Builder) freeze() (g *Digraph, sorts int, err error) {
+	if b.labeled && b.numLabels > MaxLabels {
+		return nil, 0, ErrTooManyLabels
 	}
-	for _, e := range es {
-		g.succOff[e.From+1]++
-		g.predOff[e.To+1]++
+	// Row v counts into off[v+2]: after the prefix sum off[v+1] is row
+	// v's start, after the scatter its end, so off[:n+1] needs no shift.
+	off := make([]uint32, b.n+2)
+	for _, e := range b.edges {
+		off[e.From+2]++
 	}
-	for v := 0; v < b.n; v++ {
-		g.succOff[v+1] += g.succOff[v]
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	keys := make([]uint64, len(b.edges))
+	for _, e := range b.edges {
+		keys[off[e.From+1]] = uint64(e.To)<<16 | uint64(e.Label)
+		off[e.From+1]++
+	}
+	g, sorts = csr(b.n, off[:b.n+1], keys, b.labeled)
+	g.numLabels, g.labelName, g.vertName = b.numLabels, b.labelName, b.vertName
+	return g, sorts, nil
+}
+
+// Quotient returns the graph of g's vertex classes: class[v] in
+// [0, count) is v's vertex in the result, edges inside one class are
+// dropped, and parallel edges between two classes merge into one per
+// label. The label universe is g's. Built straight from g's CSR in
+// O(n + m); it is the condensation once class is an SCC numbering.
+func Quotient(g *Digraph, class []uint32, count int) *Digraph {
+	off := make([]uint32, count+2) // laid out as in Freeze
+	for u := 0; u < g.n; u++ {
+		for _, v := range g.Succ(V(u)) {
+			if class[v] != class[u] {
+				off[class[u]+2]++
+			}
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	keys := make([]uint64, off[count+1])
+	for u := 0; u < g.n; u++ {
+		cu := class[u]
+		for i := g.succOff[u]; i < g.succOff[u+1]; i++ {
+			if cv := class[g.succ[i]]; cv != cu {
+				keys[off[cu+1]] = uint64(cv) << 16
+				if g.succLab != nil {
+					keys[off[cu+1]] |= uint64(g.succLab[i])
+				}
+				off[cu+1]++
+			}
+		}
+	}
+	q, _ := csr(count, off[:count+1], keys, g.Labeled())
+	q.numLabels = g.numLabels
+	return q
+}
+
+// csr lays out n rows of uint64(To)<<16|Label keys, row v being
+// keys[off[v]:off[v+1]], as a Digraph (owning off and keys): each row is
+// sorted unless it already is, deduplicated and compacted, and the reverse
+// CSR is filled in ascending source order, so it comes out sorted too.
+// sorts counts the rows it had to sort.
+func csr(n int, off []uint32, keys []uint64, labeled bool) (g *Digraph, sorts int) {
+	m := 0
+	for v := 0; v < n; v++ {
+		row := keys[off[v]:off[v+1]]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
+			sorts++
+		}
+		off[v] = uint32(m)
+		m += copy(keys[m:], slices.Compact(row))
+	}
+	off[n] = uint32(m)
+	g = &Digraph{n: n, m: m, succOff: off, succ: make([]V, m),
+		predOff: make([]uint32, n+1), pred: make([]V, m), names: &nameIndex{}}
+	if labeled {
+		g.succLab = make([]Label, m)
+		g.predLab = make([]Label, m)
+	}
+	for i, k := range keys[:m] {
+		g.succ[i] = V(k >> 16)
+		g.predOff[g.succ[i]+1]++
+		if labeled {
+			g.succLab[i] = Label(k)
+		}
+	}
+	for v := 0; v < n; v++ {
 		g.predOff[v+1] += g.predOff[v]
 	}
-	fill := make([]uint32, b.n)
-	for _, e := range es {
-		i := g.succOff[e.From] + fill[e.From]
-		fill[e.From]++
-		g.succ[i] = e.To
-		if b.labeled {
-			g.succLab[i] = e.Label
+	fill := slices.Clone(g.predOff[:n])
+	for u := 0; u < n; u++ {
+		for i := off[u]; i < off[u+1]; i++ {
+			t := g.succ[i]
+			g.pred[fill[t]] = V(u)
+			if labeled {
+				g.predLab[fill[t]] = g.succLab[i]
+			}
+			fill[t]++
 		}
 	}
-	for i := range fill {
-		fill[i] = 0
-	}
-	// Edges are sorted by From, so filling pred in this order yields
-	// pred lists sorted by predecessor id.
-	for _, e := range es {
-		i := g.predOff[e.To] + fill[e.To]
-		fill[e.To]++
-		g.pred[i] = e.From
-		if b.labeled {
-			g.predLab[i] = e.Label
-		}
-	}
-	return g, nil
+	return g, sorts
 }
 
 // MustFreeze is Freeze that panics on error; for tests and generators whose
@@ -261,7 +308,7 @@ func Mutate(g *Digraph) *Builder {
 // minus removed plus added: the fold of a mutation overlay into its base.
 // Both lists are in (From, To, Label) order. One merge pass over the CSR
 // — O(m + |removed| + |added|) whatever the number of removals — and the
-// edge list comes out in CSR order, so Freeze skips its sort.
+// edge list comes out in CSR order, so Freeze finds every row sorted.
 func Patched(g *Digraph, removed, added []Edge) *Builder {
 	b := NewBuilder(g.N())
 	b.labeled = g.Labeled()
@@ -317,10 +364,9 @@ func patchEdges(g *Digraph, removed, added []Edge) (es []Edge, steps int) {
 // is gone": a builder fed duplicate AddEdge calls — or a self-loop added
 // twice — would otherwise still freeze into a graph containing e, and an
 // add/remove/add sequence driven through the mutation overlay would
-// diverge from the graph it claims to describe. The removal preserves
-// edge order (no swap-with-last), so a builder loaded from a frozen
-// graph (Mutate) keeps its sorted edge list and the next Freeze skips
-// sorting entirely instead of re-sorting to repair displaced elements.
+// diverge from the graph it claims to describe. The removal keeps the
+// remaining edges in order, though Freeze does not depend on it: it
+// sorts only the rows it finds out of order.
 func (b *Builder) RemoveEdge(e Edge) bool {
 	kept := b.edges[:0]
 	for _, x := range b.edges {

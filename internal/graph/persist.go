@@ -11,7 +11,7 @@ import (
 // predOff/pred, and (for labeled graphs) the parallel label arrays — in
 // the shared persist container (format "graph") using the aligned mapped
 // layout, so a serving process warm start page-maps the adjacency instead
-// of re-parsing the edge-list text and re-running Freeze's sort:
+// of re-parsing the edge-list text and re-running Freeze:
 //
 //	meta       — n, m, numLabels, flags
 //	vertnames  — optional vertex-name registry

@@ -34,16 +34,17 @@ func Tarjan(g *graph.Digraph) *Components {
 		index[i] = unvisited
 		comp[i] = unvisited
 	}
-	var stack []uint32
+	// Both stacks hold at most n entries: sized once, never regrown.
+	stack := make([]uint32, 0, n)
 	var next uint32
 	var count uint32
 
 	// Explicit DFS frames: vertex and position within its successor list.
 	type frame struct {
 		v  uint32
-		ei int
+		ei uint32
 	}
-	var frames []frame
+	frames := make([]frame, 0, n)
 
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
@@ -61,7 +62,7 @@ func Tarjan(g *graph.Digraph) *Components {
 			v := f.v
 			succ := g.Succ(v)
 			advanced := false
-			for f.ei < len(succ) {
+			for int(f.ei) < len(succ) {
 				w := succ[f.ei]
 				f.ei++
 				if index[w] == unvisited {
@@ -108,48 +109,23 @@ func Tarjan(g *graph.Digraph) *Components {
 }
 
 // Condensation is the DAG obtained by coalescing each SCC of a general
-// graph into one vertex, together with the vertex↔component maps needed to
+// graph into one vertex, together with the vertex→component map needed to
 // translate queries.
 type Condensation struct {
 	// DAG is the condensed graph; its vertex v corresponds to component v.
 	DAG *graph.Digraph
 	// Comp maps an original vertex to its DAG vertex.
 	Comp []uint32
-	// Size[c] is the number of original vertices in component c.
-	Size []int
 }
 
-// Condense computes the condensation of g. Edge labels are preserved:
-// a labeled edge (u, l, v) between distinct components becomes the labeled
-// edge (comp(u), l, comp(v)) in the DAG (deduplicated).
+// Condense computes the condensation of g: Tarjan, then the quotient of
+// g's CSR by the component ids. Edge labels are preserved: a labeled edge
+// (u, l, v) between distinct components becomes the labeled edge
+// (comp(u), l, comp(v)) in the DAG (deduplicated), and the label universe
+// stays g's even if some labels only occur inside SCCs.
 func Condense(g *graph.Digraph) *Condensation {
 	c := Tarjan(g)
-	var b *graph.Builder
-	if g.Labeled() {
-		b = graph.NewLabeledBuilder(c.Count)
-		// Preserve the label universe size even if some labels only occur
-		// inside SCCs.
-		b.ReserveLabels(g.Labels())
-	} else {
-		b = graph.NewBuilder(c.Count)
-	}
-	g.Edges(func(e graph.Edge) bool {
-		cu, cv := c.Comp[e.From], c.Comp[e.To]
-		if cu != cv {
-			if g.Labeled() {
-				b.AddLabeledEdge(cu, cv, e.Label)
-			} else {
-				b.AddEdge(cu, cv)
-			}
-		}
-		return true
-	})
-	dag := b.MustFreeze()
-	size := make([]int, c.Count)
-	for _, cc := range c.Comp {
-		size[cc]++
-	}
-	return &Condensation{DAG: dag, Comp: c.Comp, Size: size}
+	return &Condensation{DAG: graph.Quotient(g, c.Comp, c.Count), Comp: c.Comp}
 }
 
 // SameComponent reports whether u and v are in the same SCC.

@@ -54,12 +54,13 @@ func TestCondenseIsDAG(t *testing.T) {
 	if !order.IsDAG(cond.DAG) {
 		t.Fatal("condensation has a cycle")
 	}
-	total := 0
-	for _, s := range cond.Size {
-		total += s
+	if len(cond.Comp) != g.N() {
+		t.Fatalf("Comp has %d entries, want %d", len(cond.Comp), g.N())
 	}
-	if total != g.N() {
-		t.Fatalf("component sizes sum to %d, want %d", total, g.N())
+	for v, c := range cond.Comp {
+		if int(c) >= cond.DAG.N() {
+			t.Fatalf("Comp[%d] = %d, out of the DAG's %d vertices", v, c, cond.DAG.N())
+		}
 	}
 }
 

@@ -124,8 +124,8 @@ func NewPlan(prep *core.Prepared, k, workers int) *Plan {
 
 	// Original-vertex census per shard.
 	p.verts = make([]int, k)
-	for c, sz := range cond.Size {
-		p.verts[p.shardOf[c]] += sz
+	for _, c := range cond.Comp {
+		p.verts[p.shardOf[c]]++
 	}
 
 	// Sub-DAGs (intra-shard edges, local ids) and the cut-edge census.

@@ -126,7 +126,7 @@ var (
 	WriteGraph = graph.Write
 	// LoadGraphSnapshot page-maps a graph CSR snapshot (written with
 	// Graph.WriteSnapshot) as a zero-copy Graph, so a warm start skips
-	// edge-list parsing and the Freeze sort entirely.
+	// edge-list parsing and Freeze entirely.
 	LoadGraphSnapshot = graph.LoadSnapshot
 	// ReadGraphSnapshot decodes a graph CSR snapshot from a stream (the
 	// non-mmap fallback to LoadGraphSnapshot).
