@@ -9,7 +9,6 @@
 //	reachbench -scale 5           # multiply graph sizes by 5
 //	reachbench -seed 42           # change the workload seed
 //	reachbench -workers 4          # worker pool for parallel build phases
-//	reachbench -metrics -index bfl  # instrumented workload + metrics dump
 //	reachbench -benchjson BENCH.json  # machine-readable per-kind bench
 //	reachbench -cpuprofile cpu.pb  # write a pprof CPU profile
 //	reachbench -memprofile mem.pb  # write a pprof heap profile
@@ -19,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -27,18 +25,13 @@ import (
 
 	reach "repro"
 	"repro/internal/experiments"
-	"repro/internal/gen"
 )
 
 func main() {
 	scale := flag.Int("scale", 1, "size multiplier for experiment graphs")
 	seed := flag.Int64("seed", 1, "workload seed")
 	only := flag.String("only", "", "comma-separated subset: table1,table2,fig1,e1..e14")
-	metrics := flag.Bool("metrics", false, "run an instrumented workload for -index and dump its metrics instead of the experiment suite")
-	indexKind := flag.String("index", "bfl", "plain index kind for the -metrics run")
 	workers := flag.Int("workers", 0, "worker pool for parallel build phases (0 = GOMAXPROCS, 1 = serial)")
-	k := flag.Int("k", 3, "per-technique budget for the -metrics run")
-	bits := flag.Int("bits", 256, "Bloom filter width for the -metrics run")
 	benchjson := flag.String("benchjson", "", "write a machine-readable per-kind benchmark (build ns, query ns/op, allocs/op) to this file and exit")
 	labelEnc := flag.String("labelenc", "raw", "2-hop label storage encoding for the benchmark builds: raw or varint")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -53,21 +46,6 @@ func main() {
 	}
 	if *workers < 0 {
 		usageExit("-workers must be >= 0, got %d", *workers)
-	}
-	if *k < 0 {
-		usageExit("-k must be >= 0, got %d", *k)
-	}
-	if *bits < 0 {
-		usageExit("-bits must be >= 0, got %d", *bits)
-	}
-	if *metrics {
-		// Validate the index kind up front: fail with usage instead of
-		// panicking mid-build on a bogus kind.
-		if !validKind(reach.Kind(*indexKind)) {
-			usageExit("unknown index kind %q (want one of %s)", *indexKind, kindList())
-		}
-	} else if *indexKind != "bfl" {
-		usageExit("-index only applies with -metrics")
 	}
 
 	if *cpuprofile != "" {
@@ -101,10 +79,6 @@ func main() {
 	enc, ok := parseLabelEnc(*labelEnc)
 	if !ok {
 		usageExit("bad -labelenc %q (want raw or varint)", *labelEnc)
-	}
-	if *metrics {
-		runMetrics(reach.Kind(*indexKind), *scale, *seed, reach.Options{K: *k, Bits: *bits, Workers: *workers, LabelEnc: enc})
-		return
 	}
 	if *benchjson != "" {
 		if err := writeBenchJSON(*benchjson, *scale, *seed, *workers, enc); err != nil {
@@ -153,40 +127,6 @@ func main() {
 	}
 }
 
-// runMetrics builds the requested index with build-phase spans, drives a
-// mixed workload through an instrumented wrapper, and dumps the snapshot.
-func runMetrics(k reach.Kind, scale int, seed int64, opt reach.Options) {
-	n := 20000 * scale
-	g := gen.RandomDAG(gen.Config{N: n, M: 4 * n, Seed: seed})
-	var spans reach.BuildSpans
-	opt.Seed = seed
-	opt.Spans = &spans
-	raw, err := reach.Build(k, g, opt)
-	if err != nil {
-		fail("build %s: %v", k, err)
-	}
-	var m reach.IndexMetrics
-	ix := reach.Instrument(raw, g, &m)
-	rng := rand.New(rand.NewSource(seed + 1))
-	for i := 0; i < 20000; i++ {
-		ix.Reach(reach.V(rng.Intn(n)), reach.V(rng.Intn(n)))
-	}
-	fmt.Printf("index %s over %d vertices / %d edges, 20000 random queries\n",
-		raw.Name(), g.N(), g.M())
-	fmt.Println("build phases:")
-	for _, sp := range spans.Snapshot() {
-		attr := ""
-		if sp.Workers > 0 {
-			attr = fmt.Sprintf("  workers=%d", sp.Workers)
-		}
-		fmt.Printf("  %*s%-24s %v%s\n", 2*sp.Depth, "", sp.Name, sp.Dur, attr)
-	}
-	s := m.Snapshot()
-	fmt.Printf("queries=%d (+%d/-%d) decided=%.1f%% fallback=%d visited=%d p50=%v p99=%v\n",
-		s.Queries, s.Positive, s.Negative, 100*s.DecidedRate(), s.Fallback,
-		s.Visited, s.Latency.P50, s.Latency.P99)
-}
-
 func parseLabelEnc(s string) (reach.LabelEncoding, bool) {
 	switch s {
 	case "raw":
@@ -195,23 +135,6 @@ func parseLabelEnc(s string) (reach.LabelEncoding, bool) {
 		return reach.EncVarint, true
 	}
 	return 0, false
-}
-
-func validKind(k reach.Kind) bool {
-	for _, kk := range reach.Kinds() {
-		if kk == k {
-			return true
-		}
-	}
-	return false
-}
-
-func kindList() string {
-	var names []string
-	for _, k := range reach.Kinds() {
-		names = append(names, string(k))
-	}
-	return strings.Join(names, ",")
 }
 
 func usageExit(format string, args ...interface{}) {

@@ -17,9 +17,10 @@
 //
 // The stats subcommand builds the index with the observability layer
 // enabled, drives a sampled query workload through it, and prints the
-// metrics snapshot: per-index positive/negative counts, TryReach
-// decided-rate, guided-traversal fallback volume, latency percentiles,
-// and named build-phase durations (see OBSERVABILITY.md).
+// metrics snapshot as the Prometheus text exposition reachserve's /metrics
+// serves: per-index positive/negative counts, TryReach decided and
+// fallback counts, guided-traversal volume, latency histograms, and
+// per-phase build seconds (see OBSERVABILITY.md).
 //
 // The replay subcommand re-runs a workload captured with `reachserve
 // -record` against any index kind and reports per-route latency deltas
@@ -184,8 +185,7 @@ func main() {
 }
 
 // runStats implements `reachcli stats`: build with metrics enabled, run a
-// sampled workload, print decided-rate, fallback-rate, and latency
-// percentiles per index plus the build-phase spans.
+// sampled workload, print the DB's metrics as Prometheus text exposition.
 func runStats(args []string) {
 	fs := flag.NewFlagSet("reachcli stats", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "graph file (edge-list exchange format)")
@@ -220,7 +220,6 @@ func runStats(args []string) {
 	if err != nil {
 		fail("build: %v", firstLine(err))
 	}
-	db.PublishExpvar("reach_db")
 
 	rng := rand.New(rand.NewSource(*seed))
 	for i := 0; i < *queries; i++ {
@@ -243,10 +242,12 @@ func runStats(args []string) {
 			db.QueryAllowed(s, t, labels...)
 		}
 	}
-	fmt.Printf("graph %s: %d vertices, %d edges, %d labels; %d sampled queries\n",
+	// A "# " line is a comment in the exposition format, so stdout stays
+	// one valid Prometheus document.
+	fmt.Printf("# graph %s: %d vertices, %d edges, %d labels; %d sampled queries\n",
 		*graphPath, g.N(), g.M(), g.Labels(), *queries)
 	snap, _ := db.MetricsSnapshot()
-	snap.WriteText(os.Stdout)
+	snap.WriteProm(os.Stdout, "reach")
 }
 
 // queryResult is one -json output line. Reachable is a pointer so the

@@ -28,7 +28,7 @@ func runReplay(args []string) {
 	maxseq := fs.Int("maxseq", 0, "RLC max concatenation length κ; 0 = default")
 	workers := fs.Int("workers", 0, "build worker cap; 0 = GOMAXPROCS")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable per-route summary as JSON")
-	verbose := fs.Bool("v", false, "also print the replay DB's full metrics snapshot")
+	verbose := fs.Bool("v", false, "also print the replay DB's full metrics snapshot (Prometheus text exposition)")
 	fs.Parse(args)
 	if *graphPath == "" || *workloadPath == "" {
 		fmt.Fprintln(os.Stderr, "reachcli replay: need -graph and -workload")
@@ -117,7 +117,7 @@ func runReplay(args []string) {
 			}
 		}
 		if *verbose {
-			snap.WriteText(os.Stdout)
+			snap.WriteProm(os.Stdout, "reach")
 		}
 	}
 }

@@ -13,9 +13,9 @@
 //
 // Endpoints: /v1/reach?s=&t=, /v1/query?s=&t=&alpha=, /v1/allowed?s=&t=&labels=,
 // POST /v1/batch, /v1/path?s=&t=[&alpha=], POST /v1/mutate (with -wal),
-// /healthz, /readyz, /metrics (Prometheus exposition via Accept or
-// ?format=prometheus), /debug/vars, /debug/traces, /debug/pprof/ (with
-// -pprof), /admin/stats, /admin/shards (with -shards), /admin/advise (with
+// /healthz, /readyz, /metrics (Prometheus text exposition 0.0.4, the only
+// form metrics are served in), /debug/traces, /debug/pprof/ (with -pprof),
+// /admin/stats, /admin/shards (with -shards), /admin/advise (with
 // -autotune), POST /admin/reload.
 //
 // -shards k partitions the condensation DAG into k contiguous
@@ -213,7 +213,6 @@ func main() {
 		QueueWait:      *queueWait,
 		RequestTimeout: *reqTimeout,
 		ReloadTimeout:  *buildTimeout,
-		ExpvarName:     "reach_db",
 		Log:            lg,
 		Tracer:         tracer,
 		EnablePprof:    *pprofOn,

@@ -467,15 +467,6 @@ func (db *DB) MetricsSnapshot() (snap obs.Snapshot, ok bool) {
 	return db.metrics.Snapshot(), true
 }
 
-// PublishExpvar registers the DB's metrics under name in the expvar
-// registry (/debug/vars). No-op when metrics are disabled or the name is
-// already published.
-func (db *DB) PublishExpvar(name string) {
-	if db.metrics != nil {
-		db.metrics.Publish(name)
-	}
-}
-
 // boundary is the deferred panic barrier of every query entry point: a
 // panic escaping an index implementation becomes ErrIndexPanic (with the
 // panicking goroutine's stack in the message) instead of crashing the

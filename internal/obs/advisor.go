@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"sync"
-)
+import "sync"
 
 // AdvisorMetrics accumulates the auto-tuning advisor's signals: how
 // often the background evaluation ran, what it built, and whether the
@@ -82,15 +78,6 @@ func (m *DBMetrics) SetAdvisor(am *AdvisorMetrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.advisor = am
-}
-
-// writeText renders the human-readable advisor block for WriteText.
-func (s *AdvisorSnapshot) writeText(w io.Writer) {
-	fmt.Fprintf(w, "advisor: serving=%s (initial=%s) evaluations=%d swaps=%d skipped=%d\n",
-		s.CurrentKind, s.InitialKind, s.Evaluations, s.Swaps, s.SwapsSkipped)
-	fmt.Fprintf(w, "  candidates: built=%d failed=%d trace=%d last-improvement=%.1f%%\n",
-		s.CandidatesBuilt, s.BuildFailures, s.TraceRecords,
-		float64(s.LastImprovementPermille)/10)
 }
 
 // writeProm renders the reach_advisor_* families for WriteProm.

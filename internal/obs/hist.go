@@ -50,20 +50,10 @@ type HistSnapshot struct {
 	P99   time.Duration `json:"p99_ns"`
 	Max   time.Duration `json:"max_ns"` // upper bound of the top nonempty bucket
 
-	// buckets holds the raw per-bucket counts for exporters that need
-	// the full distribution (the Prometheus encoder in prom.go maps them
-	// to cumulative le buckets). Unexported so the JSON/expvar surface
-	// stays the compact percentile view.
+	// buckets holds the raw per-bucket counts: the Prometheus encoder in
+	// prom.go maps them to cumulative le buckets.
 	buckets [histBuckets]int64
 }
-
-// Buckets returns the raw power-of-two bucket counts: index b counts
-// durations in [2^(b-1), 2^b) ns (see BucketUpper).
-func (s *HistSnapshot) Buckets() []int64 { return s.buckets[:] }
-
-// BucketUpper is the exclusive upper bound of bucket b, for mapping
-// bucket counts to externally meaningful latency ranges.
-func BucketUpper(b int) time.Duration { return bucketUpper(b) }
 
 // Snapshot captures counts and computes approximate percentiles (each
 // bucket is represented by its geometric midpoint, so values are within

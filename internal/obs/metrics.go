@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -250,10 +247,6 @@ type CacheSnapshot struct {
 	Capacity  int   `json:"capacity"`
 }
 
-// HitRate is the fraction of cache lookups answered without touching an
-// index or traversal.
-func (s CacheSnapshot) HitRate() float64 { return rate(s.Hits, s.Hits+s.Misses) }
-
 // DBMetrics is the DB-level metrics root: build-phase spans, per-class
 // routing counters, per-index query metrics, and error/fault counters.
 type DBMetrics struct {
@@ -380,81 +373,6 @@ func (m *DBMetrics) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Publish registers this metrics root under name in the process-wide
-// expvar registry (visible on /debug/vars). Publishing the same name
-// twice is a no-op rather than the expvar panic, so DBs can be rebuilt.
-func (m *DBMetrics) Publish(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
-}
-
-// WriteText renders the snapshot as the human-readable dump printed by
-// `reachcli stats` and `reachbench -metrics`.
-func (s Snapshot) WriteText(w io.Writer) {
-	if len(s.Build) > 0 {
-		fmt.Fprintln(w, "build phases:")
-		for _, sp := range s.Build {
-			fmt.Fprintf(w, "  %*s%-24s %v\n", 2*sp.Depth, "", sp.Name, sp.Dur)
-		}
-	}
-	if len(s.Indexes) > 0 {
-		fmt.Fprintln(w, "indexes:")
-		for _, name := range sortedKeys(s.Indexes) {
-			is := s.Indexes[name]
-			fmt.Fprintf(w, "  %-14s queries=%d (+%d/-%d)", name, is.Queries, is.Positive, is.Negative)
-			if is.Decided+is.Fallback > 0 {
-				fmt.Fprintf(w, " decided=%.1f%% fallback=%d visited=%d",
-					100*is.DecidedRate(), is.Fallback, is.Visited)
-			}
-			if is.Batches > 0 {
-				fmt.Fprintf(w, " batches=%d batch_queries=%d", is.Batches, is.BatchQueries)
-			}
-			if is.Bytes > 0 {
-				fmt.Fprintf(w, " bytes=%d (off=%d lab=%d aux=%d)",
-					is.Bytes, is.BytesOffsets, is.BytesLabels, is.BytesAux)
-			}
-			fmt.Fprintf(w, " p50=%v p99=%v", is.Latency.P50, is.Latency.P99)
-			if is.LatencySampleStride > 1 {
-				fmt.Fprintf(w, " (latency sampled 1/%d)", is.LatencySampleStride)
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	if len(s.Routes) > 0 {
-		fmt.Fprintln(w, "routes:")
-		for _, name := range sortedKeys(s.Routes) {
-			rs := s.Routes[name]
-			fmt.Fprintf(w, "  %-14s queries=%d (+%d/-%d) p50=%v p99=%v\n",
-				name, rs.Queries, rs.Positive, rs.Negative, rs.Latency.P50, rs.Latency.P99)
-		}
-	}
-	if s.Cache != nil {
-		fmt.Fprintf(w, "cache: hits=%d misses=%d hit-rate=%.1f%% evictions=%d entries=%d/%d\n",
-			s.Cache.Hits, s.Cache.Misses, 100*s.Cache.HitRate(),
-			s.Cache.Evictions, s.Cache.Entries, s.Cache.Capacity)
-	}
-	if s.Mutation != nil {
-		s.Mutation.writeText(w)
-	}
-	if s.Advisor != nil {
-		s.Advisor.writeText(w)
-	}
-	if len(s.Degraded) > 0 {
-		fmt.Fprintf(w, "degraded routes: %s\n", strings.Join(s.Degraded, ", "))
-	}
-	if s.Errors > 0 {
-		fmt.Fprintf(w, "errors: %d\n", s.Errors)
-	}
-	if s.Panics > 0 {
-		fmt.Fprintf(w, "panics: %d\n", s.Panics)
-	}
-	if s.Canceled > 0 {
-		fmt.Fprintf(w, "canceled: %d\n", s.Canceled)
-	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

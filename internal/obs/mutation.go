@@ -1,10 +1,5 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-)
-
 // MutationMetrics accumulates the live-mutation pipeline's signals: WAL
 // traffic, group-commit flush latency, the size of the delta overlay the
 // query path carries, and background-reindex outcomes (see
@@ -83,17 +78,6 @@ func (m *DBMetrics) SetMutation(mm *MutationMetrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.mutation = mm
-}
-
-// writeText renders the human-readable mutation block for WriteText.
-func (s *MutationSnapshot) writeText(w io.Writer) {
-	fmt.Fprintf(w, "mutation: applied=%d rejected=%d overlay=+%d/-%d flush p50=%v p99=%v\n",
-		s.Applied, s.Rejected, s.OverlayAdded, s.OverlayRemoved,
-		s.FlushLatency.P50, s.FlushLatency.P99)
-	fmt.Fprintf(w, "  wal: appends=%d bytes=%d fsyncs=%d errors=%d replayed=%d\n",
-		s.WALAppends, s.WALBytes, s.WALFsyncs, s.WALErrors, s.WALReplayed)
-	fmt.Fprintf(w, "  rebuilds: ok=%d failed=%d panics=%d degraded=%v\n",
-		s.Rebuilds, s.RebuildFailures, s.RebuildPanics, s.RebuildDegraded)
 }
 
 // writeProm renders the mutation families for WriteProm.

@@ -1,7 +1,9 @@
 // Package obs is the engine's zero-dependency observability layer: atomic
 // counters, lock-free power-of-two latency histograms, and hierarchical
 // build-phase spans, composed into per-index query metrics and DB-level
-// routing metrics with a Snapshot/expvar/text-dump export surface.
+// routing metrics. A metric leaves the process one way: as Prometheus
+// text exposition 0.0.4 (prom.go), which the server's /metrics and
+// `reachcli stats` both write.
 //
 // The paper's quantitative claims (§3–§5) — partial indexes answer ≥10×
 // faster than raw traversal, negative queries dominate real workloads and

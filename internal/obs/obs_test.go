@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -233,6 +232,9 @@ func TestRouteKindStrings(t *testing.T) {
 	}
 }
 
+// TestSnapshotWriteTextAndJSON checks the snapshot's two renderings: the
+// Prometheus text exposition carries the build phase, index, route, error
+// and fallback-visited figures, and the snapshot marshals to JSON.
 func TestSnapshotWriteTextAndJSON(t *testing.T) {
 	m := NewDBMetrics()
 	end := m.Build.Start("scc/condense")
@@ -244,28 +246,23 @@ func TestSnapshotWriteTextAndJSON(t *testing.T) {
 
 	var sb strings.Builder
 	s := m.Snapshot()
-	s.WriteText(&sb)
+	s.WriteProm(&sb, "reach")
 	out := sb.String()
-	for _, want := range []string{"scc/condense", "BFL", "plain", "errors: 1", "visited=7"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text dump missing %q:\n%s", want, out)
+	samples := checkPromSyntax(t, out)
+	if _, ok := samples[`reach_build_phase_seconds{phase="scc/condense"}`]; !ok {
+		t.Errorf("text exposition missing build phase scc/condense:\n%s", out)
+	}
+	for series, want := range map[string]string{
+		`reach_index_queries_total{index="BFL"}`:          "1",
+		`reach_route_queries_total{route="plain"}`:        "1",
+		`reach_errors_total`:                              "1",
+		`reach_index_fallback_visited_total{index="BFL"}`: "7",
+	} {
+		if got := samples[series]; got != want {
+			t.Errorf("%s = %q, want %q\n%s", series, got, want, out)
 		}
 	}
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("snapshot not JSON-marshalable: %v", err)
-	}
-}
-
-func TestPublishIdempotent(t *testing.T) {
-	m := NewDBMetrics()
-	m.Index("X").Observe(true, time.Nanosecond)
-	m.Publish("obs_test_metrics")
-	m.Publish("obs_test_metrics") // second publish must not panic
-	v := expvar.Get("obs_test_metrics")
-	if v == nil {
-		t.Fatal("metrics not published")
-	}
-	if !strings.Contains(v.String(), "\"X\"") {
-		t.Errorf("expvar value missing index: %s", v.String())
 	}
 }

@@ -14,38 +14,118 @@ import (
 // set, value. The value charset covers integers, floats and +Inf.
 var promSeriesRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (-?[0-9.eE+-]+|\+Inf|NaN)$`)
 
-// checkPromSyntax validates text-format discipline: every sample's
-// family was declared with HELP and TYPE first, no malformed lines.
-// Returns the sample lines keyed by series (name + labels).
-func checkPromSyntax(t *testing.T, out string) map[string]string {
+// promLeRe finds the le label of a histogram _bucket sample.
+var promLeRe = regexp.MustCompile(`,?le="([^"]*)"`)
+
+// checkPromSyntax validates a whole text-format document: no malformed
+// line; HELP and TYPE exactly once per family, before its first sample;
+// a family's samples contiguous (no family reopened after another began);
+// a _bucket/_sum/_count sample only under a histogram TYPE; within each
+// histogram series, le and the cumulative counts non-decreasing and the
+// le="+Inf" bucket equal to _count. Returns the sample values keyed by
+// series (name + labels).
+func checkPromSyntax(t testing.TB, out string) map[string]string {
 	t.Helper()
-	declared := map[string]bool{}
+	help := map[string]bool{}
+	typ := map[string]string{}
 	samples := map[string]string{}
+	type bucketState struct {
+		le, cum float64
+		inf     string
+	}
+	buckets := map[string]*bucketState{} // histogram series (no le) → state
+	current := ""                        // family whose samples may follow
 	sc := bufio.NewScanner(strings.NewReader(out))
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" {
 			continue
 		}
-		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(line)
-			if len(fields) < 4 {
+		if strings.HasPrefix(line, "#") {
+			f := strings.Fields(line)
+			if len(f) < 4 || (f[1] != "HELP" && f[1] != "TYPE") {
 				t.Fatalf("malformed comment line %q", line)
 			}
-			declared[fields[2]] = true
+			if f[1] == "HELP" {
+				if help[f[2]] {
+					t.Fatalf("HELP for %s declared twice", f[2])
+				}
+				help[f[2]] = true
+			} else {
+				if _, dup := typ[f[2]]; dup {
+					t.Fatalf("TYPE for %s declared twice", f[2])
+				}
+				typ[f[2]] = f[3]
+			}
+			current = f[2]
 			continue
 		}
 		m := promSeriesRe.FindStringSubmatch(line)
 		if m == nil {
 			t.Fatalf("malformed sample line %q", line)
 		}
-		name := m[1]
-		// Histogram sub-series share their family's declaration.
-		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
-		if !declared[name] && !declared[base] {
+		name, labels, value := m[1], m[2], m[3]
+		family := name
+		if _, ok := typ[name]; !ok {
+			// Histogram sub-series share their family's declaration.
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, cut := strings.CutSuffix(name, suffix); cut && typ[base] == "histogram" {
+					family = base
+				}
+			}
+		}
+		if _, ok := typ[family]; !ok || !help[family] {
 			t.Fatalf("series %q emitted before its HELP/TYPE declaration", name)
 		}
-		samples[m[1]+m[2]] = m[3]
+		if family != current {
+			t.Fatalf("series %q of family %s emitted inside family %s", name, family, current)
+		}
+		samples[name+labels] = value
+		if family == name || !strings.HasSuffix(name, "_bucket") {
+			continue
+		}
+		loc := promLeRe.FindStringSubmatchIndex(labels)
+		if loc == nil {
+			t.Fatalf("bucket without le: %q", line)
+		}
+		le := labels[loc[2]:loc[3]]
+		series := family + strings.TrimPrefix(labels[:loc[0]]+labels[loc[1]:], "{}")
+		bs := buckets[series]
+		if bs == nil {
+			bs = &bucketState{le: -1, cum: -1}
+			buckets[series] = bs
+		}
+		if bs.inf != "" {
+			t.Fatalf("bucket after le=\"+Inf\": %q", line)
+		}
+		cum, err := strconv.ParseFloat(value, 64)
+		if err != nil || cum < bs.cum {
+			t.Fatalf("bucket counts not cumulative: %q after %v", line, bs.cum)
+		}
+		bs.cum = cum
+		if le == "+Inf" {
+			bs.inf = value
+			continue
+		}
+		bound, err := strconv.ParseFloat(le, 64)
+		if err != nil || bound <= bs.le {
+			t.Fatalf("le bounds not ascending: %q after %v", line, bs.le)
+		}
+		bs.le = bound
+	}
+	for f := range typ {
+		if !help[f] {
+			t.Fatalf("family %s has TYPE but no HELP", f)
+		}
+	}
+	for series, bs := range buckets {
+		family, labels, _ := strings.Cut(series, "{")
+		if labels != "" {
+			labels = "{" + labels
+		}
+		if count := samples[family+"_count"+labels]; bs.inf == "" || bs.inf != count {
+			t.Fatalf("histogram %s: le=\"+Inf\" bucket %q != _count %q", series, bs.inf, count)
+		}
 	}
 	return samples
 }
@@ -76,6 +156,7 @@ func TestSnapshotWriteProm(t *testing.T) {
 
 	for series, want := range map[string]string{
 		`reach_index_queries_total{index="BFL"}`:                    "100",
+		`reach_index_fallback_total{index="BFL"}`:                   "1",
 		`reach_index_fallback_visited_total{index="BFL"}`:           "42",
 		`reach_index_batch_queries_total{index="BFL"}`:              "10",
 		`reach_index_latency_sample_stride{index="BFL"}`:            "32",
@@ -87,43 +168,64 @@ func TestSnapshotWriteProm(t *testing.T) {
 		`reach_index_size_bytes{index="BFL",section="offsets"}`:     "404",
 		`reach_index_size_bytes{index="BFL",section="labels"}`:      "9000",
 		`reach_index_size_bytes{index="BFL",section="aux"}`:         "77",
+		`reach_index_latency_seconds_count{index="BFL"}`:            "100",
 	} {
 		if got := samples[series]; got != want {
 			t.Errorf("%s = %q, want %q", series, got, want)
 		}
 	}
+	// The 100 samples span several power-of-two buckets, so the histogram
+	// shows finite le bounds besides +Inf.
+	finite := 0
+	for series := range samples {
+		if strings.HasPrefix(series, `reach_index_latency_seconds_bucket{index="BFL",le=`) &&
+			!strings.HasSuffix(series, `le="+Inf"}`) {
+			finite++
+		}
+	}
+	if finite < 2 {
+		t.Fatalf("histogram emitted %d finite bucket lines, want at least 2:\n%s", finite, out)
+	}
+}
 
-	// Histogram invariants: cumulative buckets end at +Inf == _count,
-	// and bucket counts are monotone nondecreasing in le order.
-	var lastCum int64 = -1
-	count := samples[`reach_index_latency_seconds_count{index="BFL"}`]
-	inf := samples[`reach_index_latency_seconds_bucket{index="BFL",le="+Inf"}`]
-	if count == "" || inf == "" || count != inf {
-		t.Fatalf("histogram +Inf bucket %q != count %q", inf, count)
-	}
-	sc := bufio.NewScanner(strings.NewReader(out))
-	buckets := 0
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, `reach_index_latency_seconds_bucket{index="BFL"`) {
-			continue
+// TestCheckPromSyntaxRejects feeds the checker documents that break one
+// rule each, so a checker that stops enforcing a rule fails here.
+func TestCheckPromSyntaxRejects(t *testing.T) {
+	const head = "# HELP x_seconds h\n# TYPE x_seconds histogram\n"
+	for name, doc := range map[string]string{
+		"undeclared":      "x_total 1\n",
+		"help twice":      "# HELP x_total h\n# HELP x_total h\n# TYPE x_total counter\nx_total 1\n",
+		"type twice":      "# HELP x_total h\n# TYPE x_total counter\n# TYPE x_total counter\nx_total 1\n",
+		"no help":         "# TYPE x_total counter\nx_total 1\n",
+		"interleaved":     "# HELP a h\n# TYPE a gauge\n# HELP b h\n# TYPE b gauge\nb 1\na 1\n",
+		"bucket on gauge": "# HELP x h\n# TYPE x gauge\nx_bucket{le=\"+Inf\"} 1\n",
+		"not cumulative":  head + "x_seconds_bucket{le=\"1\"} 3\nx_seconds_bucket{le=\"2\"} 2\nx_seconds_bucket{le=\"+Inf\"} 3\nx_seconds_sum 1\nx_seconds_count 3\n",
+		"inf != count":    head + "x_seconds_bucket{le=\"1\"} 2\nx_seconds_bucket{le=\"+Inf\"} 2\nx_seconds_sum 1\nx_seconds_count 3\n",
+		"malformed":       "# HELP x h\n# TYPE x gauge\nx{ 1\n",
+	} {
+		ft := &fatalRecorder{}
+		func() {
+			defer func() { recover() }()
+			checkPromSyntax(ft, doc)
+		}()
+		if !ft.failed {
+			t.Errorf("%s: checker accepted\n%s", name, doc)
 		}
-		buckets++
-		v, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
-		if err != nil {
-			t.Fatalf("bad bucket value in %q: %v", line, err)
-		}
-		if v < lastCum {
-			t.Fatalf("bucket counts not cumulative: %d after %d in %q", v, lastCum, line)
-		}
-		lastCum = v
 	}
-	if buckets < 2 {
-		t.Fatalf("histogram emitted %d bucket lines, want at least lo..hi + +Inf", buckets)
-	}
-	if snap.Indexes["BFL"].Latency.Count != 100 {
-		t.Fatalf("latency samples = %d, want 100", snap.Indexes["BFL"].Latency.Count)
-	}
+}
+
+// fatalRecorder is a testing.TB whose Fatalf records the failure and
+// unwinds, so a test can assert that a checker rejects its input.
+type fatalRecorder struct {
+	testing.TB
+	failed bool
+}
+
+func (f *fatalRecorder) Helper() {}
+
+func (f *fatalRecorder) Fatalf(string, ...any) {
+	f.failed = true
+	panic(f)
 }
 
 func TestServerAndTracerWriteProm(t *testing.T) {
@@ -215,3 +317,7 @@ func TestServerMetricsConcurrent(t *testing.T) {
 		t.Fatalf("gauges not balanced: in-flight=%d queued=%d", s.InFlight, s.Queued)
 	}
 }
+
+// CheckPromSyntax exports the document checker to the external obs_test
+// package, whose tests drive a whole server.
+var CheckPromSyntax = checkPromSyntax

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Gauge is a current-value metric (e.g. requests in flight): unlike
 // Counter it moves both ways.
@@ -56,15 +52,4 @@ func (m *ServerMetrics) Snapshot() ServerSnapshot {
 		InFlight:     m.InFlight.Load(),
 		Queued:       m.Queued.Load(),
 	}
-}
-
-// WriteText renders the snapshot in the same human-readable style as
-// Snapshot.WriteText, for the server's /metrics endpoint.
-func (s ServerSnapshot) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "server: accepted=%d rejected=%d in-flight=%d queued=%d drained=%d reloads=%d",
-		s.Accepted, s.Rejected, s.InFlight, s.Queued, s.Drained, s.Reloads)
-	if s.ReloadErrors > 0 {
-		fmt.Fprintf(w, " reload-errors=%d", s.ReloadErrors)
-	}
-	fmt.Fprintln(w)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -44,7 +43,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /admin/shards", s.handleShards)
 	mux.HandleFunc("GET /admin/advise", s.handleAdvise)
 	mux.HandleFunc("POST /admin/reload", s.handleReload)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -301,40 +299,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsProm(r) {
-		s.writePromMetrics(w)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.metrics.Snapshot().WriteText(w)
-	db := s.DB()
-	if snap, ok := db.MetricsSnapshot(); ok {
-		snap.WriteText(w)
-	} else {
-		fmt.Fprintln(w, "db metrics disabled (start with -metrics)")
-	}
-}
-
-// wantsProm decides the /metrics representation. The human-oriented text
-// dump stays the default; Prometheus exposition is selected explicitly
-// with ?format=prometheus or by the version= Accept header a Prometheus
-// scraper sends ("text/plain; version=0.0.4" or an openmetrics type).
-func wantsProm(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus", "prom":
-		return true
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "version=0.0.4") ||
-		strings.Contains(accept, "application/openmetrics-text")
-}
-
-// writePromMetrics renders every metrics surface the server has —
+// handleMetrics renders every metrics surface the server has —
 // admission/lifecycle gauges, tracer counters, and the current DB's
 // index/route/cache/build cells — as one Prometheus text document under
-// the "reach" namespace.
-func (s *Server) writePromMetrics(w http.ResponseWriter) {
+// the "reach" namespace. There is no other representation, so the Accept
+// header and ?format= are not consulted.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	s.metrics.Snapshot().WriteProm(w, "reach")
 	if s.cfg.Tracer != nil {
@@ -369,6 +339,7 @@ type statsResponse struct {
 	Mutation  *reach.MutationStats   `json:"mutation,omitempty"`
 	Advisor   *reach.AdvisorStatus   `json:"advisor,omitempty"`
 	Shards    *shardsResponse        `json:"shards,omitempty"`
+	Build     []obs.PhaseSpan        `json:"build,omitempty"`
 	Server    obs.ServerSnapshot     `json:"server"`
 	Draining  bool                   `json:"draining,omitempty"`
 	Reloading bool                   `json:"reloading,omitempty"`
@@ -443,6 +414,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.Advisor = &as
 	}
 	resp.Shards = shardsOf(db)
+	if snap, ok := db.MetricsSnapshot(); ok {
+		resp.Build = snap.Build
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

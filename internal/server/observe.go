@@ -143,7 +143,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // Flush forwards to the underlying writer so streaming handlers
-// (pprof's trace endpoint, expvar under a proxy) keep working wrapped.
+// (pprof's profile and trace endpoints) keep working wrapped.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()

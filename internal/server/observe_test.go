@@ -177,10 +177,14 @@ func TestTracesDisabled(t *testing.T) {
 	}
 }
 
+// TestMetricsContentNegotiation: /metrics has one representation. Every
+// selector a client might send — none, a Prometheus scraper's Accept, an
+// openmetrics or JSON Accept, ?format= — gets the same exposition.
 func TestMetricsContentNegotiation(t *testing.T) {
+	tracer := obs.NewTracer(8, 250*time.Millisecond)
 	_, ts := newTestServer(t, Config{
 		DB:     fig1DB(t, reach.DBConfig{Metrics: true}),
-		Tracer: obs.NewTracer(8, 250*time.Millisecond),
+		Tracer: tracer,
 	})
 	get := func(accept, query string) (string, string) {
 		req, _ := http.NewRequest("GET", ts.URL+"/metrics"+query, nil)
@@ -199,37 +203,48 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		return resp.Header.Get("Content-Type"), string(body)
 	}
 
-	// Warm the counters so families carry nonzero series.
-	http.Get(ts.URL + "/v1/reach?s=A&t=G")
-
-	// Default stays the legacy human-readable dump.
-	ct, body := get("", "")
-	if strings.Contains(ct, "version=0.0.4") {
-		t.Fatalf("default /metrics Content-Type = %q, want legacy text", ct)
+	// Warm the counters so families carry nonzero series, and wait for
+	// the request's trace to finish: scrapes are not traced, so from here
+	// on the document is stable.
+	resp, err := http.Get(ts.URL + "/v1/reach?s=A&t=G")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(body, "server: accepted=") {
-		t.Fatalf("legacy dump missing server line:\n%s", body)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for tracer.Stats().Finished < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("warm-up trace never finished")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
-	// A Prometheus scraper's Accept header selects exposition format.
+	ct, want := get("", "")
+	if ct != obs.PromContentType {
+		t.Fatalf("plain /metrics Content-Type = %q, want %q", ct, obs.PromContentType)
+	}
+	for _, family := range []string{
+		"# TYPE reach_server_accepted_total counter",
+		"# TYPE reach_traces_started_total counter",
+		"# TYPE reach_index_queries_total counter",
+		`reach_route_queries_total{route="plain"} 1`,
+	} {
+		if !strings.Contains(want, family) {
+			t.Fatalf("exposition missing %q:\n%s", family, want)
+		}
+	}
 	for _, sel := range []struct{ accept, query string }{
 		{"text/plain; version=0.0.4", ""},
 		{"application/openmetrics-text; version=1.0.0", ""},
+		{"application/json", ""},
 		{"", "?format=prometheus"},
+		{"", "?format=text"},
 	} {
-		ct, body = get(sel.accept, sel.query)
-		if ct != obs.PromContentType {
-			t.Fatalf("prom Content-Type = %q (accept %q)", ct, sel.accept)
-		}
-		for _, want := range []string{
-			"# TYPE reach_server_accepted_total counter",
-			"# TYPE reach_traces_started_total counter",
-			"# TYPE reach_index_queries_total counter",
-			`reach_route_queries_total{route="plain"} 1`,
-		} {
-			if !strings.Contains(body, want) {
-				t.Fatalf("prom exposition missing %q (accept %q):\n%s", want, sel.accept, body)
-			}
+		ct, body := get(sel.accept, sel.query)
+		if ct != obs.PromContentType || body != want {
+			t.Fatalf("accept %q query %q: Content-Type %q, document differs from plain /metrics:\n%s",
+				sel.accept, sel.query, ct, body)
 		}
 	}
 }

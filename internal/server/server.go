@@ -23,8 +23,9 @@
 //     it replaced — requests pin the DB once at admission, so traffic
 //     never observes a half-swapped state and zero requests fail across
 //     a swap;
-//   - ops surfaces /healthz, /readyz, /metrics (text snapshot),
-//     /debug/vars (expvar) and /admin/stats.
+//   - ops surfaces /healthz, /readyz, /metrics (Prometheus text
+//     exposition 0.0.4, the one form every metric leaves the process in)
+//     and /admin/stats.
 //
 // See DESIGN.md ("Serving") for the architecture and OBSERVABILITY.md
 // for the server counters.
@@ -33,7 +34,6 @@ package server
 import (
 	"context"
 	"errors"
-	"expvar"
 	"log"
 	"log/slog"
 	"net"
@@ -76,12 +76,6 @@ type Config struct {
 	// MaxBatch caps the pairs accepted by one /v1/batch request
 	// (oversized requests get 413). Default 16384.
 	MaxBatch int
-	// ExpvarName, when non-empty, publishes the current DB's metrics
-	// snapshot under this name in the process-wide expvar registry
-	// (visible on /debug/vars). Swap-aware: after a reload the published
-	// function reads the new DB. Publishing an already-taken name is a
-	// no-op, mirroring DB.PublishExpvar.
-	ExpvarName string
 	// Log receives serving-lifecycle lines (reloads, drain). Default
 	// log.Default().
 	Log *log.Logger
@@ -181,9 +175,6 @@ func New(cfg Config) (*Server, error) {
 		Handler:           s.handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	if cfg.ExpvarName != "" {
-		s.publishExpvar(cfg.ExpvarName)
-	}
 	return s, nil
 }
 
@@ -256,21 +247,6 @@ func (s *Server) Reload(ctx context.Context) error {
 	s.cfg.Log.Printf("reload complete in %v (%d vertices, %d edges)",
 		time.Since(start).Round(time.Millisecond), db.Graph().N(), db.Graph().M())
 	return nil
-}
-
-// publishExpvar exposes the *current* DB's metrics snapshot under name:
-// the closure re-reads the atomic pointer on every scrape, so the expvar
-// surface follows hot swaps instead of pinning the boot-time DB.
-func (s *Server) publishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		if snap, ok := s.DB().MetricsSnapshot(); ok {
-			return snap
-		}
-		return nil
-	}))
 }
 
 // reloadCtx derives the context one reload runs under: detached from the

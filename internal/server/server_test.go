@@ -166,8 +166,8 @@ func TestEndpoints(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if !strings.Contains(string(body), "server: accepted=") {
-			t.Errorf("/metrics missing server line: %s", body)
+		if !strings.Contains(string(body), "reach_server_accepted_total ") {
+			t.Errorf("/metrics missing reach_server_accepted_total: %s", body)
 		}
 		stats := getJSON(t, ts.URL+"/admin/stats", 200)
 		if g := stats["graph"].(map[string]any); g["vertices"] != float64(9) {
