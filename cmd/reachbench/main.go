@@ -1,6 +1,7 @@
 // Command reachbench regenerates the paper's evaluation artifacts: the
 // Table 1 / Table 2 taxonomies, the Figure 1 worked examples, and the
-// E1–E12 claim experiments catalogued in EXPERIMENTS.md.
+// E1–E15 claim experiments catalogued in EXPERIMENTS.md. It prints
+// formatted tables; nothing it measures is checked in.
 //
 // Usage:
 //
@@ -8,8 +9,6 @@
 //	reachbench -only table1,e3    # run a subset
 //	reachbench -scale 5           # multiply graph sizes by 5
 //	reachbench -seed 42           # change the workload seed
-//	reachbench -workers 4          # worker pool for parallel build phases
-//	reachbench -benchjson BENCH.json  # machine-readable per-kind bench
 //	reachbench -cpuprofile cpu.pb  # write a pprof CPU profile
 //	reachbench -memprofile mem.pb  # write a pprof heap profile
 package main
@@ -23,17 +22,13 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	reach "repro"
 	"repro/internal/experiments"
 )
 
 func main() {
 	scale := flag.Int("scale", 1, "size multiplier for experiment graphs")
 	seed := flag.Int64("seed", 1, "workload seed")
-	only := flag.String("only", "", "comma-separated subset: table1,table2,fig1,e1..e14")
-	workers := flag.Int("workers", 0, "worker pool for parallel build phases (0 = GOMAXPROCS, 1 = serial)")
-	benchjson := flag.String("benchjson", "", "write a machine-readable per-kind benchmark (build ns, query ns/op, allocs/op) to this file and exit")
-	labelEnc := flag.String("labelenc", "raw", "2-hop label storage encoding for the benchmark builds: raw or varint")
+	only := flag.String("only", "", "comma-separated subset: table1,table2,fig1,e1..e15")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	flag.Parse()
@@ -43,9 +38,6 @@ func main() {
 	}
 	if *scale < 1 {
 		usageExit("-scale must be >= 1, got %d", *scale)
-	}
-	if *workers < 0 {
-		usageExit("-workers must be >= 0, got %d", *workers)
 	}
 
 	if *cpuprofile != "" {
@@ -76,17 +68,6 @@ func main() {
 		}
 	}()
 
-	enc, ok := parseLabelEnc(*labelEnc)
-	if !ok {
-		usageExit("bad -labelenc %q (want raw or varint)", *labelEnc)
-	}
-	if *benchjson != "" {
-		if err := writeBenchJSON(*benchjson, *scale, *seed, *workers, enc); err != nil {
-			fail("benchjson: %v", err)
-		}
-		return
-	}
-
 	sc := experiments.Scale{Factor: *scale}
 	w := os.Stdout
 
@@ -108,8 +89,9 @@ func main() {
 		"e12":    func(w io.Writer) { experiments.E12(w, sc, *seed) },
 		"e13":    func(w io.Writer) { experiments.E13(w, sc, *seed) },
 		"e14":    func(w io.Writer) { experiments.E14(w, sc, *seed) },
+		"e15":    func(w io.Writer) { experiments.E15(w, sc, *seed) },
 	}
-	order := []string{"table1", "table2", "fig1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14"}
+	order := []string{"table1", "table2", "fig1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15"}
 
 	selected := order
 	if *only != "" {
@@ -125,16 +107,6 @@ func main() {
 	for _, name := range selected {
 		runners[name](w)
 	}
-}
-
-func parseLabelEnc(s string) (reach.LabelEncoding, bool) {
-	switch s {
-	case "raw":
-		return reach.EncRaw, true
-	case "varint":
-		return reach.EncVarint, true
-	}
-	return 0, false
 }
 
 func usageExit(format string, args ...interface{}) {

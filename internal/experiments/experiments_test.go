@@ -61,11 +61,13 @@ func TestExperimentsSmoke(t *testing.T) {
 	E8(&buf, sc, 1)
 	E9(&buf, sc, 1)
 	E10(&buf, sc, 1)
+	E11(&buf, sc, 1)
 	E12(&buf, sc, 1)
 	E13(&buf, sc, 1)
 	E14(&buf, sc, 1)
+	E15(&buf, sc, 1)
 	out := buf.String()
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E12", "E13"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11a", "E11b", "E12", "E13", "E15"} {
 		if !strings.Contains(out, id+" —") {
 			t.Errorf("missing %s header", id)
 		}
@@ -87,6 +89,12 @@ func TestExperimentsSmoke(t *testing.T) {
 	for _, want := range []string{"bit-parallel kernel", "hit rate", "memo hits = 3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E14 output missing %q", want)
+		}
+	}
+	// E11b's table has both rows, and E15 has a row per graph shape.
+	for _, want := range []string{"RPQ index", "product search", "scalefree", "banded"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("E11/E15 output missing %q", want)
 		}
 	}
 }

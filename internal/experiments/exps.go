@@ -350,8 +350,8 @@ func E11(w io.Writer, sc Scale, seed int64) {
 	qs := gen.LCRQueries(g, 400, seed+2)
 	t := NewTable(fmt.Sprintf("E11a — §5 prototype: partial LCR index without false negatives, n=%d |L|=6", n),
 		"method", "build", "size", "query", "negDecidedByLookup")
-	bloom, _ := reach.BuildLCR(reach.LCRBloom, g, reach.Options{Bits: 256, Seed: seed})
-	lm, _ := reach.BuildLCR(reach.LCRLandmark, g, reach.Options{K: 32})
+	bloom := mustBuildLCR(reach.LCRBloom, g, reach.Options{Bits: 256, Seed: seed})
+	lm := mustBuildLCR(reach.LCRLandmark, g, reach.Options{K: 32})
 	bfs := measureLCRBFS(g, qs)
 	type probe interface {
 		TryReachLC(s, t reach.V, allowed labelset.Set) (bool, bool)
@@ -379,52 +379,46 @@ func E11(w io.Writer, sc Scale, seed int64) {
 	// product-labeling index vs product search.
 	alpha := "(l0.l1|l2)*"
 	ci, err := reach.BuildConstraint(g, alpha)
+	if err != nil {
+		panic(fmt.Sprintf("E11b: BuildConstraint(%q): %v", alpha, err))
+	}
 	t2 := NewTable(fmt.Sprintf("E11b — §5 prototype: fixed-constraint RPQ index, α=%s, n=%d", alpha, n),
 		"method", "build", "size", "query")
-	if err == nil {
-		rng := newRng(seed + 3)
-		pairs := make([][2]reach.V, 400)
-		for i := range pairs {
-			pairs[i] = [2]reach.V{reach.V(rng.Intn(n)), reach.V(rng.Intn(n))}
-		}
-		db, _ := reach.NewDB(g, reach.DBConfig{Options: reach.Options{MaxSeq: 1}})
-		start := time.Now()
-		var searchAnswers []bool
-		for _, p := range pairs {
-			got, _ := db.Query(p[0], p[1], alpha)
-			searchAnswers = append(searchAnswers, got)
-		}
-		searchTime := time.Since(start) / time.Duration(len(pairs))
-		start = time.Now()
-		for i, p := range pairs {
-			if got := ci.Reach(p[0], p[1]); got != searchAnswers[i] {
-				panic("RPQ index diverged from product search")
-			}
-		}
-		indexTime := time.Since(start) / time.Duration(len(pairs))
-		t2.Row("RPQ index", ci.Stats().BuildTime, formatBytes(ci.Stats().Bytes), indexTime)
-		t2.Row("product search", "-", "-", searchTime)
+	rng := newRng(seed + 3)
+	pairs := make([][2]reach.V, 400)
+	for i := range pairs {
+		pairs[i] = [2]reach.V{reach.V(rng.Intn(n)), reach.V(rng.Intn(n))}
 	}
+	db, err := reach.NewDB(g, reach.DBConfig{Options: reach.Options{MaxSeq: 1}})
+	if err != nil {
+		panic(fmt.Sprintf("E11b: NewDB: %v", err))
+	}
+	start := time.Now()
+	searchAnswers := make([]bool, len(pairs))
+	for i, p := range pairs {
+		got, err := db.Query(p[0], p[1], alpha)
+		if err != nil {
+			panic(fmt.Sprintf("E11b: Query(%d, %d, %q): %v", p[0], p[1], alpha, err))
+		}
+		searchAnswers[i] = got
+	}
+	searchTime := time.Since(start) / time.Duration(len(pairs))
+	start = time.Now()
+	for i, p := range pairs {
+		if got := ci.Reach(p[0], p[1]); got != searchAnswers[i] {
+			panic("RPQ index diverged from product search")
+		}
+	}
+	indexTime := time.Since(start) / time.Duration(len(pairs))
+	t2.Row("RPQ index", ci.Stats().BuildTime, formatBytes(ci.Stats().Bytes), indexTime)
+	t2.Row("product search", "-", "-", searchTime)
 	t2.Write(w)
 }
 
-// All runs every experiment in order.
-func All(w io.Writer, sc Scale, seed int64) {
-	Table1(w, sc.n(2000), seed)
-	Table2(w, sc.n(150), 8, seed)
-	Fig1(w)
-	E1(w, sc, seed)
-	E2(w, sc, seed)
-	E3(w, sc, seed)
-	E4(w, sc, seed)
-	E5(w, sc, seed)
-	E6(w, sc, seed)
-	E7(w, sc, seed)
-	E8(w, sc, seed)
-	E9(w, sc, seed)
-	E10(w, sc, seed)
-	E11(w, sc, seed)
-	E12(w, sc, seed)
-	E13(w, sc, seed)
-	E14(w, sc, seed)
+func mustBuildLCR(k reach.LCRKind, g *reach.Graph, opt reach.Options) reach.LCRIndex {
+	ix, err := reach.BuildLCR(k, g, opt)
+	if err != nil {
+		panic(fmt.Sprintf("BuildLCR(%s): %v", k, err))
+	}
+	return ix
 }

@@ -1,6 +1,6 @@
 // Package experiments regenerates the paper's evaluation artifacts: the
 // Table 1 and Table 2 taxonomies (measured empirically rather than
-// asserted), the Figure 1 worked examples, and the E1–E10 claim checks
+// asserted), the Figure 1 worked examples, and the E1–E15 claim checks
 // catalogued in DESIGN.md / EXPERIMENTS.md. It is driven by cmd/reachbench
 // and by the root-level Go benchmarks.
 package experiments

@@ -6,11 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
+	"repro/internal/persist"
 )
 
 // snapshotOf saves ix into a fresh buffer.
@@ -355,69 +356,66 @@ func TestLoadIndexTruncationNeverPanics(t *testing.T) {
 	}
 }
 
-// TestColdStartMappedSmoke measures the cold-start advantage of the
-// mapped layout: page-mapping a 12k-vertex PLL snapshot must be at least
-// 10x faster than decoding the same labels through the streaming codec.
-// Timing assertions are inherently machine-sensitive, so the test only
-// runs when REACH_COLDSTART_SMOKE=1 (CI sets it in the cold-start smoke
-// step); otherwise it records the ratio and skips.
-func TestColdStartMappedSmoke(t *testing.T) {
-	gate := os.Getenv("REACH_COLDSTART_SMOKE") == "1"
-	g := gen.RandomDAG(gen.Config{N: 12_000, M: 36_000, Seed: 13})
-	ix, err := Build(KindPLL, g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	stream := filepath.Join(dir, "pll.idx")
-	mapped := filepath.Join(dir, "pll.midx")
-	for _, w := range []struct {
-		path string
-		save func(f *os.File) error
-	}{
-		{stream, func(f *os.File) error { return SaveIndex(f, ix) }},
-		{mapped, func(f *os.File) error { return SaveIndexMapped(f, ix) }},
-	} {
-		f, err := os.Create(w.path)
+// TestMappedLoadAllocsDoNotGrowWithN: page-mapping a PLL snapshot
+// allocates the same number of heap objects (±8) at n=3000 and n=12000,
+// and at most 1/100 of the bytes that decoding the same labels through
+// the streaming codec allocates — the labels are views into the mapping,
+// not copies.
+func TestMappedLoadAllocsDoNotGrowWithN(t *testing.T) {
+	var objects [2]uint64
+	for i, n := range []int{3000, 12_000} {
+		g := gen.RandomDAG(gen.Config{N: n, M: 3 * n, Seed: 13})
+		ix, err := Build(KindPLL, g, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.save(f); err != nil {
+		stream := snapshotOf(t, ix)
+		var buf bytes.Buffer
+		if err := SaveIndexMapped(&buf, ix); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Close(); err != nil {
+		path := filepath.Join(t.TempDir(), "pll.snap")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	const rounds = 5
-	var decode, mapped2 time.Duration
-	for i := 0; i < rounds; i++ {
-		f, err := os.Open(stream)
+		m, err := persist.OpenMapped(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		start := time.Now()
-		if _, err := LoadIndex(f, g, Options{}); err != nil {
-			t.Fatal(err)
+		mapped := m.Mmapped()
+		m.Close()
+		if !mapped {
+			t.Skip("no mmap on this platform: the mapped layout is read into memory")
 		}
-		decode += time.Since(start)
-		f.Close()
+		mObjects, mBytes := loadAllocs(t, func() (Index, error) { return LoadIndexMapped(path, g, Options{}) })
+		_, dBytes := loadAllocs(t, func() (Index, error) { return LoadIndex(bytes.NewReader(stream), g, Options{}) })
+		t.Logf("n=%d: mapped load %d objects, %d B; decode %d B", n, mObjects, mBytes, dBytes)
+		if mBytes*100 > dBytes {
+			t.Errorf("n=%d: mapped load allocates %d B, decode %d B: want at most 1/100", n, mBytes, dBytes)
+		}
+		objects[i] = mObjects
+	}
+	if d := int64(objects[1]) - int64(objects[0]); d < -8 || d > 8 {
+		t.Errorf("mapped load allocates %d objects at n=3000 and %d at n=12000: want equal ±8", objects[0], objects[1])
+	}
+}
 
-		start = time.Now()
-		mx, err := LoadIndexMapped(mapped, g, Options{})
+// loadAllocs returns the heap objects and bytes one load allocates, by
+// MemStats deltas, as the least of three runs.
+func loadAllocs(t *testing.T, load func() (Index, error)) (objects, size uint64) {
+	t.Helper()
+	for r := 0; r < 3; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := load()
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapped2 += time.Since(start)
-		_ = mx
+		runtime.KeepAlive(ix)
+		if o, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; r == 0 || b < size {
+			objects, size = o, b
+		}
 	}
-	ratio := float64(decode) / float64(mapped2)
-	t.Logf("cold start over %d rounds: decode %.2fms, mapped %.2fms, ratio %.1fx",
-		rounds, decode.Seconds()*1e3/rounds, mapped2.Seconds()*1e3/rounds, ratio)
-	if !gate {
-		t.Skipf("timing gate disabled (set REACH_COLDSTART_SMOKE=1); observed ratio %.1fx", ratio)
-	}
-	if ratio < 10 {
-		t.Fatalf("mapped cold start only %.1fx faster than streaming decode (want >= 10x)", ratio)
-	}
+	return objects, size
 }
