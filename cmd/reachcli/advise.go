@@ -27,7 +27,7 @@ func runAdvise(args []string) {
 	maxReplay := fs.Int("max-replay", 0, "cap on replayed plain records per candidate; 0 = all")
 	timeout := fs.Duration("timeout", 0, "per-candidate build time-box; 0 = default (30s)")
 	k := fs.Int("k", 0, "per-technique budget (intervals/sketches/landmarks); 0 = default")
-	bits := fs.Int("bits", 0, "Bloom filter width (BFL/DBL); 0 = default")
+	bits := fs.Int("bits", 0, "Bloom width for DBL and LCR-Bloom; BFL's widths are fixed by its 64-byte record (0 = default)")
 	workers := fs.Int("workers", 0, "build worker cap; 0 = GOMAXPROCS")
 	jsonOut := fs.Bool("json", false, "emit the full advisor report as JSON")
 	fs.Parse(args)

@@ -70,7 +70,7 @@ func main() {
 	list := flag.Bool("list", false, "list available index kinds and exit")
 	stats := flag.Bool("stats", false, "print index statistics")
 	k := flag.Int("k", 0, "per-technique budget (intervals/sketches/landmarks); 0 = default")
-	bits := flag.Int("bits", 0, "Bloom filter width (BFL/DBL); 0 = default")
+	bits := flag.Int("bits", 0, "Bloom width for DBL and LCR-Bloom; BFL's widths are fixed by its 64-byte record (0 = default)")
 	workers := flag.Int("workers", 0, "build worker cap; 0 = GOMAXPROCS")
 	maxseq := flag.Int("maxseq", 0, "RLC max concatenation length κ; 0 = default")
 	timeout := flag.Duration("timeout", 0, "abort index construction after this long; 0 = no limit")

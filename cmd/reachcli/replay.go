@@ -24,7 +24,7 @@ func runReplay(args []string) {
 	indexKind := fs.String("index", "bfl", "plain index kind to replay against")
 	lcrKind := fs.String("lcr", "p2h", "LCR index kind for labeled graphs")
 	k := fs.Int("k", 0, "per-technique budget; 0 = default")
-	bits := fs.Int("bits", 0, "Bloom filter width (BFL/DBL); 0 = default")
+	bits := fs.Int("bits", 0, "Bloom width for DBL and LCR-Bloom; BFL's widths are fixed by its 64-byte record (0 = default)")
 	maxseq := fs.Int("maxseq", 0, "RLC max concatenation length κ; 0 = default")
 	workers := fs.Int("workers", 0, "build worker cap; 0 = GOMAXPROCS")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable per-route summary as JSON")

@@ -83,7 +83,7 @@ func main() {
 	indexKind := flag.String("index", "bfl", "plain index kind")
 	lcrKind := flag.String("lcr", "p2h", "LCR index kind for labeled graphs")
 	k := flag.Int("k", 0, "per-technique budget; 0 = default")
-	bits := flag.Int("bits", 0, "Bloom filter width (BFL/DBL); 0 = default")
+	bits := flag.Int("bits", 0, "Bloom width for DBL and LCR-Bloom; BFL's widths are fixed by its 64-byte record (0 = default)")
 	maxseq := flag.Int("maxseq", 0, "RLC max concatenation length κ; 0 = default")
 	workers := flag.Int("workers", 0, "build worker cap; 0 = GOMAXPROCS")
 	cache := flag.Int("cache", 0, "query-result cache entries; 0 disables (under -wal a commit advances the epoch its keys carry, so no stale answer is served)")

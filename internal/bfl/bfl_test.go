@@ -1,39 +1,58 @@
 package bfl
 
 import (
+	"bytes"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/indextest"
+	"repro/internal/scc"
 	"repro/internal/tc"
 )
 
 func TestConformance(t *testing.T) {
 	indextest.CheckDAGIndex(t, func(dag *graph.Digraph) core.Index {
-		return New(dag, Options{Bits: 128, Seed: 1})
+		return New(dag, Options{Seed: 1})
 	})
 }
 
 func TestPartialSoundness(t *testing.T) {
 	indextest.CheckPartialSoundness(t, func(dag *graph.Digraph) core.Index {
-		return New(dag, Options{Bits: 64, Seed: 2})
+		return New(dag, Options{Seed: 2})
 	})
 }
 
+// narrow sets every filter word from the keep-th on to all ones, so those
+// words never refute and ix behaves as BFL with keep-word filters
+// (keep = 0: the postorder cut and the interval are the only tests).
+func narrow(ix *Index, keep int) *Index {
+	for i := range ix.rec {
+		r := &ix.rec[i]
+		for k := keep; k < len(r.out); k++ {
+			r.out[k] = ^uint64(0)
+		}
+		for k := keep; k < len(r.in); k++ {
+			r.in[k] = ^uint64(0)
+		}
+	}
+	return ix
+}
+
 func TestTinyFilterStillExact(t *testing.T) {
-	// A 64-bit filter on a 150-vertex graph is saturated with collisions;
-	// guided DFS must still give exact answers.
+	// Saturated filters decide nothing; guided DFS must still give exact
+	// answers, on the cut and the interval alone.
 	indextest.CheckDAGIndex(t, func(dag *graph.Digraph) core.Index {
-		return New(dag, Options{Bits: 64, Seed: 3})
+		return narrow(New(dag, Options{Seed: 3}), 0)
 	})
 }
 
 func TestNoFalseNegatives(t *testing.T) {
 	// The §3.3 AP() contract: lookup-only answers never deny a real path.
 	g := gen.RandomDAG(gen.Config{N: 300, M: 900, Seed: 4})
-	ix := New(g, Options{Bits: 128, Seed: 5})
+	ix := New(g, Options{Seed: 5})
 	oracle := tc.NewClosure(g)
 	for s := graph.V(0); int(s) < g.N(); s += 2 {
 		for tt := graph.V(0); int(tt) < g.N(); tt += 3 {
@@ -49,17 +68,22 @@ func TestNoFalseNegatives(t *testing.T) {
 func TestFilterSubsetInvariant(t *testing.T) {
 	// The §3.3 AP() contract at the filter level: u → v implies
 	// Lout(v) ⊆ Lout(u) and Lin(u) ⊆ Lin(v), for every edge (hence,
-	// transitively, every reachable pair).
+	// transitively, every reachable pair); and the postorder falls along
+	// every edge.
 	g := gen.RandomDAG(gen.Config{N: 250, M: 750, Seed: 9})
-	ix := New(g, Options{Bits: 192, Seed: 10})
+	ix := New(g, Options{Seed: 10})
 	g.Edges(func(e graph.Edge) bool {
-		outFrom, outTo := ix.out.Row(int(e.From)), ix.out.Row(int(e.To))
-		inFrom, inTo := ix.in.Row(int(e.From)), ix.in.Row(int(e.To))
-		for j := range outFrom {
-			if outTo[j]&^outFrom[j] != 0 {
+		from, to := &ix.rec[e.From], &ix.rec[e.To]
+		if to.post >= from.post {
+			t.Fatalf("post(%d) = %d >= post(%d) = %d across edge", e.To, to.post, e.From, from.post)
+		}
+		for j := range from.out {
+			if to.out[j]&^from.out[j] != 0 {
 				t.Fatalf("Lout(%d) ⊄ Lout(%d) across edge", e.To, e.From)
 			}
-			if inFrom[j]&^inTo[j] != 0 {
+		}
+		for j := range from.in {
+			if from.in[j]&^to.in[j] != 0 {
 				t.Fatalf("Lin(%d) ⊄ Lin(%d) across edge", e.From, e.To)
 			}
 		}
@@ -69,8 +93,8 @@ func TestFilterSubsetInvariant(t *testing.T) {
 
 func TestWiderFiltersPruneMore(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 400, M: 1200, Seed: 6})
-	count := func(bits int) int {
-		ix := New(g, Options{Bits: bits, Seed: 7})
+	count := func(keep int) int {
+		ix := narrow(New(g, Options{Seed: 7}), keep)
 		decided := 0
 		for s := graph.V(0); int(s) < g.N(); s += 4 {
 			for tt := graph.V(0); int(tt) < g.N(); tt += 4 {
@@ -81,19 +105,117 @@ func TestWiderFiltersPruneMore(t *testing.T) {
 		}
 		return decided
 	}
-	if small, big := count(64), count(1024); big < small {
-		t.Errorf("1024-bit filters decided %d < 64-bit %d", big, small)
+	if small, full := count(1), count(4); full <= small {
+		t.Errorf("256/192-bit filters decided %d <= 64/64-bit %d", full, small)
 	}
 }
 
-func TestBitsRounding(t *testing.T) {
-	o := Options{Bits: 100}
-	o.defaults()
-	if o.Bits != 128 {
-		t.Errorf("Bits rounded to %d, want 128", o.Bits)
+// TestBFLReachCountedMatchesGuidedDFS: BFL's own DFS loop answers and
+// counts expansions exactly as the generic core.CountingGuidedDFS with
+// TryReach as the filter, directly and through the condensation adapter.
+func TestBFLReachCountedMatchesGuidedDFS(t *testing.T) {
+	same := func(t *testing.T, name string, g *graph.Digraph, ix *Index, pairs []gen.Query) {
+		t.Helper()
+		for _, q := range pairs {
+			want, wantN := core.CountingGuidedDFS(g, q.S, q.T, ix.TryReach)
+			got, gotN, decided := ix.ReachCounted(q.S, q.T)
+			if got != want || gotN != wantN || decided != (wantN == 0) {
+				t.Fatalf("%s (%d,%d): ReachCounted = %v, %d, %v; CountingGuidedDFS = %v, %d",
+					name, q.S, q.T, got, gotN, decided, want, wantN)
+			}
+			if ix.Reach(q.S, q.T) != want {
+				t.Fatalf("%s (%d,%d): Reach disagrees with ReachCounted", name, q.S, q.T)
+			}
+		}
 	}
-	g := gen.RandomDAG(gen.Config{N: 20, M: 40, Seed: 1})
-	if New(g, Options{}).Name() != "BFL" {
-		t.Error("name")
+	allPairs := func(g *graph.Digraph) []gen.Query {
+		var qs []gen.Query
+		for s := graph.V(0); int(s) < g.N(); s++ {
+			for tt := graph.V(0); int(tt) < g.N(); tt++ {
+				qs = append(qs, gen.Query{S: s, T: tt})
+			}
+		}
+		return qs
+	}
+
+	fig1 := graph.Fig1Plain()
+	same(t, "fig1", fig1, New(fig1, Options{Seed: 1}), allPairs(fig1))
+
+	big := gen.RandomDAG(gen.Config{N: 10_000, M: 40_000, Seed: 11})
+	qs := gen.QueriesWithRatio(big, 20_000, 0.3, 12)
+	same(t, "dag-1e4", big, New(big, Options{Seed: 13}), qs)
+	// Saturated filters force long fallbacks: the loop's bookkeeping is
+	// exercised, not just its first probe.
+	same(t, "dag-1e4-unfiltered", big, narrow(New(big, Options{Seed: 13}), 0), qs[:2_000])
+
+	// A cyclic graph through the condensation adapter.
+	cyc := gen.ErdosRenyi(gen.Config{N: 300, M: 900, Seed: 14})
+	cond := scc.Condense(cyc)
+	inner := New(cond.DAG, Options{Seed: 15})
+	adapted, err := core.ForGeneralLoaded(cyc, nil, nil, func(*graph.Digraph) (core.Index, error) { return inner, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := adapted.(core.ReachCounter)
+	oracle := tc.NewClosure(cyc)
+	for _, q := range allPairs(cyc) {
+		cs, ct := cond.Comp[q.S], cond.Comp[q.T]
+		want, wantN := true, 0
+		if cs != ct {
+			want, wantN = core.CountingGuidedDFS(cond.DAG, cs, ct, inner.TryReach)
+		}
+		got, gotN, _ := rc.ReachCounted(q.S, q.T)
+		if got != want || gotN != wantN || got != oracle.Reach(q.S, q.T) {
+			t.Fatalf("cyclic (%d,%d): adapter = %v, %d; CountingGuidedDFS = %v, %d; oracle %v",
+				q.S, q.T, got, gotN, want, wantN, oracle.Reach(q.S, q.T))
+		}
+	}
+}
+
+// TestBFLRecordIsOneLine: a record is one 64-byte line and the record
+// array starts on a line boundary, built or decoded from a snapshot.
+func TestBFLRecordIsOneLine(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size != 64 {
+		t.Fatalf("record is %d bytes, want 64", size)
+	}
+	aligned := func(rec []record) bool { return uintptr(unsafe.Pointer(&rec[0]))%64 == 0 }
+	for _, n := range []int{1, 7, 100, 10_000, 100_000} {
+		g := gen.RandomDAG(gen.Config{N: n, M: 3 * (n - 1), Seed: int64(n)})
+		ix := New(g, Options{})
+		if !aligned(ix.rec) {
+			t.Errorf("n=%d: built records start at %p, not 64-aligned", n, &ix.rec[0])
+		}
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(&buf, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !aligned(got.rec) {
+			t.Errorf("n=%d: loaded records start at %p, not 64-aligned", n, &got.rec[0])
+		}
+	}
+}
+
+// TestFootprint: one 64-byte record a vertex — 56 bytes of filters and 8
+// of interval — and the sections sum to Stats().Bytes, directly and
+// through the condensation adapter (which adds 4 bytes a vertex of Comp).
+func TestFootprint(t *testing.T) {
+	g := gen.RandomDAG(gen.Config{N: 500, M: 1500, Seed: 16})
+	ix := New(g, Options{})
+	if st := ix.Stats(); st.Entries != 500 || st.Bytes != 64*500 {
+		t.Errorf("Stats = %d entries, %d bytes; want 500, %d", st.Entries, st.Bytes, 64*500)
+	}
+	if sz := ix.Sizes(); sz.Offsets != 0 || sz.Labels != 56*500 || sz.Aux != 8*500 {
+		t.Errorf("Sizes = %+v, want labels %d, aux %d", sz, 56*500, 8*500)
+	}
+	adapted := core.ForGeneral(g, func(d *graph.Digraph) core.Index { return New(d, Options{}) })
+	for name, x := range map[string]core.Index{"direct": ix, "adapter": adapted} {
+		sz, ok := core.SizesOf(x)
+		if !ok || sz.Total() != x.Stats().Bytes {
+			t.Errorf("%s: sections %+v sum to %d, Stats().Bytes = %d", name, sz, sz.Total(), x.Stats().Bytes)
+		}
 	}
 }

@@ -1,32 +1,28 @@
 package bfl
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
+	"unsafe"
 
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/labelstore"
 	"repro/internal/persist"
 )
 
-// Snapshots use the shared internal/persist container (format "bfl") in
-// two layouts:
+// Snapshots use the shared internal/persist container (format "bfl",
+// version 3) in one layout, loadable both by the streaming decoder and
+// zero-copy through persist.OpenMapped + FromMapped:
 //
-// Version 1 — the streaming codec (WriteTo):
-//
-//	meta      — vertex count n, filter width in 64-bit words
-//	intervals — DFS post[n] and min[n] (the definite-positive test)
-//	filters   — out filters then in filters, n*words words each
-//
-// Version 2 — the mapped layout (WriteMapped): aligned raw-array
-// sections plus a trailing checksum, loadable zero-copy through
-// persist.OpenMapped + FromMapped:
-//
-//	meta — n, words
-//	post/min — DFS intervals, 4-byte aligned
-//	fout/fin — filter matrices, 8-byte aligned
+//	meta  — vertex count n
+//	rec   — n 64-byte records, 64-byte aligned: post, min (u32), then
+//	        out[4] and in[3] (u64), all little-endian
 //	crc32 — CRC-32C of everything above
+//
+// On a little-endian host the rec section is the record array byte for
+// byte. Versions 1 and 2 (separate interval and filter arrays) are
+// refused: a snapshot caches a deterministic build, so rebuild it.
 //
 // BFL is a partial index: the guided-DFS fallback needs the graph the
 // labels were computed over, so Read re-binds the snapshot to a caller
@@ -34,209 +30,164 @@ import (
 // responsibility (a vertex-count mismatch is detected, other mismatches
 // are not — as with any external index file in a DBMS).
 const (
-	persistFormat     = "bfl"
-	persistVersion    = 1
-	persistVersionMap = 2
+	persistFormat  = "bfl"
+	persistVersion = 3
 )
 
-// WriteTo serializes the index in the version-1 streaming codec. It
-// returns the number of bytes written.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// WriteTo serializes the index. The section alignment is computed from
+// the writer's origin, so a snapshot meant for mapping must be written
+// from the start of its file. It returns the number of bytes written.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	pw := persist.NewWriter(w, persistFormat, persistVersion)
 	pw.Section("meta", func(e *persist.Encoder) {
-		e.U32(uint32(len(ix.post)))
-		e.U32(uint32(ix.out.Stride))
+		e.U32(uint32(len(ix.rec)))
 	})
-	pw.Section("intervals", func(e *persist.Encoder) {
-		e.U32s(ix.post)
-		e.U32s(ix.min)
-	})
-	pw.Section("filters", func(e *persist.Encoder) {
-		e.U64s(ix.out.W)
-		e.U64s(ix.in.W)
-	})
-	return pw.Close()
-}
-
-// WriteMapped serializes the index in the version-2 mapped layout. The
-// writer must be positioned at the start of the file.
-func (ix *Index) WriteMapped(w io.Writer) (int64, error) {
-	pw := persist.NewWriter(w, persistFormat, persistVersionMap)
-	pw.Section("meta", func(e *persist.Encoder) {
-		e.U32(uint32(len(ix.post)))
-		e.U32(uint32(ix.out.Stride))
-	})
-	pw.AlignedU32s("post", ix.post)
-	pw.AlignedU32s("min", ix.min)
-	pw.AlignedU64s("fout", ix.out.W)
-	pw.AlignedU64s("fin", ix.in.W)
+	pw.AlignedBytes("rec", uint32(recordSize), wire(ix.rec))
 	pw.Checksum()
 	return pw.Close()
 }
 
-type bflMeta struct {
-	n, words uint32
+// recBytes views rec's memory as bytes.
+func recBytes(rec []record) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(rec))), len(rec)*recordSize)
 }
 
-func readMeta(meta *persist.Decoder, dag *graph.Digraph) (bflMeta, error) {
-	var m bflMeta
-	m.n = meta.U32()
-	m.words = meta.U32()
+// wire returns rec's little-endian image: the memory itself on a
+// little-endian host, a byte-swapped copy otherwise.
+func wire(rec []record) []byte {
+	if !littleEndian {
+		rec = swapped(append([]record(nil), rec...))
+	}
+	return recBytes(rec)
+}
+
+// fromWire decodes a little-endian record image into fresh aligned records.
+func fromWire(b []byte) []record {
+	rec := makeRecords(len(b) / recordSize)
+	copy(recBytes(rec), b)
+	if !littleEndian {
+		swapped(rec)
+	}
+	return rec
+}
+
+// swapped reverses the bytes of every field of rec in place.
+func swapped(rec []record) []record {
+	for i := range rec {
+		r := &rec[i]
+		r.post, r.min = bits.ReverseBytes32(r.post), bits.ReverseBytes32(r.min)
+		for k := range r.out {
+			r.out[k] = bits.ReverseBytes64(r.out[k])
+		}
+		for k := range r.in {
+			r.in[k] = bits.ReverseBytes64(r.in[k])
+		}
+	}
+	return rec
+}
+
+// readMeta refuses every layout but the current one, naming its version,
+// then decodes the vertex count and checks it against dag.
+func readMeta(version uint16, meta *persist.Decoder, dag *graph.Digraph) (int, error) {
+	if version != persistVersion {
+		return 0, fmt.Errorf("bfl: snapshot version %d is not the layout this build reads (version %d); delete the snapshot file and rebuild the index", version, persistVersion)
+	}
+	n := meta.U32()
 	if err := meta.Close(); err != nil {
-		return m, err
+		return 0, err
 	}
-	if int(m.n) != dag.N() {
-		return m, fmt.Errorf("bfl: snapshot has %d vertices, graph has %d (snapshot built over a different graph?)", m.n, dag.N())
+	if int(n) != dag.N() {
+		return 0, fmt.Errorf("bfl: snapshot has %d vertices, graph has %d (snapshot built over a different graph?)", n, dag.N())
 	}
-	if m.words == 0 || m.words > 1<<20 {
-		return m, fmt.Errorf("bfl: implausible filter width %d words", m.words)
-	}
-	return m, nil
+	return int(n), nil
 }
 
-// bind validates array lengths and finishes an index skeleton.
-func (ix *Index) bind(m bflMeta) error {
-	n, words := int(m.n), int(m.words)
-	if len(ix.post) != n || len(ix.min) != n {
-		return fmt.Errorf("bfl: interval sections have %d/%d entries, want %d", len(ix.post), len(ix.min), n)
+// records returns the n records of rec section b: with view set, b
+// itself when the host is little-endian and b is line-aligned, otherwise a
+// decoded aligned copy.
+func records(b []byte, n int, view bool) ([]record, error) {
+	if len(b) != n*recordSize {
+		return nil, fmt.Errorf("bfl: rec section has %d bytes, want %d (%d records of %d)", len(b), n*recordSize, n, recordSize)
 	}
-	if len(ix.out.W) != n*words || len(ix.in.W) != n*words {
-		return fmt.Errorf("bfl: filter sections have %d/%d words, want %d", len(ix.out.W), len(ix.in.W), n*words)
+	if view && littleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%uintptr(recordSize) == 0 {
+		return unsafe.Slice((*record)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
 	}
-	ix.stats = core.Stats{
-		Entries: 2 * n,
-		Bytes:   2*n*words*8 + 2*n*4,
-	}
-	return nil
+	return fromWire(b), nil
 }
 
-// Read deserializes an index previously written with WriteTo (v1) or
-// WriteMapped (v2) and binds it to dag — the same DAG the snapshot was
-// built over (for a general graph, the SCC condensation the builder ran
-// on). The filter-guided fallback traverses dag, so answers are only
-// correct over the original graph.
+// Read deserializes an index previously written with WriteTo and binds it
+// to dag — the same DAG the snapshot was built over (for a general graph,
+// the SCC condensation the builder ran on). The filter-guided fallback
+// traverses dag, so answers are only correct over the original graph.
 func Read(r io.Reader, dag *graph.Digraph) (*Index, error) {
-	pr, err := persist.NewReader(r, persistFormat, persistVersionMap)
+	pr, err := persist.NewReader(r, persistFormat, persistVersion)
 	if err != nil {
 		return nil, err
 	}
-	return readSections(pr, dag)
+	return ReadSections(pr, dag)
 }
 
 // ReadSections deserializes from an already-opened container whose
 // format was sniffed by the caller (persist.NewReaderAny).
 func ReadSections(pr *persist.Reader, dag *graph.Digraph) (*Index, error) {
-	if pr.Version() > persistVersionMap {
-		return nil, fmt.Errorf("bfl: snapshot version %d not supported (max %d)", pr.Version(), persistVersionMap)
-	}
-	return readSections(pr, dag)
-}
-
-func readSections(pr *persist.Reader, dag *graph.Digraph) (*Index, error) {
 	meta, err := pr.Section("meta")
 	if err != nil {
 		return nil, err
 	}
-	m, err := readMeta(meta, dag)
+	n, err := readMeta(pr.Version(), meta, dag)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{g: dag}
-	if pr.Version() >= persistVersionMap {
-		readU32s := func(name string) ([]uint32, error) {
-			d, err := pr.Section(name)
-			if err != nil {
-				return nil, err
-			}
-			vs := d.AlignedU32s()
-			return vs, d.Close()
-		}
-		readU64s := func(name string) ([]uint64, error) {
-			d, err := pr.Section(name)
-			if err != nil {
-				return nil, err
-			}
-			vs := d.AlignedU64s()
-			return vs, d.Close()
-		}
-		if ix.post, err = readU32s("post"); err != nil {
-			return nil, err
-		}
-		if ix.min, err = readU32s("min"); err != nil {
-			return nil, err
-		}
-		var fout, fin []uint64
-		if fout, err = readU64s("fout"); err != nil {
-			return nil, err
-		}
-		if fin, err = readU64s("fin"); err != nil {
-			return nil, err
-		}
-		ix.out = labelstore.Words{Stride: int(m.words), W: fout}
-		ix.in = labelstore.Words{Stride: int(m.words), W: fin}
-	} else {
-		iv, err := pr.Section("intervals")
-		if err != nil {
-			return nil, err
-		}
-		ix.post = iv.U32s()
-		ix.min = iv.U32s()
-		if err := iv.Close(); err != nil {
-			return nil, err
-		}
-		fl, err := pr.Section("filters")
-		if err != nil {
-			return nil, err
-		}
-		ix.out = labelstore.Words{Stride: int(m.words), W: fl.U64s()}
-		ix.in = labelstore.Words{Stride: int(m.words), W: fl.U64s()}
-		if err := fl.Close(); err != nil {
-			return nil, err
-		}
-	}
-	if err := ix.bind(m); err != nil {
+	d, err := pr.Section("rec")
+	if err != nil {
 		return nil, err
 	}
-	return ix, nil
+	b := d.AlignedBytes()
+	if err := d.Close(); err != nil {
+		return nil, err
+	}
+	// The checksum is the mapped reader's; consuming it here makes every
+	// truncation an error on this path too.
+	if d, err = pr.Section(persist.ChecksumSection); err != nil {
+		return nil, err
+	}
+	d.U32()
+	if err := d.Close(); err != nil {
+		return nil, err
+	}
+	rec, err := records(b, n, false)
+	if err != nil {
+		return nil, err
+	}
+	return bind(dag, rec, nil), nil
 }
 
-// FromMapped binds a version-2 snapshot opened with persist.OpenMapped
-// as a zero-copy index over dag: intervals and filter matrices are views
-// into the mapping. The index pins the mapping for its lifetime.
+// FromMapped binds a snapshot opened with persist.OpenMapped as a
+// zero-copy index over dag: the records are a view into the mapping
+// (decoded into memory instead on a big-endian host, or when the bytes
+// are not line-aligned, as when mmap is unavailable). The index pins the
+// mapping for its lifetime.
 func FromMapped(m *persist.Mapped, dag *graph.Digraph) (*Index, error) {
 	if m.Format() != persistFormat {
 		return nil, fmt.Errorf("bfl: mapped snapshot has format %q, want %q", m.Format(), persistFormat)
-	}
-	if m.Version() != persistVersionMap {
-		return nil, fmt.Errorf("bfl: mapped snapshot version %d not supported (want %d)", m.Version(), persistVersionMap)
 	}
 	meta, err := m.Section("meta")
 	if err != nil {
 		return nil, err
 	}
-	mm, err := readMeta(meta, dag)
+	n, err := readMeta(m.Version(), meta, dag)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{g: dag, backing: m}
-	if ix.post, err = m.U32s("post"); err != nil {
-		return nil, err
-	}
-	if ix.min, err = m.U32s("min"); err != nil {
-		return nil, err
-	}
-	fout, err := m.U64s("fout")
+	b, err := m.Bytes("rec")
 	if err != nil {
 		return nil, err
 	}
-	fin, err := m.U64s("fin")
+	rec, err := records(b, n, true)
 	if err != nil {
 		return nil, err
 	}
-	ix.out = labelstore.Words{Stride: int(mm.words), W: fout}
-	ix.in = labelstore.Words{Stride: int(mm.words), W: fin}
-	if err := ix.bind(mm); err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return bind(dag, rec, m), nil
 }

@@ -23,9 +23,19 @@ func agreeEverywhere(t *testing.T, g *graph.Digraph, want, got *Index) {
 	}
 }
 
+// openMapped writes b to a file and maps it.
+func openMapped(t *testing.T, b []byte) (*persist.Mapped, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bfl.snap")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return persist.OpenMapped(path)
+}
+
 func TestPersistRoundTrip(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 180, M: 540, Seed: 21})
-	ix := New(g, Options{Bits: 192, Seed: 5})
+	ix := New(g, Options{Seed: 5})
 
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
@@ -36,30 +46,29 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	agreeEverywhere(t, g, ix, got)
+	if got.Stats().Bytes != ix.Stats().Bytes || got.Stats().Entries != ix.Stats().Entries {
+		t.Errorf("loaded Stats %+v, built %+v", got.Stats(), ix.Stats())
+	}
 }
 
 func TestPersistMappedRoundTrip(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 180, M: 540, Seed: 22})
-	ix := New(g, Options{Bits: 192, Seed: 6})
+	ix := New(g, Options{Seed: 6})
 
 	var buf bytes.Buffer
-	if _, err := ix.WriteMapped(&buf); err != nil {
+	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 
-	// The v2 layout must also decode through the streaming reader.
+	// The layout decodes through the streaming reader.
 	streamed, err := Read(bytes.NewReader(buf.Bytes()), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	agreeEverywhere(t, g, ix, streamed)
 
-	// And load zero-copy through the mapped path.
-	path := filepath.Join(t.TempDir(), "bfl.snap")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := persist.OpenMapped(path)
+	// And loads zero-copy through the mapped path.
+	m, err := openMapped(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +80,39 @@ func TestPersistMappedRoundTrip(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	// Truncations must error cleanly, never panic.
-	for cut := 0; cut < buf.Len(); cut += 97 {
-		trunc := filepath.Join(t.TempDir(), "trunc.snap")
-		if err := os.WriteFile(trunc, buf.Bytes()[:cut], 0o644); err != nil {
-			t.Fatal(err)
+// TestPersistTruncationAndCorruption: every truncation of a snapshot and
+// every byte flip in it fails to load with an error, never a panic, on the
+// mapped path (which checks the CRC first); the streaming path never
+// panics, and errors on every truncation.
+func TestPersistTruncationAndCorruption(t *testing.T) {
+	g := gen.RandomDAG(gen.Config{N: 150, M: 450, Seed: 25})
+	var buf bytes.Buffer
+	if _, err := New(g, Options{Seed: 8}).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	for cut := 0; cut < len(raw); cut += 37 {
+		if _, err := Read(bytes.NewReader(raw[:cut]), g); err == nil {
+			t.Fatalf("streamed truncation at %d loaded without error", cut)
 		}
-		if tm, err := persist.OpenMapped(trunc); err == nil {
-			if _, err := FromMapped(tm, g); err == nil {
-				t.Fatalf("truncation at %d loaded without error", cut)
+		if m, err := openMapped(t, raw[:cut]); err == nil {
+			if _, err := FromMapped(m, g); err == nil {
+				t.Fatalf("mapped truncation at %d loaded without error", cut)
 			}
-			tm.Close()
+			m.Close()
+		}
+	}
+	for pos := 0; pos < len(raw); pos += 53 {
+		bad := append([]byte(nil), raw...)
+		bad[pos] ^= 0x5A
+		Read(bytes.NewReader(bad), g) // may load: the streaming path has no CRC
+		if m, err := openMapped(t, bad); err == nil {
+			if _, err := FromMapped(m, g); err == nil {
+				t.Fatalf("flip at byte %d loaded without error", pos)
+			}
+			m.Close()
 		}
 	}
 }
@@ -90,9 +120,9 @@ func TestPersistMappedRoundTrip(t *testing.T) {
 func TestPersistWrongGraph(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 120, M: 360, Seed: 23})
 	other := gen.RandomDAG(gen.Config{N: 121, M: 360, Seed: 24})
-	ix := New(g, Options{Bits: 128, Seed: 7})
+	ix := New(g, Options{Seed: 7})
 	var buf bytes.Buffer
-	if _, err := ix.WriteMapped(&buf); err != nil {
+	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(bytes.NewReader(buf.Bytes()), other); err == nil {

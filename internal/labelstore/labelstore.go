@@ -426,17 +426,3 @@ func (b *Builder) Freeze(enc Encoding) *Store {
 	s.data = data
 	return s
 }
-
-// Words is a flat matrix of fixed-width uint64 rows — the storage shape
-// of Bloom-filter labels (BFL) and other per-vertex bitsets. Row v is
-// W[v*Stride : (v+1)*Stride].
-type Words struct {
-	Stride int
-	W      []uint64
-}
-
-// Row returns row v; the subslice aliases the backing array.
-func (m Words) Row(v int) []uint64 { return m.W[v*m.Stride : (v+1)*m.Stride] }
-
-// Bytes is the resident size of the backing array.
-func (m Words) Bytes() int { return len(m.W) * 8 }

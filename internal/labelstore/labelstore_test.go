@@ -268,17 +268,6 @@ func TestVarintCanonical(t *testing.T) {
 	}
 }
 
-func TestWords(t *testing.T) {
-	m := Words{Stride: 2, W: make([]uint64, 8)}
-	m.Row(3)[1] = 99
-	if m.W[7] != 99 {
-		t.Fatal("Row does not alias backing array")
-	}
-	if m.Bytes() != 64 {
-		t.Fatalf("Bytes = %d", m.Bytes())
-	}
-}
-
 func TestFootprint(t *testing.T) {
 	rows := randomRows(t, 500, 20, 3)
 	raw := FromRows(rows, Raw)

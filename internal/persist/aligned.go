@@ -121,11 +121,11 @@ func (pw *Writer) AlignedU64s(name string, vs []uint64) {
 	}
 }
 
-// AlignedBytes writes b as one byte-array section in the aligned framing
-// (alignment 1, so no pad); varint label streams use it so every array
-// section decodes uniformly.
-func (pw *Writer) AlignedBytes(name string, b []byte) {
-	if !pw.alignedHeader(name, 1, len(b)) {
+// AlignedBytes writes b as one byte-array section in the aligned framing,
+// starting at a multiple of align: 1 for varint label streams, a record's
+// size for fixed-size records, so a mapped record never straddles a line.
+func (pw *Writer) AlignedBytes(name string, align uint32, b []byte) {
+	if !pw.alignedHeader(name, align, len(b)) {
 		return
 	}
 	pw.raw(b)

@@ -22,7 +22,7 @@ func writeMappedFixture(t *testing.T, path string, u32s []uint32, u64s []uint64,
 	})
 	pw.AlignedU32s("offs", u32s)
 	pw.AlignedU64s("words", u64s)
-	pw.AlignedBytes("stream", blob)
+	pw.AlignedBytes("stream", 1, blob)
 	pw.Checksum()
 	if _, err := pw.Close(); err != nil {
 		t.Fatal(err)

@@ -83,8 +83,8 @@ func (ix *Index) WriteMapped(w io.Writer) (int64, error) {
 		pw.AlignedU32s("inlab", inLab)
 		pw.AlignedU32s("outlab", outLab)
 	} else {
-		pw.AlignedBytes("indata", inData)
-		pw.AlignedBytes("outdata", outData)
+		pw.AlignedBytes("indata", 1, inData)
+		pw.AlignedBytes("outdata", 1, outData)
 	}
 	pw.Checksum()
 	return pw.Close()

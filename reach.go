@@ -212,7 +212,8 @@ type Options struct {
 	// K: interval budget (GRAIL/FERRARI/DAGGER), sketch size (IP),
 	// supportive vertices (O'Reach), landmarks (DBL, LCR landmark index).
 	K int
-	// Bits: Bloom filter width (BFL, DBL).
+	// Bits: Bloom width for DBL and LCR-Bloom; BFL's widths are fixed by
+	// its 64-byte record.
 	Bits int
 	// Seed drives every randomized structure.
 	Seed int64
@@ -357,7 +358,7 @@ func BuildCtx(ctx context.Context, k Kind, g *Graph, opt Options) (ix Index, err
 		}), nil
 	case KindBFL:
 		return core.ForGeneralPrepared(g, sp, par.Resolve(opt.Workers), opt.Prepared, func(d *Graph) Index {
-			return bfl.New(d, bfl.Options{Bits: opt.Bits, Seed: opt.Seed, Spans: sp, Workers: opt.Workers})
+			return bfl.New(d, bfl.Options{Seed: opt.Seed, Spans: sp, Workers: opt.Workers})
 		}), nil
 	case KindFeline:
 		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index { return feline.New(d) }), nil

@@ -104,8 +104,8 @@ func SaveIndexMapped(w io.Writer, ix Index) error {
 		return err
 	}
 	switch t := t.(type) {
-	case *bfl.Index:
-		_, err = t.WriteMapped(w)
+	case *bfl.Index: // one layout serves both load paths
+		_, err = t.WriteTo(w)
 	case *pll.Index:
 		_, err = t.WriteMapped(w)
 	}

@@ -3,6 +3,7 @@ package reach
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -353,6 +354,52 @@ func TestLoadIndexTruncationNeverPanics(t *testing.T) {
 	// whatever container the caller embedded the snapshot in).
 	if _, err := LoadIndex(bytes.NewReader(append(raw[:len(raw):len(raw)], 0xAA)), g, Options{}); err != nil {
 		t.Fatalf("trailing byte after snapshot: %v", err)
+	}
+}
+
+// TestLoadIndexRefusesOldBFLLayouts: a BFL snapshot in the version-1 or
+// version-2 layout (interval and filter arrays in separate sections) is
+// refused by LoadIndex, and the version-2 one by LoadIndexMapped, with an
+// error naming the version — never a panic, never a wrong index.
+func TestLoadIndexRefusesOldBFLLayouts(t *testing.T) {
+	g := Fig1Plain()
+	n := uint32(g.N())
+	meta := func(e *persist.Encoder) { e.U32(n); e.U32(4) }
+	for v, write := range map[uint16]func(pw *persist.Writer){
+		1: func(pw *persist.Writer) {
+			pw.Section("meta", meta)
+			pw.Section("intervals", func(e *persist.Encoder) { e.U32s(make([]uint32, 2*n)) })
+			pw.Section("filters", func(e *persist.Encoder) { e.U64s(make([]uint64, 8*n)) })
+		},
+		2: func(pw *persist.Writer) {
+			pw.Section("meta", meta)
+			pw.AlignedU32s("post", make([]uint32, n))
+			pw.AlignedU32s("min", make([]uint32, n))
+			pw.AlignedU64s("fout", make([]uint64, 4*n))
+			pw.AlignedU64s("fin", make([]uint64, 4*n))
+			pw.Checksum()
+		},
+	} {
+		var buf bytes.Buffer
+		pw := persist.NewWriter(&buf, "bfl", v)
+		write(pw)
+		if _, err := pw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("version %d", v)
+		if _, err := LoadIndex(bytes.NewReader(buf.Bytes()), g, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("v%d LoadIndex: err = %v, want one naming %q", v, err, want)
+		}
+		if v == 1 {
+			continue // no checksum: never a mapped layout
+		}
+		path := filepath.Join(t.TempDir(), "old.snap")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadIndexMapped(path, g, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("v%d LoadIndexMapped: err = %v, want one naming %q", v, err, want)
+		}
 	}
 }
 
