@@ -6,7 +6,7 @@
 //	reachserve -graph g.txt                         # serve on :8080
 //	reachserve -demo -addr 127.0.0.1:0 -addrfile a  # demo graph, random port
 //	reachserve -graph g.txt -snapshot g.idx         # warm-start when g.idx exists
-//	reachserve -graph g.txt -snapshot g.idx -mmap   # zero-copy mapped cold start
+//	reachserve -graph g.txt -snapshot g.idx -mmap   # same, page-mapping the snapshot
 //	reachserve -graph g.txt -wal g.wal              # writable: POST /v1/mutate
 //	reachserve -graph g.txt -shards 4               # sharded plain engine
 //	reachserve -graph g.txt -autotune 30s           # workload-adaptive index
@@ -90,7 +90,7 @@ func main() {
 	metrics := flag.Bool("metrics", true, "enable the observability layer")
 	degraded := flag.Bool("degraded", false, "keep serving when an optional index build fails")
 	snapshot := flag.String("snapshot", "", "plain-index snapshot file: load when present, write after a fresh build (bfl/pll/dl kinds)")
-	mmapSnap := flag.Bool("mmap", false, "use the mapped snapshot layout: write aligned+checksummed snapshots and cold-start by page-mapping them (zero-copy) instead of decoding")
+	mmapSnap := flag.Bool("mmap", false, "page-map the snapshot at load instead of reading it; the file layout is the same")
 	shards := flag.Int("shards", 0, "partition the DAG into this many shards with per-shard indexes and a boundary summary; 0 disables (a pre-built engine: refuses -wal and -autotune)")
 	walPath := flag.String("wal", "", "write-ahead log file; enables POST /v1/mutate and replays the log on start (unlabeled graphs, disables /admin/reload)")
 	walFsync := flag.String("wal-fsync", "always", "WAL durability: always (fsync before acking each group commit) or never (OS page cache)")
@@ -373,7 +373,7 @@ func openDB(ctx context.Context, graphPath string, demo bool, snapPath string, m
 		if f, err := os.Open(snapPath); err == nil {
 			if mmapSnap {
 				// Mapped cold start: hand the path through so the DB
-				// page-maps the file instead of decoding the stream.
+				// page-maps the file instead of reading it.
 				f.Close()
 				cfg.PlainSnapshotMapped = snapPath
 			} else {
@@ -399,7 +399,7 @@ func openDB(ctx context.Context, graphPath string, demo bool, snapPath string, m
 			lg.Printf("warm-started plain index from %s", snapPath)
 		}
 	} else if snapPath != "" {
-		if err := writeSnapshot(snapPath, cfg.Plain, mmapSnap, db); err != nil {
+		if err := writeSnapshot(snapPath, cfg.Plain, db); err != nil {
 			lg.Printf("snapshot save failed (serving anyway): %v", err)
 		} else {
 			lg.Printf("saved plain-index snapshot to %s", snapPath)
@@ -479,7 +479,7 @@ func writeGraphSnapshot(path string, g *reach.Graph) error {
 // writeSnapshot persists the DB's plain index atomically: write to a
 // temp file in the same directory, fsync-free rename over the target, so
 // a crash mid-write never leaves a torn snapshot for the next start.
-func writeSnapshot(path string, kind reach.Kind, mapped bool, db *reach.DB) error {
+func writeSnapshot(path string, kind reach.Kind, db *reach.DB) error {
 	if kind == "" {
 		kind = reach.KindBFL
 	}
@@ -492,11 +492,7 @@ func writeSnapshot(path string, kind reach.Kind, mapped bool, db *reach.DB) erro
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	save := reach.SaveIndex
-	if mapped {
-		save = reach.SaveIndexMapped
-	}
-	if err := save(tmp, ix); err != nil {
+	if err := reach.SaveIndex(tmp, ix); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -187,20 +187,20 @@ type DBConfig struct {
 	// every query (two clock reads each); see OBSERVABILITY.md.
 	RecordWorkload *WorkloadRecorder
 	// PlainSnapshot, when non-nil, warm-starts the plain index from a
-	// snapshot previously written with SaveIndex or SaveIndexMapped
-	// instead of building it: the load is a linear deserialization
-	// recorded as an "index/load" span (a warm-started DB's build
-	// timeline has no "index/build" phase). The snapshot must pair with g
-	// and with Plain — the snapshottable kinds are KindBFL (the default),
-	// KindPLL, and KindDL; a kind or graph mismatch fails NewDB with a
-	// typed error. LCR/RLC indexes are always built fresh.
+	// snapshot previously written with SaveIndex instead of building it
+	// (see LoadIndex): the snapshot is read into memory, its checksum
+	// verified, and the index bound to views of it, recorded as an
+	// "index/load" span (a warm-started DB's build timeline has no
+	// "index/build" phase). The snapshot must pair with g and with Plain —
+	// the snapshottable kinds are KindBFL (the default), KindPLL, and
+	// KindDL; a kind or graph mismatch fails NewDB with a typed error.
+	// LCR/RLC indexes are always built fresh.
 	PlainSnapshot io.Reader
-	// PlainSnapshotMapped, when non-empty, warm-starts the plain index by
-	// page-mapping the mapped-layout snapshot file at this path (see
-	// LoadIndexMapped): the label arrays are zero-copy views into the
-	// mapping, so cold start is page mapping plus a checksum pass instead
-	// of a decode pass. Mutually exclusive with PlainSnapshot. The same
-	// kind pairing rules apply.
+	// PlainSnapshotMapped, when non-empty, warm-starts the plain index
+	// from the snapshot file at this path, page-mapped instead of read
+	// (see LoadIndexMapped): the label arrays are zero-copy views into the
+	// mapping. The file layout is the one SaveIndex writes. Mutually
+	// exclusive with PlainSnapshot. The same kind pairing rules apply.
 	PlainSnapshotMapped string
 	// PlainIndex, when non-nil, installs a pre-built index as the plain
 	// engine instead of building (or snapshot-loading) one. The index must

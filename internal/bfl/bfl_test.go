@@ -189,7 +189,7 @@ func TestBFLRecordIsOneLine(t *testing.T) {
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Read(&buf, g)
+		got, err := readStream(buf.Bytes(), g)
 		if err != nil {
 			t.Fatal(err)
 		}

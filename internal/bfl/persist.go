@@ -12,8 +12,9 @@ import (
 )
 
 // Snapshots use the shared internal/persist container (format "bfl",
-// version 3) in one layout, loadable both by the streaming decoder and
-// zero-copy through persist.OpenMapped + FromMapped:
+// version 3) in one layout, bound zero-copy by FromMapped whether
+// persist.OpenMapped page-mapped the file or persist.ReadMapped read it
+// from a stream:
 //
 //	meta  — vertex count n
 //	rec   — n 64-byte records, 64-byte aligned: post, min (u32), then
@@ -25,10 +26,10 @@ import (
 // refused: a snapshot caches a deterministic build, so rebuild it.
 //
 // BFL is a partial index: the guided-DFS fallback needs the graph the
-// labels were computed over, so Read re-binds the snapshot to a caller
-// supplied DAG. Pairing a snapshot with the right graph is the caller's
-// responsibility (a vertex-count mismatch is detected, other mismatches
-// are not — as with any external index file in a DBMS).
+// labels were computed over, so FromMapped re-binds the snapshot to a
+// caller-supplied DAG. Pairing a snapshot with the right graph is the
+// caller's responsibility (a vertex-count mismatch is detected, other
+// mismatches are not — as with any external index file in a DBMS).
 const (
 	persistFormat  = "bfl"
 	persistVersion = 3
@@ -37,8 +38,8 @@ const (
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // WriteTo serializes the index. The section alignment is computed from
-// the writer's origin, so a snapshot meant for mapping must be written
-// from the start of its file. It returns the number of bytes written.
+// the writer's origin, so a snapshot must be written from the start of
+// its file. It returns the number of bytes written.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	pw := persist.NewWriter(w, persistFormat, persistVersion)
 	pw.Section("meta", func(e *persist.Encoder) {
@@ -104,74 +105,29 @@ func readMeta(version uint16, meta *persist.Decoder, dag *graph.Digraph) (int, e
 	return int(n), nil
 }
 
-// records returns the n records of rec section b: with view set, b
-// itself when the host is little-endian and b is line-aligned, otherwise a
-// decoded aligned copy.
-func records(b []byte, n int, view bool) ([]record, error) {
+// records returns the n records of rec section b: b itself when the host
+// is little-endian and b is line-aligned, otherwise a decoded aligned
+// copy.
+func records(b []byte, n int) ([]record, error) {
 	if len(b) != n*recordSize {
 		return nil, fmt.Errorf("bfl: rec section has %d bytes, want %d (%d records of %d)", len(b), n*recordSize, n, recordSize)
 	}
-	if view && littleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%uintptr(recordSize) == 0 {
+	if littleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%uintptr(recordSize) == 0 {
 		return unsafe.Slice((*record)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
 	}
 	return fromWire(b), nil
 }
 
-// Read deserializes an index previously written with WriteTo and binds it
-// to dag — the same DAG the snapshot was built over (for a general graph,
-// the SCC condensation the builder ran on). The filter-guided fallback
-// traverses dag, so answers are only correct over the original graph.
-func Read(r io.Reader, dag *graph.Digraph) (*Index, error) {
-	pr, err := persist.NewReader(r, persistFormat, persistVersion)
-	if err != nil {
-		return nil, err
-	}
-	return ReadSections(pr, dag)
-}
-
-// ReadSections deserializes from an already-opened container whose
-// format was sniffed by the caller (persist.NewReaderAny).
-func ReadSections(pr *persist.Reader, dag *graph.Digraph) (*Index, error) {
-	meta, err := pr.Section("meta")
-	if err != nil {
-		return nil, err
-	}
-	n, err := readMeta(pr.Version(), meta, dag)
-	if err != nil {
-		return nil, err
-	}
-	d, err := pr.Section("rec")
-	if err != nil {
-		return nil, err
-	}
-	b := d.AlignedBytes()
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	// The checksum is the mapped reader's; consuming it here makes every
-	// truncation an error on this path too.
-	if d, err = pr.Section(persist.ChecksumSection); err != nil {
-		return nil, err
-	}
-	d.U32()
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	rec, err := records(b, n, false)
-	if err != nil {
-		return nil, err
-	}
-	return bind(dag, rec, nil), nil
-}
-
-// FromMapped binds a snapshot opened with persist.OpenMapped as a
-// zero-copy index over dag: the records are a view into the mapping
-// (decoded into memory instead on a big-endian host, or when the bytes
-// are not line-aligned, as when mmap is unavailable). The index pins the
-// mapping for its lifetime.
+// FromMapped binds a snapshot opened with persist.OpenMapped or read with
+// persist.ReadMapped as a zero-copy index over dag — the same DAG the
+// snapshot was built over (for a general graph, the SCC condensation the
+// builder ran on); the filter-guided fallback traverses dag, so answers
+// are only correct over the original graph. The records are a view into
+// the snapshot's bytes (decoded into memory instead on a big-endian
+// host). The index pins the Mapped for its lifetime.
 func FromMapped(m *persist.Mapped, dag *graph.Digraph) (*Index, error) {
 	if m.Format() != persistFormat {
-		return nil, fmt.Errorf("bfl: mapped snapshot has format %q, want %q", m.Format(), persistFormat)
+		return nil, fmt.Errorf("bfl: snapshot has format %q, want %q", m.Format(), persistFormat)
 	}
 	meta, err := m.Section("meta")
 	if err != nil {
@@ -185,7 +141,7 @@ func FromMapped(m *persist.Mapped, dag *graph.Digraph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := records(b, n, true)
+	rec, err := records(b, n)
 	if err != nil {
 		return nil, err
 	}

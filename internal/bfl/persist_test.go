@@ -33,6 +33,15 @@ func openMapped(t *testing.T, b []byte) (*persist.Mapped, error) {
 	return persist.OpenMapped(path)
 }
 
+// readStream loads a snapshot from a stream, as reach.LoadIndex does.
+func readStream(b []byte, dag *graph.Digraph) (*Index, error) {
+	m, err := persist.ReadMapped(bytes.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	return FromMapped(m, dag)
+}
+
 func TestPersistRoundTrip(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 180, M: 540, Seed: 21})
 	ix := New(g, Options{Seed: 5})
@@ -41,7 +50,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(bytes.NewReader(buf.Bytes()), g)
+	got, err := readStream(buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +69,8 @@ func TestPersistMappedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The layout decodes through the streaming reader.
-	streamed, err := Read(bytes.NewReader(buf.Bytes()), g)
+	// The snapshot binds from a stream.
+	streamed, err := readStream(buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +92,8 @@ func TestPersistMappedRoundTrip(t *testing.T) {
 }
 
 // TestPersistTruncationAndCorruption: every truncation of a snapshot and
-// every byte flip in it fails to load with an error, never a panic, on the
-// mapped path (which checks the CRC first); the streaming path never
-// panics, and errors on every truncation.
+// every byte flip in it fails to load with an error, never a panic, both
+// page-mapped from a file and read from a stream.
 func TestPersistTruncationAndCorruption(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 150, M: 450, Seed: 25})
 	var buf bytes.Buffer
@@ -94,7 +102,7 @@ func TestPersistTruncationAndCorruption(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for cut := 0; cut < len(raw); cut += 37 {
-		if _, err := Read(bytes.NewReader(raw[:cut]), g); err == nil {
+		if _, err := readStream(raw[:cut], g); err == nil {
 			t.Fatalf("streamed truncation at %d loaded without error", cut)
 		}
 		if m, err := openMapped(t, raw[:cut]); err == nil {
@@ -107,7 +115,9 @@ func TestPersistTruncationAndCorruption(t *testing.T) {
 	for pos := 0; pos < len(raw); pos += 53 {
 		bad := append([]byte(nil), raw...)
 		bad[pos] ^= 0x5A
-		Read(bytes.NewReader(bad), g) // may load: the streaming path has no CRC
+		if _, err := readStream(bad, g); err == nil {
+			t.Fatalf("streamed flip at byte %d loaded without error", pos)
+		}
 		if m, err := openMapped(t, bad); err == nil {
 			if _, err := FromMapped(m, g); err == nil {
 				t.Fatalf("flip at byte %d loaded without error", pos)
@@ -125,7 +135,7 @@ func TestPersistWrongGraph(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(buf.Bytes()), other); err == nil {
+	if _, err := readStream(buf.Bytes(), other); err == nil {
 		t.Fatal("vertex-count mismatch not detected")
 	}
 }

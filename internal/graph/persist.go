@@ -20,11 +20,10 @@ import (
 //	succlab/predlab            — label arrays (labeled only), 2-byte aligned
 //	crc32      — CRC-32C of everything above
 //
-// One layout serves both load paths: LoadSnapshot page-maps the file and
-// hands the Digraph zero-copy views (falling back to a streaming read
-// where mmap is unavailable), and ReadSnapshot decodes the same sections
-// from any io.Reader. Because the mapped views drive slice indexing all
-// over the query path, both readers validate the CSR structure (offset
+// FromMapped is the one reader: LoadSnapshot page-maps the file (reading
+// it into memory where mmap is unavailable) and hands the Digraph
+// zero-copy views. Because the views drive slice indexing all over the
+// query path, FromMapped validates the CSR structure (offset
 // monotonicity, vertex and label bounds) before the graph is trusted —
 // the checksum guards against corruption, the validation against a
 // well-checksummed file holding an impossible graph.
@@ -60,19 +59,19 @@ func (g *Digraph) WriteSnapshot(w io.Writer) (int64, error) {
 	}
 	writeNames("vertnames", g.vertName)
 	writeNames("labelnames", g.labelName)
-	pw.AlignedU32s("succoff", g.succOff)
-	pw.AlignedU32s("succ", g.succ)
-	pw.AlignedU32s("predoff", g.predOff)
-	pw.AlignedU32s("pred", g.pred)
+	pw.U32s("succoff", g.succOff)
+	pw.U32s("succ", g.succ)
+	pw.U32s("predoff", g.predOff)
+	pw.U32s("pred", g.pred)
 	if g.Labeled() {
-		pw.AlignedU16s("succlab", g.succLab)
-		pw.AlignedU16s("predlab", g.predLab)
+		pw.U16s("succlab", g.succLab)
+		pw.U16s("predlab", g.predLab)
 	}
 	pw.Checksum()
 	return pw.Close()
 }
 
-// snapMeta carries the meta-section fields shared by both readers.
+// snapMeta carries the meta-section fields.
 type snapMeta struct {
 	n         int
 	m         uint64
@@ -190,91 +189,16 @@ func readNames(d *persist.Decoder, limit int) ([]string, error) {
 	return names, d.Close()
 }
 
-// ReadSnapshot decodes a snapshot written by WriteSnapshot from a stream.
-// For page-mapped loading use LoadSnapshot (or persist.OpenMapped +
-// FromMapped).
-func ReadSnapshot(r io.Reader) (*Digraph, error) {
-	pr, err := persist.NewReader(r, persistFormat, persistVersion)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := pr.Section("meta")
-	if err != nil {
-		return nil, err
-	}
-	sm, err := readSnapMeta(meta)
-	if err != nil {
-		return nil, err
-	}
-	names := func(section string, limit int) ([]string, error) {
-		d, err := pr.Section(section)
-		if err != nil {
-			return nil, err
-		}
-		return readNames(d, limit)
-	}
-	vertName, err := names("vertnames", sm.n)
-	if err != nil {
-		return nil, err
-	}
-	labelName, err := names("labelnames", sm.numLabels)
-	if err != nil {
-		return nil, err
-	}
-	readU32s := func(section string) ([]uint32, error) {
-		d, err := pr.Section(section)
-		if err != nil {
-			return nil, err
-		}
-		vs := d.AlignedU32s()
-		return vs, d.Close()
-	}
-	succOff, err := readU32s("succoff")
-	if err != nil {
-		return nil, err
-	}
-	succ, err := readU32s("succ")
-	if err != nil {
-		return nil, err
-	}
-	predOff, err := readU32s("predoff")
-	if err != nil {
-		return nil, err
-	}
-	pred, err := readU32s("pred")
-	if err != nil {
-		return nil, err
-	}
-	var succLab, predLab []uint16
-	if sm.labeled {
-		readU16s := func(section string) ([]uint16, error) {
-			d, err := pr.Section(section)
-			if err != nil {
-				return nil, err
-			}
-			vs := d.AlignedU16s()
-			return vs, d.Close()
-		}
-		if succLab, err = readU16s("succlab"); err != nil {
-			return nil, err
-		}
-		if predLab, err = readU16s("predlab"); err != nil {
-			return nil, err
-		}
-	}
-	return assemble(sm, vertName, labelName, succOff, succ, predOff, pred, succLab, predLab)
-}
-
-// FromMapped binds a snapshot opened with persist.OpenMapped as a
-// zero-copy Digraph: the CSR arrays are views into the mapping (pages
-// fault in as traversals touch them). The graph pins the mapping for its
-// lifetime.
+// FromMapped binds a snapshot opened with persist.OpenMapped (or read
+// with persist.ReadMapped) as a zero-copy Digraph: the CSR arrays are
+// views into the snapshot's bytes (mapped pages fault in as traversals
+// touch them). The graph pins the Mapped for its lifetime.
 func FromMapped(m *persist.Mapped) (*Digraph, error) {
 	if m.Format() != persistFormat {
-		return nil, fmt.Errorf("graph: mapped snapshot has format %q, want %q", m.Format(), persistFormat)
+		return nil, fmt.Errorf("graph: snapshot has format %q, want %q", m.Format(), persistFormat)
 	}
 	if m.Version() != persistVersion {
-		return nil, fmt.Errorf("graph: mapped snapshot version %d not supported (want %d)", m.Version(), persistVersion)
+		return nil, fmt.Errorf("graph: snapshot version %d not supported (want %d)", m.Version(), persistVersion)
 	}
 	meta, err := m.Section("meta")
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/persist"
 )
 
 func namedTestGraph() *Digraph {
@@ -56,9 +58,13 @@ func TestSnapshotRoundTripStream(t *testing.T) {
 		if n != int64(buf.Len()) {
 			t.Fatalf("%s: WriteSnapshot reported %d bytes, wrote %d", name, n, buf.Len())
 		}
-		back, err := ReadSnapshot(&buf)
+		m, err := persist.ReadMapped(&buf)
 		if err != nil {
 			t.Fatalf("%s: read: %v", name, err)
+		}
+		back, err := FromMapped(m)
+		if err != nil {
+			t.Fatalf("%s: bind: %v", name, err)
 		}
 		sameGraph(t, back, g)
 	}
@@ -101,13 +107,22 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 	}
 	good := buf.Bytes()
 	dir := t.TempDir()
+	// load reads b both ways, page-mapped from a file and from a stream,
+	// and returns the first success as a nil error.
 	load := func(b []byte) error {
 		path := filepath.Join(dir, "snap")
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadSnapshot(path)
-		return err
+		_, errMap := LoadSnapshot(path)
+		m, errRead := persist.ReadMapped(bytes.NewReader(b))
+		if errRead == nil {
+			_, errRead = FromMapped(m)
+		}
+		if errMap == nil || errRead == nil {
+			return nil
+		}
+		return errMap
 	}
 	// Flip one byte at every offset: each variant must be rejected (the
 	// checksum catches it), never panic or load silently.
@@ -124,8 +139,17 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 			t.Fatalf("truncation to %d bytes loaded silently", cut)
 		}
 	}
-	if err := load(good); err != nil {
+	path := filepath.Join(dir, "good")
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(path); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+	if m, err := persist.ReadMapped(bytes.NewReader(good)); err != nil {
+		t.Fatalf("pristine snapshot rejected from a stream: %v", err)
+	} else if _, err := FromMapped(m); err != nil {
+		t.Fatalf("pristine snapshot rejected from a stream: %v", err)
 	}
 }
 

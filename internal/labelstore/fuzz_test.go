@@ -52,7 +52,7 @@ func FuzzDecode(f *testing.F) {
 		for i := range off {
 			off[i] = binary.LittleEndian.Uint32(head[i*4:])
 		}
-		s, err := FromEncoded(n, off, data, 0, true)
+		s, err := FromEncoded(n, off, data)
 		if err != nil {
 			return
 		}

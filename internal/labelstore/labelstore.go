@@ -208,20 +208,14 @@ func FromParts(n int, off []uint32, lab []uint32) (*Store, error) {
 	return &Store{enc: Raw, n: n, entries: len(lab), off: off, lab: lab}, nil
 }
 
-// FromEncoded reconstructs a Varint store over existing arrays. Offsets
-// are validated as in FromParts. When validate is true the entire stream
-// is decoded once — truncated rows, overlong varints, and non-monotone
-// deltas all surface as errors — and the entry count is exact; with
-// validate false (mapped loads already protected by a whole-file
-// checksum) the stream is trusted and the entry count comes from the
-// caller.
-func FromEncoded(n int, off []uint32, data []byte, entries int, validate bool) (*Store, error) {
+// FromEncoded reconstructs a Varint store over existing arrays (typically
+// views into a snapshot). Offsets are validated as in FromParts, and the
+// entire stream is decoded once — truncated rows, overlong varints, and
+// non-monotone deltas all surface as errors, since a Cursor would stop
+// silently at them — which also counts the entries.
+func FromEncoded(n int, off []uint32, data []byte) (*Store, error) {
 	if err := checkOffsets(n, off, len(data)); err != nil {
 		return nil, err
-	}
-	s := &Store{enc: Varint, n: n, entries: entries, off: off, data: data}
-	if !validate {
-		return s, nil
 	}
 	count := 0
 	for v := 0; v < n; v++ {
@@ -243,8 +237,7 @@ func FromEncoded(n int, off []uint32, data []byte, entries int, validate bool) (
 			count++
 		}
 	}
-	s.entries = count
-	return s, nil
+	return &Store{enc: Varint, n: n, entries: count, off: off, data: data}, nil
 }
 
 func checkOffsets(n int, off []uint32, limit int) error {

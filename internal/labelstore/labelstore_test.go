@@ -140,7 +140,7 @@ func TestFromEncodedValidation(t *testing.T) {
 	s := FromRows(rows, Varint)
 	off, _, data := s.Parts()
 
-	good, err := FromEncoded(2, off, data, 0, true)
+	good, err := FromEncoded(2, off, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,19 +151,19 @@ func TestFromEncodedValidation(t *testing.T) {
 	// Truncated varint: continuation bit set at end of row.
 	bad := append([]byte(nil), data...)
 	bad[len(bad)-1] |= 0x80
-	if _, err := FromEncoded(2, off, bad, 0, true); err == nil {
+	if _, err := FromEncoded(2, off, bad); err == nil {
 		t.Fatal("truncated varint accepted")
 	}
 
 	// Overlong encoding: 0x80 0x00 decodes to 0 non-canonically.
 	over := []byte{0x80, 0x00}
-	if _, err := FromEncoded(1, []uint32{0, 2}, over, 0, true); err == nil {
+	if _, err := FromEncoded(1, []uint32{0, 2}, over); err == nil {
 		t.Fatal("overlong varint accepted")
 	}
 
 	// >32-bit value in 5th byte.
 	big := []byte{0xff, 0xff, 0xff, 0xff, 0x10}
-	if _, err := FromEncoded(1, []uint32{0, 5}, big, 0, true); err == nil {
+	if _, err := FromEncoded(1, []uint32{0, 5}, big); err == nil {
 		t.Fatal("33-bit varint accepted")
 	}
 
@@ -172,7 +172,7 @@ func TestFromEncodedValidation(t *testing.T) {
 	// ^0 (delta ^0-1... ) — encode max then anything wraps.
 	wrap := appendUvarint32(nil, ^uint32(0)-0) // first entry = ^0
 	wrap = appendUvarint32(wrap, 0)            // next would wrap to 0
-	if _, err := FromEncoded(1, []uint32{0, uint32(len(wrap))}, wrap, 0, true); err == nil {
+	if _, err := FromEncoded(1, []uint32{0, uint32(len(wrap))}, wrap); err == nil {
 		t.Fatal("wrapping row accepted")
 	}
 }

@@ -2,14 +2,17 @@ package persist
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // writeMappedFixture writes a snapshot in the aligned layout: one meta
-// section, one u32 array, one u64 array, one byte stream, checksum.
-func writeMappedFixture(t *testing.T, path string, u32s []uint32, u64s []uint64, blob []byte) {
+// section, one u32 array, one u16 array, one byte stream, checksum.
+func writeMappedFixture(t *testing.T, path string, u32s []uint32, u16s []uint16, blob []byte) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -20,8 +23,8 @@ func writeMappedFixture(t *testing.T, path string, u32s []uint32, u64s []uint64,
 		e.U32(uint32(len(u32s)))
 		e.String("hello")
 	})
-	pw.AlignedU32s("offs", u32s)
-	pw.AlignedU64s("words", u64s)
+	pw.U32s("offs", u32s)
+	pw.U16s("labs", u16s)
 	pw.AlignedBytes("stream", 1, blob)
 	pw.Checksum()
 	if _, err := pw.Close(); err != nil {
@@ -32,7 +35,7 @@ func writeMappedFixture(t *testing.T, path string, u32s []uint32, u64s []uint64,
 	}
 }
 
-func checkFixture(t *testing.T, m *Mapped, u32s []uint32, u64s []uint64, blob []byte) {
+func checkFixture(t *testing.T, m *Mapped, u32s []uint32, u16s []uint16, blob []byte) {
 	t.Helper()
 	if m.Format() != "fixture" || m.Version() != 2 {
 		t.Fatalf("format %q v%d", m.Format(), m.Version())
@@ -54,18 +57,24 @@ func checkFixture(t *testing.T, m *Mapped, u32s []uint32, u64s []uint64, blob []
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(got32) != len(u32s) {
+		t.Fatalf("u32 len %d want %d", len(got32), len(u32s))
+	}
 	for i := range u32s {
 		if got32[i] != u32s[i] {
 			t.Fatalf("u32[%d] = %d want %d", i, got32[i], u32s[i])
 		}
 	}
-	got64, err := m.U64s("words")
+	got16, err := m.U16s("labs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range u64s {
-		if got64[i] != u64s[i] {
-			t.Fatalf("u64[%d] = %d want %d", i, got64[i], u64s[i])
+	if len(got16) != len(u16s) {
+		t.Fatalf("u16 len %d want %d", len(got16), len(u16s))
+	}
+	for i := range u16s {
+		if got16[i] != u16s[i] {
+			t.Fatalf("u16[%d] = %d want %d", i, got16[i], u16s[i])
 		}
 	}
 	gotB, err := m.Bytes("stream")
@@ -77,27 +86,27 @@ func checkFixture(t *testing.T, m *Mapped, u32s []uint32, u64s []uint64, blob []
 	}
 }
 
-func fixtureData() ([]uint32, []uint64, []byte) {
+func fixtureData() ([]uint32, []uint16, []byte) {
 	u32s := make([]uint32, 1001)
 	for i := range u32s {
 		u32s[i] = uint32(i * 7)
 	}
-	u64s := []uint64{0, ^uint64(0), 0xdeadbeefcafef00d}
+	u16s := []uint16{0, ^uint16(0), 0xbeef}
 	blob := []byte{1, 2, 3, 4, 5, 6, 7} // odd length: exercises padding after it
-	return u32s, u64s, blob
+	return u32s, u16s, blob
 }
 
 func TestMappedRoundTrip(t *testing.T) {
-	u32s, u64s, blob := fixtureData()
+	u32s, u16s, blob := fixtureData()
 	path := filepath.Join(t.TempDir(), "fx.rix")
-	writeMappedFixture(t, path, u32s, u64s, blob)
+	writeMappedFixture(t, path, u32s, u16s, blob)
 
 	m, err := OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	checkFixture(t, m, u32s, u64s, blob)
+	checkFixture(t, m, u32s, u16s, blob)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +116,9 @@ func TestMappedRoundTrip(t *testing.T) {
 }
 
 func TestMappedFallbackNoMmap(t *testing.T) {
-	u32s, u64s, blob := fixtureData()
+	u32s, u16s, blob := fixtureData()
 	path := filepath.Join(t.TempDir(), "fx.rix")
-	writeMappedFixture(t, path, u32s, u64s, blob)
+	writeMappedFixture(t, path, u32s, u16s, blob)
 
 	disableMmap.Store(true)
 	defer disableMmap.Store(false)
@@ -121,111 +130,120 @@ func TestMappedFallbackNoMmap(t *testing.T) {
 	if m.Mmapped() {
 		t.Fatal("expected fallback, got real mapping")
 	}
-	checkFixture(t, m, u32s, u64s, blob)
+	checkFixture(t, m, u32s, u16s, blob)
+
+	// Bytes after the checksum section are refused here as on the
+	// mapped path.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenMapped(path); err == nil {
+		t.Fatal("trailing byte accepted by the fallback")
+	}
 }
 
-func TestMappedStreamingDecoderReadsAlignedSections(t *testing.T) {
-	// The same file must decode through the ordinary streaming Reader.
-	u32s, u64s, blob := fixtureData()
+// TestReadMappedMatchesOpenMapped: a snapshot read from a stream gives
+// the same views as the page-mapped file, zero-copy into a line-aligned
+// buffer, and leaves the stream just past the checksum section.
+func TestReadMappedMatchesOpenMapped(t *testing.T) {
+	u32s, u16s, blob := fixtureData()
 	path := filepath.Join(t.TempDir(), "fx.rix")
-	writeMappedFixture(t, path, u32s, u64s, blob)
-
-	f, err := os.Open(path)
+	writeMappedFixture(t, path, u32s, u16s, blob)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	pr, format, err := NewReaderAny(f)
+	mm, err := OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if format != "fixture" || pr.Version() != 2 {
-		t.Fatalf("format %q v%d", format, pr.Version())
-	}
-	d, err := pr.Section("meta")
+	defer mm.Close()
+	stream := bytes.NewReader(append(raw[:len(raw):len(raw)], "tail"...))
+	hm, err := ReadMapped(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.U32()
-	_ = d.String()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	if hm.Mmapped() {
+		t.Fatal("ReadMapped reports a real mapping")
 	}
-	if d, err = pr.Section("offs"); err != nil {
-		t.Fatal(err)
+	if rest, _ := io.ReadAll(stream); string(rest) != "tail" {
+		t.Fatalf("stream left at %q, want the bytes after the snapshot", rest)
 	}
-	got32 := d.AlignedU32s()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	if uintptr(unsafe.Pointer(unsafe.SliceData(hm.data)))%heapAlign != 0 {
+		t.Fatal("ReadMapped buffer is not line-aligned")
 	}
-	if len(got32) != len(u32s) || got32[1000] != u32s[1000] {
-		t.Fatalf("streaming u32s: len %d", len(got32))
+	for _, m := range []*Mapped{mm, hm} {
+		checkFixture(t, m, u32s, u16s, blob)
 	}
-	if d, err = pr.Section("words"); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"offs", "labs", "stream"} {
+		a, err := mm.Bytes(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := hm.Bytes(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("section %q differs between OpenMapped and ReadMapped", name)
+		}
 	}
-	got64 := d.AlignedU64s()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got64) != 3 || got64[2] != u64s[2] {
-		t.Fatalf("streaming u64s: %v", got64)
-	}
-	if d, err = pr.Section("stream"); err != nil {
-		t.Fatal(err)
-	}
-	gotB := d.AlignedBytes()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotB, blob) {
-		t.Fatalf("streaming bytes: %x", gotB)
+	// The typed view aliases the buffer: no copy was made.
+	b, _ := hm.Bytes("offs")
+	if got, _ := hm.U32s("offs"); unsafe.Pointer(&got[0]) != unsafe.Pointer(&b[0]) {
+		t.Fatal("ReadMapped U32s copied instead of viewing the buffer")
 	}
 }
 
 func TestMappedChecksumMismatch(t *testing.T) {
-	u32s, u64s, blob := fixtureData()
+	u32s, u16s, blob := fixtureData()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fx.rix")
-	writeMappedFixture(t, path, u32s, u64s, blob)
+	writeMappedFixture(t, path, u32s, u16s, blob)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// load opens b both ways: page-mapped from a file, and from a stream.
+	load := func(name string, b []byte) (error, error) {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errOpen := OpenMapped(p)
+		_, errRead := ReadMapped(bytes.NewReader(b))
+		return errOpen, errRead
 	}
 
 	// Flip one byte in the middle (a label page) — must be rejected.
 	bad := append([]byte(nil), data...)
 	bad[len(bad)/2] ^= 0x40
-	badPath := filepath.Join(dir, "bad.rix")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMapped(badPath); err == nil {
-		t.Fatal("corrupted snapshot accepted")
+	if e1, e2 := load("bad.rix", bad); e1 == nil || e2 == nil {
+		t.Fatalf("corrupted snapshot accepted: OpenMapped %v, ReadMapped %v", e1, e2)
 	}
 
 	// Every strict prefix must error, never panic.
 	for cut := 0; cut < len(data); cut += 97 {
-		p := filepath.Join(dir, "trunc.rix")
-		if err := os.WriteFile(p, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenMapped(p); err == nil {
-			t.Fatalf("prefix of %d bytes accepted", cut)
+		if e1, e2 := load("trunc.rix", data[:cut]); e1 == nil || e2 == nil {
+			t.Fatalf("prefix of %d bytes accepted: OpenMapped %v, ReadMapped %v", cut, e1, e2)
 		}
 	}
 
-	// A snapshot without a checksum section is not mappable.
+	// A snapshot without a checksum section is refused, naming its
+	// version.
 	var buf bytes.Buffer
 	pw := NewWriter(&buf, "fixture", 2)
-	pw.AlignedU32s("offs", u32s)
+	pw.U32s("offs", u32s)
 	pw.Close()
-	p := filepath.Join(dir, "nockz.rix")
-	if err := os.WriteFile(p, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMapped(p); err == nil {
-		t.Fatal("checksum-less snapshot accepted by mapped path")
+	e1, e2 := load("nockz.rix", buf.Bytes())
+	for _, err := range []error{e1, e2} {
+		if err == nil || !strings.Contains(err.Error(), "fixture snapshot version 2 has no checksum") {
+			t.Fatalf("checksum-less snapshot: err = %v", err)
+		}
 	}
 }
 
@@ -238,8 +256,8 @@ func TestMappedAlignment(t *testing.T) {
 		pw := NewWriter(&buf, "fx", 1)
 		s := make([]byte, pad)
 		pw.Section("meta", func(e *Encoder) { e.String(string(s)) })
-		pw.AlignedU32s("a", []uint32{1, 2, 3})
-		pw.AlignedU64s("b", []uint64{4, 5})
+		pw.U32s("a", []uint32{1, 2, 3})
+		pw.AlignedBytes("b", 64, []byte{4, 5})
 		pw.Checksum()
 		if _, err := pw.Close(); err != nil {
 			t.Fatal(err)
@@ -248,18 +266,27 @@ func TestMappedAlignment(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, err := OpenMapped(path)
+		mm, err := OpenMapped(path)
 		if err != nil {
 			t.Fatalf("pad %d: %v", pad, err)
 		}
-		a, err := m.U32s("a")
-		if err != nil || len(a) != 3 || a[2] != 3 {
-			t.Fatalf("pad %d: a=%v err=%v", pad, a, err)
+		hm, err := ReadMapped(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("pad %d: %v", pad, err)
 		}
-		b, err := m.U64s("b")
-		if err != nil || len(b) != 2 || b[1] != 5 {
-			t.Fatalf("pad %d: b=%v err=%v", pad, b, err)
+		for _, m := range []*Mapped{mm, hm} {
+			a, err := m.U32s("a")
+			if err != nil || len(a) != 3 || a[2] != 3 {
+				t.Fatalf("pad %d: a=%v err=%v", pad, a, err)
+			}
+			b, err := m.Bytes("b")
+			if err != nil || len(b) != 2 || b[1] != 5 {
+				t.Fatalf("pad %d: b=%v err=%v", pad, b, err)
+			}
+			if p := uintptr(unsafe.Pointer(&b[0])); p%64 != 0 {
+				t.Fatalf("pad %d: 64-byte section at %#x", pad, p)
+			}
 		}
-		m.Close()
+		mm.Close()
 	}
 }

@@ -1,7 +1,7 @@
-// Package persist is the shared on-disk codec for index snapshots: a
-// versioned header followed by named, length-prefixed sections. Index
-// packages (pll, bfl) define what goes inside each section; this package
-// owns the container so every snapshot format gets the same hardening —
+// Package persist is the shared on-disk container: a versioned header
+// followed by named, length-prefixed sections. Index and graph packages
+// (pll, bfl, graph) define what goes inside each section; this package
+// owns the container so every format gets the same hardening —
 // magic/format validation, version-skew rejection, byte-exact section
 // bounds, and allocation caps derived from the declared section length —
 // for free. Malformed or truncated input always surfaces as an error,
@@ -11,6 +11,12 @@
 //
 //	magic "RIX1" | format len16+bytes | version u16 |
 //	per section: name len16+bytes | payload len u64 | payload
+//
+// The container has two uses. A snapshot (an index or a graph CSR) is
+// written in the aligned, checksummed layout of aligned.go and read
+// whole, by OpenMapped from a file or ReadMapped from a stream. A log
+// (the write-ahead log, workload captures) is a run of uniform sections
+// appended over time and read in order through Reader.Next.
 //
 // Snapshots are positional facts about a specific graph; pairing a
 // snapshot file with the graph it was built from is the caller's
@@ -164,20 +170,12 @@ func (e *Encoder) U32s(vs []uint32) {
 	}
 }
 
-// U64s writes a length-prefixed []uint64.
-func (e *Encoder) U64s(vs []uint64) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.U64(v)
-	}
-}
-
-// Reader consumes a snapshot written by Writer. NewReader validates the
-// container header; Section then yields one bounded Decoder per section,
-// in order.
+// Reader consumes a log-structured stream written by Writer — the
+// write-ahead log and workload captures, whose sections are all read in
+// order with Next. Index and graph snapshots are read whole with
+// ReadMapped or OpenMapped instead.
 type Reader struct {
-	r       *bufio.Reader
-	version uint16
+	r *bufio.Reader
 }
 
 // NewReader checks the magic, the format name, and the version: a stream
@@ -185,59 +183,29 @@ type Reader struct {
 // snapshot from a newer codec revision (version 0 or > maxVersion) all
 // fail here with a descriptive error.
 func NewReader(r io.Reader, format string, maxVersion uint16) (*Reader, error) {
-	pr, got, err := readHeader(r)
+	br := bufio.NewReader(r)
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, fmt.Errorf("persist: read magic: %w", noEOF(err))
+	}
+	if magic != Magic {
+		return nil, fmt.Errorf("persist: bad magic %q (not a snapshot)", magic[:])
+	}
+	got, err := readName(br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("persist: read format: %w", err)
 	}
 	if got != format {
 		return nil, fmt.Errorf("persist: snapshot format is %q, want %q", got, format)
 	}
-	if pr.version == 0 || pr.version > maxVersion {
-		return nil, fmt.Errorf("persist: %s snapshot version %d not supported (max %d)", format, pr.version, maxVersion)
-	}
-	return pr, nil
-}
-
-// readHeader parses the container header — magic, format name, version —
-// without judging the format or version ceiling.
-func readHeader(r io.Reader) (*Reader, string, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, "", fmt.Errorf("persist: read magic: %w", noEOF(err))
-	}
-	if magic != Magic {
-		return nil, "", fmt.Errorf("persist: bad magic %q (not a snapshot)", magic[:])
-	}
-	format, err := readName(br)
-	if err != nil {
-		return nil, "", fmt.Errorf("persist: read format: %w", err)
-	}
 	var vb [2]byte
 	if _, err := io.ReadFull(br, vb[:]); err != nil {
-		return nil, "", fmt.Errorf("persist: read version: %w", noEOF(err))
+		return nil, fmt.Errorf("persist: read version: %w", noEOF(err))
 	}
-	return &Reader{r: br, version: binary.LittleEndian.Uint16(vb[:])}, format, nil
-}
-
-// Version reports the snapshot's header version.
-func (pr *Reader) Version() uint16 { return pr.version }
-
-// Section reads the next section header and returns a Decoder bounded to
-// exactly that section's payload. The section must carry the expected
-// name — snapshots are read in the order they were written.
-func (pr *Reader) Section(name string) (*Decoder, error) {
-	got, dec, err := pr.Next()
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("persist: read section header: %w", err)
+	if v := binary.LittleEndian.Uint16(vb[:]); v == 0 || v > maxVersion {
+		return nil, fmt.Errorf("persist: %s snapshot version %d not supported (max %d)", format, v, maxVersion)
 	}
-	if got != name {
-		return nil, fmt.Errorf("persist: section %q, want %q", got, name)
-	}
-	return dec, nil
+	return &Reader{r: br}, nil
 }
 
 // Next reads the next section header, whatever its name — the iteration
@@ -368,19 +336,6 @@ func (d *Decoder) U32s() []uint32 {
 	vs := make([]uint32, len(b)/4)
 	for i := range vs {
 		vs[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return vs
-}
-
-// U64s reads a length-prefixed []uint64.
-func (d *Decoder) U64s() []uint64 {
-	b := d.slice(8)
-	if b == nil {
-		return nil
-	}
-	vs := make([]uint64, len(b)/8)
-	for i := range vs {
-		vs[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return vs
 }

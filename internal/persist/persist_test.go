@@ -20,7 +20,6 @@ func writeSample(t *testing.T) []byte {
 	})
 	w.Section("data", func(e *Encoder) {
 		e.U32s([]uint32{1, 2, 3})
-		e.U64s([]uint64{10, 20})
 		e.U32s(nil)
 	})
 	n, err := w.Close()
@@ -39,12 +38,9 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	if r.Version() != 3 {
-		t.Fatalf("Version = %d, want 3", r.Version())
-	}
-	meta, err := r.Section("meta")
-	if err != nil {
-		t.Fatalf("Section(meta): %v", err)
+	name, meta, err := r.Next()
+	if err != nil || name != "meta" {
+		t.Fatalf("Next = %q, %v; want meta", name, err)
 	}
 	if s := meta.String(); s != "hello" {
 		t.Errorf("String = %q", s)
@@ -58,15 +54,12 @@ func TestRoundTrip(t *testing.T) {
 	if err := meta.Close(); err != nil {
 		t.Fatalf("meta Close: %v", err)
 	}
-	data, err := r.Section("data")
-	if err != nil {
-		t.Fatalf("Section(data): %v", err)
+	name, data, err := r.Next()
+	if err != nil || name != "data" {
+		t.Fatalf("Next = %q, %v; want data", name, err)
 	}
 	if got := data.U32s(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Errorf("U32s = %v", got)
-	}
-	if got := data.U64s(); len(got) != 2 || got[1] != 20 {
-		t.Errorf("U64s = %v", got)
 	}
 	if got := data.U32s(); len(got) != 0 {
 		t.Errorf("empty U32s = %v", got)
@@ -92,7 +85,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 				return // header truncation: reported at open
 			}
 			for _, name := range []string{"meta", "data"} {
-				d, err := r.Section(name)
+				_, d, err := r.Next()
 				if err != nil {
 					return
 				}
@@ -102,7 +95,6 @@ func TestTruncationNeverPanics(t *testing.T) {
 					d.U64()
 				} else {
 					d.U32s()
-					d.U64s()
 					d.U32s()
 				}
 				if err := d.Close(); err != nil {
@@ -136,17 +128,6 @@ func TestHeaderValidation(t *testing.T) {
 	}
 }
 
-func TestSectionMismatch(t *testing.T) {
-	raw := writeSample(t)
-	r, err := NewReader(bytes.NewReader(raw), "sample", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Section("data"); err == nil || !strings.Contains(err.Error(), `section "meta", want "data"`) {
-		t.Errorf("out-of-order section: err = %v", err)
-	}
-}
-
 // TestTrailingBytes verifies Close flags a section the decoder did not
 // fully consume — the schema-drift tripwire.
 func TestTrailingBytes(t *testing.T) {
@@ -155,7 +136,7 @@ func TestTrailingBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.Section("meta")
+	_, d, err := r.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +169,7 @@ func TestCorruptLengthBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.Section("data")
+	_, d, err := r.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +189,7 @@ func TestStickyDecodeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.Section("meta")
+	_, d, err := r.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +239,6 @@ func TestNextIteration(t *testing.T) {
 			dec.U64()
 		case "data":
 			dec.U32s()
-			dec.U64s()
 			dec.U32s()
 		default:
 			t.Fatalf("unexpected section %q", name)

@@ -2,11 +2,10 @@ package pll
 
 import (
 	"bytes"
-	"strings"
-	"testing"
-
 	"os"
 	"path/filepath"
+	"strings"
+	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -14,6 +13,30 @@ import (
 	"repro/internal/persist"
 	"repro/internal/tc"
 )
+
+// readStream loads a snapshot from a stream, as reach.LoadIndex does.
+func readStream(b []byte) (*Index, error) {
+	m, err := persist.ReadMapped(bytes.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	return FromMapped(m)
+}
+
+// openMapped writes b to a file and binds it page-mapped, as
+// reach.LoadIndexMapped does.
+func openMapped(t *testing.T, b []byte) (*Index, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "pll.rix")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := persist.OpenMapped(path)
+	if err != nil {
+		return nil, err
+	}
+	return FromMapped(m)
+}
 
 func TestPersistRoundTrip(t *testing.T) {
 	g := gen.ErdosRenyi(gen.Config{N: 120, M: 480, Seed: 1})
@@ -26,7 +49,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if n <= 0 || int(n) != buf.Len() {
 		t.Fatalf("WriteTo reported %d bytes, buffer has %d", n, buf.Len())
 	}
-	back, err := Read(&buf)
+	back, err := readStream(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +70,10 @@ func TestPersistRoundTrip(t *testing.T) {
 }
 
 func TestPersistErrors(t *testing.T) {
-	if _, err := Read(strings.NewReader("")); err == nil {
+	if _, err := readStream(nil); err == nil {
 		t.Error("empty stream should fail")
 	}
-	if _, err := Read(strings.NewReader("NOPE....")); err == nil {
+	if _, err := readStream([]byte("NOPE....")); err == nil {
 		t.Error("bad magic should fail")
 	}
 	// Truncated stream.
@@ -61,8 +84,16 @@ func TestPersistErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
+	if _, err := readStream(trunc); err == nil {
 		t.Error("truncated stream should fail")
+	}
+	// A snapshot of another format.
+	var other bytes.Buffer
+	pw := persist.NewWriter(&other, "bfl", persistVersion)
+	pw.Checksum()
+	pw.Close()
+	if _, err := readStream(other.Bytes()); err == nil || !strings.Contains(err.Error(), `format "bfl"`) {
+		t.Errorf("wrong format: err = %v", err)
 	}
 }
 
@@ -89,51 +120,58 @@ func TestVarintEncodingConformance(t *testing.T) {
 	}
 }
 
+// TestPersistMappedRoundTrip: both label encodings load from a stream and
+// page-mapped from a file, answer like the transitive closure, and every
+// truncation and byte flip of the snapshot fails both ways with an error,
+// never a panic.
 func TestPersistMappedRoundTrip(t *testing.T) {
 	g := gen.ErdosRenyi(gen.Config{N: 120, M: 480, Seed: 4})
 	oracle := tc.NewClosure(g)
 	for _, enc := range []labelstore.Encoding{labelstore.Raw, labelstore.Varint} {
 		ix := New(g, Options{Enc: enc})
-
-		// v2 through the streaming decoder.
 		var buf bytes.Buffer
-		if _, err := ix.WriteMapped(&buf); err != nil {
+		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		dec, err := Read(bytes.NewReader(buf.Bytes()))
+		raw := buf.Bytes()
+		streamed, err := readStream(raw)
 		if err != nil {
-			t.Fatalf("%v: streaming v2 read: %v", enc, err)
+			t.Fatalf("%v: stream read: %v", enc, err)
 		}
-
-		// v2 through the mapped loader.
-		path := filepath.Join(t.TempDir(), "pll.rix")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m, err := persist.OpenMapped(path)
+		mapped, err := openMapped(t, raw)
 		if err != nil {
-			t.Fatalf("%v: open mapped: %v", enc, err)
+			t.Fatalf("%v: mapped read: %v", enc, err)
 		}
-		mapped, err := FromMapped(m)
-		if err != nil {
-			t.Fatalf("%v: FromMapped: %v", enc, err)
-		}
-		if mapped.Name() != ix.Name() || mapped.Stats().Entries != ix.Stats().Entries {
-			t.Fatalf("%v: mapped meta mismatch", enc)
+		for _, back := range []*Index{streamed, mapped} {
+			if back.Name() != ix.Name() || back.Stats().Entries != ix.Stats().Entries {
+				t.Fatalf("%v: loaded meta mismatch", enc)
+			}
 		}
 		for s := graph.V(0); int(s) < g.N(); s++ {
 			for tt := graph.V(0); int(tt) < g.N(); tt++ {
 				want := oracle.Reach(s, tt)
-				if dec.Reach(s, tt) != want || mapped.Reach(s, tt) != want {
-					t.Fatalf("%v: v2 index wrong at (%d,%d)", enc, s, tt)
+				if streamed.Reach(s, tt) != want || mapped.Reach(s, tt) != want {
+					t.Fatalf("%v: loaded index wrong at (%d,%d)", enc, s, tt)
 				}
 			}
 		}
 
-		// Every strict prefix of the v2 stream errors, never panics.
-		for cut := 0; cut < buf.Len(); cut += 211 {
-			if _, err := Read(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-				t.Fatalf("%v: truncated v2 stream of %d bytes accepted", enc, cut)
+		for cut := 0; cut < len(raw); cut += 211 {
+			if _, err := readStream(raw[:cut]); err == nil {
+				t.Fatalf("%v: streamed truncation at %d accepted", enc, cut)
+			}
+			if _, err := openMapped(t, raw[:cut]); err == nil {
+				t.Fatalf("%v: mapped truncation at %d accepted", enc, cut)
+			}
+		}
+		for pos := 0; pos < len(raw); pos += 97 {
+			bad := append([]byte(nil), raw...)
+			bad[pos] ^= 0x5A
+			if _, err := readStream(bad); err == nil {
+				t.Fatalf("%v: streamed flip at byte %d accepted", enc, pos)
+			}
+			if _, err := openMapped(t, bad); err == nil {
+				t.Fatalf("%v: mapped flip at byte %d accepted", enc, pos)
 			}
 		}
 	}

@@ -126,11 +126,9 @@ var (
 	WriteGraph = graph.Write
 	// LoadGraphSnapshot page-maps a graph CSR snapshot (written with
 	// Graph.WriteSnapshot) as a zero-copy Graph, so a warm start skips
-	// edge-list parsing and Freeze entirely.
+	// edge-list parsing and Freeze entirely. Where mmap is unavailable
+	// the file is read into memory instead.
 	LoadGraphSnapshot = graph.LoadSnapshot
-	// ReadGraphSnapshot decodes a graph CSR snapshot from a stream (the
-	// non-mmap fallback to LoadGraphSnapshot).
-	ReadGraphSnapshot = graph.ReadSnapshot
 	// Fig1Plain builds the paper's Figure 1(a) plain graph.
 	Fig1Plain = graph.Fig1Plain
 	// Fig1Labeled builds the paper's Figure 1(b) edge-labeled graph.

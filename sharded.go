@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -60,8 +61,9 @@ type ShardedConfig struct {
 	// so the first boot populates the per-shard snapshots the next boot
 	// maps. Requires a snapshottable Plain kind (BFL, PLL, DL).
 	SnapshotPrefix string
-	// Mapped selects the mapped snapshot layout (mmap zero-copy warm
-	// start) for per-shard snapshots instead of the streaming codec.
+	// Mapped page-maps each per-shard snapshot at load (zero-copy warm
+	// start) instead of reading it into memory. The file layout is the
+	// same either way.
 	Mapped bool
 }
 
@@ -155,7 +157,7 @@ func buildShardEngine(ctx context.Context, g *Graph, cfg ShardedConfig) (*shard.
 			return nil, err
 		}
 		if path != "" {
-			if err := saveShardSnapshot(path, ix, cfg.Mapped); err != nil {
+			if err := saveShardSnapshot(path, ix); err != nil {
 				return nil, err
 			}
 		}
@@ -187,17 +189,13 @@ func loadShardSnapshot(path string, sub *graph.Digraph, opt Options, mapped bool
 
 // saveShardSnapshot writes atomically (temp file + rename), so a crash
 // mid-write never leaves a torn snapshot a later boot would reject.
-func saveShardSnapshot(path string, ix Index, mapped bool) error {
-	f, err := os.CreateTemp(".", "shard-snap-*")
+func saveShardSnapshot(path string, ix Index) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "shard-snap-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if mapped {
-		err = SaveIndexMapped(f, ix)
-	} else {
-		err = SaveIndex(f, ix)
-	}
+	err = SaveIndex(f, ix)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -4,22 +4,18 @@ package reach
 // of rebuilding on every process start. Rebuild cost dominates at scale
 // (the FERRARI line of work budgets index size precisely because of it),
 // so the serving layer (cmd/reachserve) saves its plain index after a
-// fresh build and loads it on the next start — the load is a linear
-// deserialization, visible in build spans as "index/load" instead of
+// fresh build and loads it on the next start — the load is one linear
+// pass over the file, visible in build spans as "index/load" instead of
 // "index/build".
 //
-// Two persistence layouts exist per snapshottable kind:
-//
-//   - SaveIndex writes the streaming codec: compact, decoded
-//     field-by-field with full validation at load.
-//   - SaveIndexMapped writes the mapped layout: fixed-width aligned
-//     array sections plus a whole-file CRC-32C, so LoadIndexMapped can
-//     mmap the file and hand the index zero-copy views of the label
-//     arrays — cold start is page mapping plus a checksum pass, not a
-//     decode pass. On platforms without mmap (or when mapping fails)
-//     LoadIndexMapped transparently falls back to reading the file
-//     through the streaming decoder; both layouts are readable by
-//     LoadIndex.
+// One layout exists per snapshottable kind: SaveIndex writes fixed-width
+// aligned array sections plus a whole-snapshot CRC-32C. LoadIndex reads
+// it from a stream into a line-aligned heap buffer; LoadIndexMapped
+// mmaps the file (reading it into memory where mmap is unavailable).
+// Either way the checksum is verified first and the index is then bound
+// through one format switch to zero-copy views of its arrays — a cold
+// start is a read (or page mapping) plus a checksum pass (and, for varint
+// labels, one validation pass), not a decode into fresh arrays.
 //
 // Snapshots are positional facts about one specific graph. Pairing a
 // snapshot with the graph it was built from is the caller's
@@ -45,7 +41,7 @@ import (
 // index (TFL, HL over a cyclic graph) is refused: its labels are over
 // SCC-component ids, and the pll snapshot format re-binds labels to
 // original vertex ids, which would silently corrupt answers.
-func snapshotTarget(ix Index) (any, error) {
+func snapshotTarget(ix Index) (io.WriterTo, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("%w: nil index", ErrBadOptions)
 	}
@@ -72,106 +68,61 @@ func snapshotTarget(ix Index) (any, error) {
 		ErrBadOptions, ix.Name(), KindBFL, KindPLL, KindDL)
 }
 
-// SaveIndex writes a portable snapshot of ix in the streaming codec.
-// Snapshottable kinds are KindBFL — whether queried directly or through
-// the SCC-condensation adapter (the adapter is unwrapped; only the
-// DAG-level labels are persisted, the condensation is recomputed at
-// load) — and the directly-built 2-hop kinds KindPLL and KindDL. Other
-// kinds report ErrBadOptions.
+// SaveIndex writes a snapshot of ix. Snapshottable kinds are KindBFL —
+// whether queried directly or through the SCC-condensation adapter (the
+// adapter is unwrapped; only the DAG-level labels are persisted, the
+// condensation is recomputed at load) — and the directly-built 2-hop
+// kinds KindPLL and KindDL. Other kinds report ErrBadOptions. The writer
+// must be positioned at the start of the file: section alignment is
+// computed from the file origin.
 func SaveIndex(w io.Writer, ix Index) error {
 	t, err := snapshotTarget(ix)
 	if err != nil {
 		return err
 	}
-	switch t := t.(type) {
-	case *bfl.Index:
-		_, err = t.WriteTo(w)
-	case *pll.Index:
-		_, err = t.WriteTo(w)
-	}
+	_, err = t.WriteTo(w)
 	return err
 }
 
-// SaveIndexMapped writes a snapshot of ix in the mapped layout —
-// aligned array sections plus a whole-file checksum — for zero-copy
-// loading via LoadIndexMapped. The writer must be positioned at the
-// start of the file (section alignment is computed from the file
-// origin). The same kinds as SaveIndex are supported, and LoadIndex can
-// also read the mapped layout through the streaming decoder.
-func SaveIndexMapped(w io.Writer, ix Index) error {
-	t, err := snapshotTarget(ix)
-	if err != nil {
-		return err
-	}
-	switch t := t.(type) {
-	case *bfl.Index: // one layout serves both load paths
-		_, err = t.WriteTo(w)
-	case *pll.Index:
-		_, err = t.WriteMapped(w)
-	}
-	return err
-}
-
-// LoadIndex reads a snapshot written by SaveIndex or SaveIndexMapped and
-// re-binds it to g — the same graph the saved index was built over. The
-// snapshot kind is sniffed from the stream. For BFL the SCC condensation
-// is recomputed (or drawn from Options.Prepared, exactly like a build);
-// the deserialization is recorded as an "index/load" span, so a
-// warm-started timeline never shows an "index/build" phase. Corrupt,
-// truncated, or mismatched input yields an error, never a panic.
-func LoadIndex(r io.Reader, g *Graph, opt Options) (ix Index, err error) {
-	if err := checkBuild(nil, g, opt); err != nil {
-		return nil, err
-	}
+// LoadIndex reads a snapshot written by SaveIndex — through its checksum
+// section and no further — and re-binds it to g, the same graph the
+// saved index was built over. The snapshot kind is read from its header.
+// For BFL the SCC condensation is recomputed (or drawn from
+// Options.Prepared, exactly like a build); binding is recorded as an
+// "index/load" span, so a warm-started timeline never shows an
+// "index/build" phase. Corrupt, truncated, or mismatched input yields an
+// error, never a panic.
+func LoadIndex(r io.Reader, g *Graph, opt Options) (Index, error) {
 	if r == nil {
 		return nil, fmt.Errorf("%w: nil snapshot reader", ErrBadOptions)
 	}
-	defer core.Recover(&err)
-	pr, format, err := persist.NewReaderAny(r)
-	if err != nil {
-		return nil, err
-	}
-	switch format {
-	case "bfl":
-		return core.ForGeneralLoaded(g, opt.Spans, opt.Prepared, func(dag *graph.Digraph) (Index, error) {
-			return bfl.ReadSections(pr, dag)
-		})
-	case "pll":
-		end := opt.Spans.Start("index/load")
-		defer end()
-		px, err := pll.ReadSections(pr)
-		if err != nil {
-			return nil, err
-		}
-		if px.N() != g.N() {
-			return nil, fmt.Errorf("pll: snapshot has %d vertices, graph has %d (snapshot built over a different graph?)", px.N(), g.N())
-		}
-		return px, nil
-	}
-	return nil, fmt.Errorf("%w: unknown snapshot format %q", ErrBadOptions, format)
+	return loadSnapshot(func() (*persist.Mapped, error) { return persist.ReadMapped(r) }, g, opt)
 }
 
-// LoadIndexMapped opens the mapped-layout snapshot file at path and
-// binds it to g as a zero-copy index: the file is mmap'd (read-only,
-// shared) and the index's label arrays are views into the mapping, so
-// cold start faults in pages on demand instead of decoding the file. On
-// platforms without mmap support the file is read into memory instead —
-// same views, one up-front copy. The file's whole-body CRC-32C is
-// verified before any view is trusted; corruption, truncation, or a
-// streaming-layout file yields an error, never a panic.
+// LoadIndexMapped is LoadIndex from the snapshot file at path, page-mapped
+// (read-only, shared) instead of read: the index's label arrays are views
+// into the mapping, so cold start faults in pages on demand. On platforms
+// without mmap support the file is read into memory instead — same
+// views, one up-front copy.
 //
 // The returned index pins the mapping for its lifetime; the mapping is
 // released when the index is garbage collected.
-func LoadIndexMapped(path string, g *Graph, opt Options) (ix Index, err error) {
+func LoadIndexMapped(path string, g *Graph, opt Options) (Index, error) {
+	return loadSnapshot(func() (*persist.Mapped, error) { return persist.OpenMapped(path) }, g, opt)
+}
+
+// loadSnapshot opens a snapshot with open — which verifies its checksum —
+// and binds it to g by format.
+func loadSnapshot(open func() (*persist.Mapped, error), g *Graph, opt Options) (ix Index, err error) {
 	if err := checkBuild(nil, g, opt); err != nil {
 		return nil, err
 	}
 	defer core.Recover(&err)
-	m, err := persist.OpenMapped(path)
+	m, err := open()
 	if err != nil {
 		return nil, err
 	}
-	// On any failure past this point the mapping has no owner yet.
+	// On any failure past this point the snapshot has no owner yet.
 	defer func() {
 		if err != nil {
 			m.Close()

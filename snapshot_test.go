@@ -2,8 +2,10 @@ package reach
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -159,12 +161,13 @@ func TestSaveIndexRefusesCondensedPLL(t *testing.T) {
 	}
 }
 
-// TestSnapshotMappedEquivalence is the acceptance matrix for the two
-// snapshot layouts: for each snapshottable kind and label encoding,
-// build → SaveIndex → LoadIndex, build → SaveIndexMapped →
-// LoadIndexMapped, and build → SaveIndexMapped → LoadIndex (the mapped
-// layout is streaming-decodable too) must all answer identically to the
-// fresh index, on Figure 1 and on a 12k-vertex DAG.
+// TestSnapshotMappedEquivalence is the acceptance matrix for the one
+// snapshot layout: for each snapshottable kind and label encoding,
+// build → SaveIndex, then LoadIndex from a stream, LoadIndexMapped from
+// the file, and LoadIndex from the opened file (the read-into-memory
+// path OpenMapped falls back to where mmap is unavailable) must all
+// answer identically to the fresh index, on Figure 1 and on a 12k-vertex
+// DAG.
 func TestSnapshotMappedEquivalence(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -191,28 +194,27 @@ func TestSnapshotMappedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var v1, mapped bytes.Buffer
-				if err := SaveIndex(&v1, fresh); err != nil {
-					t.Fatalf("SaveIndex: %v", err)
-				}
-				if err := SaveIndexMapped(&mapped, fresh); err != nil {
-					t.Fatalf("SaveIndexMapped: %v", err)
-				}
+				raw := snapshotOf(t, fresh)
 				path := filepath.Join(t.TempDir(), "ix.snap")
-				if err := os.WriteFile(path, mapped.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				loadedV1, err := LoadIndex(bytes.NewReader(v1.Bytes()), g, Options{})
+				streamed, err := LoadIndex(bytes.NewReader(raw), g, Options{})
 				if err != nil {
-					t.Fatalf("LoadIndex(v1): %v", err)
+					t.Fatalf("LoadIndex: %v", err)
 				}
-				loadedV2, err := LoadIndex(bytes.NewReader(mapped.Bytes()), g, Options{})
-				if err != nil {
-					t.Fatalf("LoadIndex(mapped layout): %v", err)
-				}
-				loadedMap, err := LoadIndexMapped(path, g, Options{})
+				mapped, err := LoadIndexMapped(path, g, Options{})
 				if err != nil {
 					t.Fatalf("LoadIndexMapped: %v", err)
+				}
+				f, err := os.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				read, err := LoadIndex(f, g, Options{})
+				f.Close()
+				if err != nil {
+					t.Fatalf("LoadIndex(file): %v", err)
 				}
 				rng := rand.New(rand.NewSource(13))
 				pairs := g.N() * g.N()
@@ -223,7 +225,7 @@ func TestSnapshotMappedEquivalence(t *testing.T) {
 					s := V(rng.Intn(g.N()))
 					tv := V(rng.Intn(g.N()))
 					want := fresh.Reach(s, tv)
-					for j, ld := range []Index{loadedV1, loadedV2, loadedMap} {
+					for j, ld := range []Index{streamed, mapped, read} {
 						if got := ld.Reach(s, tv); got != want {
 							t.Fatalf("loaded[%d].Reach(%d,%d) = %v, fresh says %v", j, s, tv, got, want)
 						}
@@ -234,20 +236,16 @@ func TestSnapshotMappedEquivalence(t *testing.T) {
 	}
 }
 
-// TestLoadIndexMappedCorruption flips bytes across a mapped snapshot
-// file; every corrupted load must fail the checksum (or section parse)
-// cleanly — an error, never a panic, never a silently-wrong index.
+// TestLoadIndexMappedCorruption flips bytes across a snapshot file; every
+// corrupted load must fail the checksum (or section parse) cleanly — an
+// error, never a panic, never a silently-wrong index.
 func TestLoadIndexMappedCorruption(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 500, M: 1_500, Seed: 17})
 	ix, err := Build(KindPLL, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveIndexMapped(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := snapshotOf(t, ix)
 	dir := t.TempDir()
 	for pos := 0; pos < len(raw); pos += 211 {
 		bad := append([]byte(nil), raw...)
@@ -282,12 +280,8 @@ func TestWarmStartMappedDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, _ := cold.PlainIndex(KindPLL)
-	var buf bytes.Buffer
-	if err := SaveIndexMapped(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "pll.snap")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, snapshotOf(t, ix), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	warm, err := NewDB(g, DBConfig{Plain: KindPLL, Metrics: true, PlainSnapshotMapped: path})
@@ -357,57 +351,114 @@ func TestLoadIndexTruncationNeverPanics(t *testing.T) {
 	}
 }
 
-// TestLoadIndexRefusesOldBFLLayouts: a BFL snapshot in the version-1 or
-// version-2 layout (interval and filter arrays in separate sections) is
-// refused by LoadIndex, and the version-2 one by LoadIndexMapped, with an
-// error naming the version — never a panic, never a wrong index.
-func TestLoadIndexRefusesOldBFLLayouts(t *testing.T) {
+// TestLoadIndexRefusesOldLayouts: a BFL snapshot in the version-1 or
+// version-2 layout (interval and filter arrays in separate sections), and
+// a PLL snapshot in the version-1 streamed layout (no checksum), are
+// refused by LoadIndex and LoadIndexMapped with an error naming the
+// version and saying to rebuild — never a panic, never a wrong index.
+func TestLoadIndexRefusesOldLayouts(t *testing.T) {
 	g := Fig1Plain()
 	n := uint32(g.N())
-	meta := func(e *persist.Encoder) { e.U32(n); e.U32(4) }
-	for v, write := range map[uint16]func(pw *persist.Writer){
-		1: func(pw *persist.Writer) {
-			pw.Section("meta", meta)
+	bflMeta := func(e *persist.Encoder) { e.U32(n); e.U32(4) }
+	for _, old := range []struct {
+		format  string
+		version uint16
+		write   func(pw *persist.Writer)
+	}{
+		{"bfl", 1, func(pw *persist.Writer) {
+			pw.Section("meta", bflMeta)
 			pw.Section("intervals", func(e *persist.Encoder) { e.U32s(make([]uint32, 2*n)) })
-			pw.Section("filters", func(e *persist.Encoder) { e.U64s(make([]uint64, 8*n)) })
-		},
-		2: func(pw *persist.Writer) {
-			pw.Section("meta", meta)
-			pw.AlignedU32s("post", make([]uint32, n))
-			pw.AlignedU32s("min", make([]uint32, n))
-			pw.AlignedU64s("fout", make([]uint64, 4*n))
-			pw.AlignedU64s("fin", make([]uint64, 4*n))
+			pw.Section("filters", func(e *persist.Encoder) {
+				e.U32(8 * n) // a length-prefixed []uint64 of 8n zero words
+				for i := uint32(0); i < 16*n; i++ {
+					e.U32(0)
+				}
+			})
+		}},
+		{"bfl", 2, func(pw *persist.Writer) {
+			pw.Section("meta", bflMeta)
+			pw.U32s("post", make([]uint32, n))
+			pw.U32s("min", make([]uint32, n))
+			pw.AlignedBytes("fout", 8, make([]byte, 32*n))
+			pw.AlignedBytes("fin", 8, make([]byte, 32*n))
 			pw.Checksum()
-		},
+		}},
+		{"pll", 1, func(pw *persist.Writer) {
+			pw.Section("meta", func(e *persist.Encoder) { e.String("PLL"); e.U32(n) })
+			pw.Section("rank", func(e *persist.Encoder) { e.U32s(make([]uint32, n)) })
+			pw.Section("labels", func(e *persist.Encoder) {
+				for v := uint32(0); v < n; v++ {
+					e.U32s([]uint32{v}) // in-labels
+					e.U32s([]uint32{v}) // out-labels
+				}
+			})
+		}},
 	} {
 		var buf bytes.Buffer
-		pw := persist.NewWriter(&buf, "bfl", v)
-		write(pw)
+		pw := persist.NewWriter(&buf, old.format, old.version)
+		old.write(pw)
 		if _, err := pw.Close(); err != nil {
 			t.Fatal(err)
-		}
-		want := fmt.Sprintf("version %d", v)
-		if _, err := LoadIndex(bytes.NewReader(buf.Bytes()), g, Options{}); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("v%d LoadIndex: err = %v, want one naming %q", v, err, want)
-		}
-		if v == 1 {
-			continue // no checksum: never a mapped layout
 		}
 		path := filepath.Join(t.TempDir(), "old.snap")
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadIndexMapped(path, g, Options{}); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("v%d LoadIndexMapped: err = %v, want one naming %q", v, err, want)
+		want := fmt.Sprintf("version %d", old.version)
+		_, errRead := LoadIndex(bytes.NewReader(buf.Bytes()), g, Options{})
+		_, errMap := LoadIndexMapped(path, g, Options{})
+		for call, err := range map[string]error{"LoadIndex": errRead, "LoadIndexMapped": errMap} {
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "rebuild") {
+				t.Errorf("%s v%d %s: err = %v, want one naming %q and saying to rebuild", old.format, old.version, call, err, want)
+			}
+		}
+	}
+}
+
+// TestSnapshotRefusesMalformedVarintRow: a varint label row whose last
+// byte claims a continuation, in a snapshot whose checksum was recomputed
+// to match, fails both load calls with an error. Trusting the checksum
+// alone would load it, and the row's cursor would stop early and answer
+// wrong.
+func TestSnapshotRefusesMalformedVarintRow(t *testing.T) {
+	g := gen.RandomDAG(gen.Config{N: 300, M: 900, Seed: 19})
+	ix, err := Build(KindPLL, g, Options{LabelEnc: EncVarint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := snapshotOf(t, ix)
+	// The "indata" section: name, u64 length, then the align/pad header
+	// (align 1, so no pad) and the varint stream. Its last byte ends the
+	// last non-empty row; setting its high bit truncates that varint.
+	hdr := bytes.Index(raw, []byte("\x06\x00indata"))
+	if hdr < 0 {
+		t.Fatal("no indata section")
+	}
+	size := binary.LittleEndian.Uint64(raw[hdr+8:])
+	raw[hdr+16+int(size)-1] |= 0x80
+	// Recompute the trailing checksum: the crc32 section is the last 19
+	// bytes (name 2+5, length 8, CRC 4) and covers everything before it.
+	body := len(raw) - 19
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.Checksum(raw[:body], crc32.MakeTable(crc32.Castagnoli)))
+
+	path := filepath.Join(t.TempDir(), "bad.snap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, errRead := LoadIndex(bytes.NewReader(raw), g, Options{})
+	_, errMap := LoadIndexMapped(path, g, Options{})
+	for call, err := range map[string]error{"LoadIndex": errRead, "LoadIndexMapped": errMap} {
+		if err == nil || !strings.Contains(err.Error(), "invalid varint") {
+			t.Errorf("%s: err = %v, want an invalid-varint error", call, err)
 		}
 	}
 }
 
 // TestMappedLoadAllocsDoNotGrowWithN: page-mapping a PLL snapshot
 // allocates the same number of heap objects (±8) at n=3000 and n=12000,
-// and at most 1/100 of the bytes that decoding the same labels through
-// the streaming codec allocates — the labels are views into the mapping,
-// not copies.
+// and at most 1/100 of the bytes that reading the same snapshot into
+// memory through LoadIndex allocates — the labels are views into the
+// mapping, not copies.
 func TestMappedLoadAllocsDoNotGrowWithN(t *testing.T) {
 	var objects [2]uint64
 	for i, n := range []int{3000, 12_000} {
@@ -418,7 +469,7 @@ func TestMappedLoadAllocsDoNotGrowWithN(t *testing.T) {
 		}
 		stream := snapshotOf(t, ix)
 		var buf bytes.Buffer
-		if err := SaveIndexMapped(&buf, ix); err != nil {
+		if err := SaveIndex(&buf, ix); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "pll.snap")
