@@ -96,7 +96,6 @@ func main() {
 	walFsync := flag.String("wal-fsync", "always", "WAL durability: always (fsync before acking each group commit) or never (OS page cache)")
 	mutateBatch := flag.Int("mutate-batch", 0, "max mutation ops per group commit; 0 = default")
 	rebuildThreshold := flag.Int("rebuild-threshold", 0, "overlay edges that trigger a background reindex; 0 = default, negative disables")
-	labelEnc := flag.String("labelenc", "raw", "2-hop label storage encoding: raw (flat uint32 arrays) or varint (delta-compressed)")
 	maxInFlight := flag.Int("max-inflight", 256, "max concurrently executing query requests")
 	maxQueue := flag.Int("max-queue", 0, "max queued query requests; 0 = same as -max-inflight")
 	queueWait := flag.Duration("queue-wait", 100*time.Millisecond, "max time a request waits for an admission slot")
@@ -150,14 +149,10 @@ func main() {
 		logger.Info("workload capture enabled", "file", *record)
 	}
 
-	enc, err := parseLabelEnc(*labelEnc)
-	if err != nil {
-		lg.Fatalf("%v", err)
-	}
 	cfg := reach.DBConfig{
 		Plain:          reach.Kind(*indexKind),
 		LCR:            reach.LCRKind(*lcrKind),
-		Options:        reach.Options{K: *k, Bits: *bits, Workers: *workers, MaxSeq: *maxseq, LabelEnc: enc},
+		Options:        reach.Options{K: *k, Bits: *bits, Workers: *workers, MaxSeq: *maxseq},
 		Metrics:        *metrics,
 		Degraded:       *degraded,
 		Tracing:        tracer != nil,
@@ -296,17 +291,6 @@ func parseFsync(s string) (reach.FsyncMode, error) {
 		return reach.FsyncNever, nil
 	}
 	return 0, fmt.Errorf("bad -wal-fsync %q (want always or never)", s)
-}
-
-// parseLabelEnc maps the -labelenc flag onto reach.LabelEncoding.
-func parseLabelEnc(s string) (reach.LabelEncoding, error) {
-	switch s {
-	case "raw":
-		return reach.EncRaw, nil
-	case "varint":
-		return reach.EncVarint, nil
-	}
-	return 0, fmt.Errorf("bad -labelenc %q (want raw or varint)", s)
 }
 
 // newLogger builds the process logger: structured lines to w, text or

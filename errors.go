@@ -57,8 +57,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("%w: MaxSeq = %d (want >= 0)", ErrBadOptions, o.MaxSeq)
 	case o.Workers < 0:
 		return fmt.Errorf("%w: Workers = %d (want >= 0)", ErrBadOptions, o.Workers)
-	case o.LabelEnc > EncVarint:
-		return fmt.Errorf("%w: LabelEnc = %d (want EncRaw or EncVarint)", ErrBadOptions, o.LabelEnc)
 	}
 	return nil
 }

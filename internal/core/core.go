@@ -26,9 +26,9 @@ type Stats struct {
 }
 
 // SizeBreakdown splits an index's resident bytes by role: CSR offset
-// tables, label payloads (flat or compressed), and everything else
-// (ranks, intervals, condensation maps). The obs layer exports it so a
-// label-compression win is observable, not just benchmarked.
+// tables, label payloads, and everything else (ranks, intervals,
+// condensation maps). The obs layer exports it so where an index spends
+// its bytes is observable, not just benchmarked.
 type SizeBreakdown struct {
 	Offsets int
 	Labels  int

@@ -2,11 +2,10 @@ package labelstore
 
 // The 2-hop query kernel, shared by PLL (and its TFL/DL/HL orders) and
 // TOL: Qr(s, t) holds iff Lout(s) ∩ Lin(t) ≠ ∅, rt ∈ Lout(s), or
-// rs ∈ Lin(t), where rs/rt are the endpoints' own ranks. Two variants
-// cover the two physical layouts — plain sorted slices (raw rows,
-// builder rows, thawed dynamic rows) and Cursors (which also iterate
-// varint rows without materializing them). Both are single forward
-// merges: contiguous, branch-predictable, 0 allocs.
+// rs ∈ Lin(t), where rs/rt are the endpoints' own ranks. Every row it
+// meets — a frozen Store row, a builder row, a thawed dynamic row — is a
+// plain sorted slice, so the query is one forward merge: contiguous,
+// branch-predictable, 0 allocs.
 
 // CoverRows answers the 2-hop cover query over sorted slice rows.
 func CoverRows(ls, lt []uint32, rs, rt uint32) bool {
@@ -39,41 +38,3 @@ func CoverRows(ls, lt []uint32, rs, rt uint32) bool {
 	}
 	return false
 }
-
-// CoverCursors answers the same query over cursors.
-func CoverCursors(cs, ct Cursor, rs, rt uint32) bool {
-	a, aok := cs.Next()
-	b, bok := ct.Next()
-	for aok && bok {
-		switch {
-		case a == b:
-			return true
-		case a < b:
-			if a == rt {
-				return true
-			}
-			a, aok = cs.Next()
-		default:
-			if b == rs {
-				return true
-			}
-			b, bok = ct.Next()
-		}
-	}
-	for ; aok; a, aok = cs.Next() {
-		if a == rt {
-			return true
-		}
-	}
-	for ; bok; b, bok = ct.Next() {
-		if b == rs {
-			return true
-		}
-	}
-	return false
-}
-
-// SliceCursor adapts a sorted slice row to the Cursor iteration API, so
-// mixed-layout merges (a thawed dynamic row against a frozen varint row)
-// go through one code path.
-func SliceCursor(row []uint32) Cursor { return Cursor{lab: row} }

@@ -96,9 +96,9 @@ func writeArray[T uint16 | uint32](pw *Writer, name string, vs []T) {
 }
 
 // AlignedBytes writes b as one byte-array section in the aligned framing,
-// starting at a multiple of align: 1 for varint label streams, a record's
-// size for fixed-size records, so a mapped record never straddles a line.
-// Mapped.Bytes reads it back.
+// starting at a multiple of align: a record's size for fixed-size
+// records, so a mapped record never straddles a line. Mapped.Bytes reads
+// it back.
 func (pw *Writer) AlignedBytes(name string, align uint32, b []byte) {
 	if !pw.alignedHeader(name, align, len(b)) {
 		return

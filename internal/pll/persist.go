@@ -14,21 +14,26 @@ import (
 // arrays as zero-copy views whether persist.OpenMapped page-mapped the
 // file or persist.ReadMapped read it from a stream:
 //
-//	meta   — name, n, encoding, per-direction entry counts
+//	meta   — name, n, label encoding word (always 0), per-direction
+//	         entry counts
 //	rank   — rank[n], 4-byte aligned
-//	inoff/outoff   — CSR offset tables, 4-byte aligned
-//	inlab/outlab   — raw label arrays (Raw encoding), 4-byte aligned
-//	indata/outdata — varint label streams (Varint encoding)
+//	inoff/outoff — CSR offset tables, 4-byte aligned
+//	inlab/outlab — flat label arrays, 4-byte aligned
 //	crc32  — CRC-32C of everything above
 //
 // Version 1 (one streamed section of per-vertex label lists, no
-// checksum) is refused: a snapshot caches a deterministic build, so
-// rebuild it. Labels are positional 2-hop facts about a specific graph;
+// checksum) is refused, and so is a version-2 file whose encoding word
+// is 1 (delta-varint label streams in indata/outdata sections, a layout
+// earlier builds could write): a snapshot caches a deterministic build,
+// so rebuild it. Labels are positional 2-hop facts about a specific graph;
 // the caller is responsible for pairing a snapshot with the graph it was
 // built from (as with any external index file in a DBMS).
 const (
 	persistFormat  = "pll"
 	persistVersion = 2
+	// The meta section's label encoding word.
+	flatLabels   = 0
+	varintLabels = 1
 )
 
 // WriteTo serializes the index. The writer must be positioned at the
@@ -39,22 +44,17 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	pw.Section("meta", func(e *persist.Encoder) {
 		e.String(ix.name)
 		e.U32(uint32(len(ix.rank)))
-		e.U32(uint32(ix.in.Encoding()))
+		e.U32(flatLabels)
 		e.U64(uint64(ix.in.Entries()))
 		e.U64(uint64(ix.out.Entries()))
 	})
 	pw.U32s("rank", ix.rank)
-	inOff, inLab, inData := ix.in.Parts()
-	outOff, outLab, outData := ix.out.Parts()
+	inOff, inLab := ix.in.Parts()
+	outOff, outLab := ix.out.Parts()
 	pw.U32s("inoff", inOff)
 	pw.U32s("outoff", outOff)
-	if ix.in.Encoding() == labelstore.Raw {
-		pw.U32s("inlab", inLab)
-		pw.U32s("outlab", outLab)
-	} else {
-		pw.AlignedBytes("indata", 1, inData)
-		pw.AlignedBytes("outdata", 1, outData)
-	}
+	pw.U32s("inlab", inLab)
+	pw.U32s("outlab", outLab)
 	pw.Checksum()
 	return pw.Close()
 }
@@ -64,7 +64,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // and label payloads are views into the snapshot's bytes (mapped pages
 // fault in as queries touch them). The index pins the Mapped for its
 // lifetime. The checksum persist verified guards against corruption; the
-// offset tables and every varint row are still validated here, so a
+// offset tables and every label row are still validated here, so a
 // well-checksummed file holding impossible labels fails with an error
 // instead of answering wrong.
 func FromMapped(m *persist.Mapped) (*Index, error) {
@@ -80,7 +80,7 @@ func FromMapped(m *persist.Mapped) (*Index, error) {
 	}
 	name := meta.String()
 	n := meta.U32()
-	enc := labelstore.Encoding(meta.U32())
+	enc := meta.U32()
 	inEntries, outEntries := meta.U64(), meta.U64()
 	if err := meta.Close(); err != nil {
 		return nil, err
@@ -88,7 +88,11 @@ func FromMapped(m *persist.Mapped) (*Index, error) {
 	if n > 1<<30 {
 		return nil, fmt.Errorf("pll: implausible vertex count %d", n)
 	}
-	if enc != labelstore.Raw && enc != labelstore.Varint {
+	switch enc {
+	case flatLabels:
+	case varintLabels:
+		return nil, fmt.Errorf("pll: snapshot stores its labels in the delta-varint encoding, which this build no longer reads; delete the snapshot file and rebuild the index")
+	default:
 		return nil, fmt.Errorf("pll: unknown label encoding %d", enc)
 	}
 	ix := &Index{name: name, backing: m}
@@ -105,18 +109,11 @@ func FromMapped(m *persist.Mapped) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		var s *labelstore.Store
-		if enc == labelstore.Raw {
-			var lab []uint32
-			if lab, err = m.U32s(dir + "lab"); err == nil {
-				s, err = labelstore.FromParts(int(n), off, lab)
-			}
-		} else {
-			var data []byte
-			if data, err = m.Bytes(dir + "data"); err == nil {
-				s, err = labelstore.FromEncoded(int(n), off, data)
-			}
+		lab, err := m.U32s(dir + "lab")
+		if err != nil {
+			return nil, err
 		}
+		s, err := labelstore.FromParts(int(n), off, lab)
 		if err != nil {
 			return nil, fmt.Errorf("pll: %s labels: %w", dir, err)
 		}

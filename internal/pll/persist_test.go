@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/labelstore"
 	"repro/internal/persist"
 	"repro/internal/tc"
 )
@@ -97,82 +96,57 @@ func TestPersistErrors(t *testing.T) {
 	}
 }
 
-func TestVarintEncodingConformance(t *testing.T) {
-	// A varint-encoded index must answer identically to raw on every pair.
-	g := gen.ErdosRenyi(gen.Config{N: 120, M: 480, Seed: 3})
-	raw := New(g, Options{})
-	vi := New(g, Options{Enc: labelstore.Varint})
-	if vi.Encoding() != labelstore.Varint {
-		t.Fatalf("encoding = %v", vi.Encoding())
-	}
-	if vi.Stats().Entries != raw.Stats().Entries {
-		t.Fatalf("entries raw %d varint %d", raw.Stats().Entries, vi.Stats().Entries)
-	}
-	if vi.Stats().Bytes >= raw.Stats().Bytes {
-		t.Errorf("varint bytes %d not below raw %d", vi.Stats().Bytes, raw.Stats().Bytes)
-	}
-	for s := graph.V(0); int(s) < g.N(); s++ {
-		for tt := graph.V(0); int(tt) < g.N(); tt++ {
-			if raw.Reach(s, tt) != vi.Reach(s, tt) {
-				t.Fatalf("varint index diverges at (%d,%d)", s, tt)
-			}
-		}
-	}
-}
-
-// TestPersistMappedRoundTrip: both label encodings load from a stream and
-// page-mapped from a file, answer like the transitive closure, and every
+// TestPersistMappedRoundTrip: an index loads from a stream and
+// page-mapped from a file, answers like the transitive closure, and every
 // truncation and byte flip of the snapshot fails both ways with an error,
 // never a panic.
 func TestPersistMappedRoundTrip(t *testing.T) {
 	g := gen.ErdosRenyi(gen.Config{N: 120, M: 480, Seed: 4})
 	oracle := tc.NewClosure(g)
-	for _, enc := range []labelstore.Encoding{labelstore.Raw, labelstore.Varint} {
-		ix := New(g, Options{Enc: enc})
-		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
-			t.Fatal(err)
+	ix := New(g, Options{})
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	streamed, err := readStream(raw)
+	if err != nil {
+		t.Fatalf("stream read: %v", err)
+	}
+	mapped, err := openMapped(t, raw)
+	if err != nil {
+		t.Fatalf("mapped read: %v", err)
+	}
+	for _, back := range []*Index{streamed, mapped} {
+		if back.Name() != ix.Name() || back.Stats().Entries != ix.Stats().Entries {
+			t.Fatal("loaded meta mismatch")
 		}
-		raw := buf.Bytes()
-		streamed, err := readStream(raw)
-		if err != nil {
-			t.Fatalf("%v: stream read: %v", enc, err)
-		}
-		mapped, err := openMapped(t, raw)
-		if err != nil {
-			t.Fatalf("%v: mapped read: %v", enc, err)
-		}
-		for _, back := range []*Index{streamed, mapped} {
-			if back.Name() != ix.Name() || back.Stats().Entries != ix.Stats().Entries {
-				t.Fatalf("%v: loaded meta mismatch", enc)
+	}
+	for s := graph.V(0); int(s) < g.N(); s++ {
+		for tt := graph.V(0); int(tt) < g.N(); tt++ {
+			want := oracle.Reach(s, tt)
+			if streamed.Reach(s, tt) != want || mapped.Reach(s, tt) != want {
+				t.Fatalf("loaded index wrong at (%d,%d)", s, tt)
 			}
 		}
-		for s := graph.V(0); int(s) < g.N(); s++ {
-			for tt := graph.V(0); int(tt) < g.N(); tt++ {
-				want := oracle.Reach(s, tt)
-				if streamed.Reach(s, tt) != want || mapped.Reach(s, tt) != want {
-					t.Fatalf("%v: loaded index wrong at (%d,%d)", enc, s, tt)
-				}
-			}
-		}
+	}
 
-		for cut := 0; cut < len(raw); cut += 211 {
-			if _, err := readStream(raw[:cut]); err == nil {
-				t.Fatalf("%v: streamed truncation at %d accepted", enc, cut)
-			}
-			if _, err := openMapped(t, raw[:cut]); err == nil {
-				t.Fatalf("%v: mapped truncation at %d accepted", enc, cut)
-			}
+	for cut := 0; cut < len(raw); cut += 211 {
+		if _, err := readStream(raw[:cut]); err == nil {
+			t.Fatalf("streamed truncation at %d accepted", cut)
 		}
-		for pos := 0; pos < len(raw); pos += 97 {
-			bad := append([]byte(nil), raw...)
-			bad[pos] ^= 0x5A
-			if _, err := readStream(bad); err == nil {
-				t.Fatalf("%v: streamed flip at byte %d accepted", enc, pos)
-			}
-			if _, err := openMapped(t, bad); err == nil {
-				t.Fatalf("%v: mapped flip at byte %d accepted", enc, pos)
-			}
+		if _, err := openMapped(t, raw[:cut]); err == nil {
+			t.Fatalf("mapped truncation at %d accepted", cut)
+		}
+	}
+	for pos := 0; pos < len(raw); pos += 97 {
+		bad := append([]byte(nil), raw...)
+		bad[pos] ^= 0x5A
+		if _, err := readStream(bad); err == nil {
+			t.Fatalf("streamed flip at byte %d accepted", pos)
+		}
+		if _, err := openMapped(t, bad); err == nil {
+			t.Fatalf("mapped flip at byte %d accepted", pos)
 		}
 	}
 }

@@ -19,8 +19,8 @@
 //
 // Labels live in internal/labelstore flat CSR storage: build emits into
 // pooled arenas, Freeze packs each direction into one offset table plus
-// one contiguous payload, and queries are forward merges over contiguous
-// memory — optionally delta+varint compressed (Options.Enc).
+// one contiguous []uint32, and queries are forward merges over contiguous
+// memory.
 package pll
 
 import (
@@ -48,9 +48,6 @@ type Options struct {
 	// Name overrides the reported index name (e.g. "DL", "TFL"); default
 	// derives from the order.
 	Name string
-	// Enc selects the frozen label encoding: labelstore.Raw (default)
-	// keeps flat uint32 arrays, labelstore.Varint delta-compresses them.
-	Enc labelstore.Encoding
 	// Check is an optional cancellation checkpoint ticked once per BFS
 	// dequeue of the labeling passes; nil runs unchecked.
 	Check *core.Check
@@ -161,8 +158,8 @@ func New(g *graph.Digraph, opts Options) *Index {
 			}
 		}
 	}
-	ix.in = bin.Freeze(opts.Enc)
-	ix.out = bout.Freeze(opts.Enc)
+	ix.in = bin.Freeze()
+	ix.out = bout.Freeze()
 	bin.Release()
 	bout.Release()
 	ix.refreshStats()
@@ -187,18 +184,12 @@ func buildCovered(bout, bin *labelstore.Builder, rank []uint32, s, t graph.V) bo
 }
 
 // covered reports whether the frozen labels certify s → t (the three
-// query cases of §3.2). Raw stores merge row slices directly; varint
-// stores merge through cursors — both 0 allocs.
+// query cases of §3.2): one merge of two row slices, 0 allocs.
 func (ix *Index) covered(s, t graph.V) bool {
 	if s == t {
 		return true
 	}
-	rs, rt := ix.rank[s], ix.rank[t]
-	if ls, ok := ix.out.Row(int(s)); ok {
-		lt, _ := ix.in.Row(int(t))
-		return labelstore.CoverRows(ls, lt, rs, rt)
-	}
-	return labelstore.CoverCursors(ix.out.Cursor(int(s)), ix.in.Cursor(int(t)), rs, rt)
+	return labelstore.CoverRows(ix.out.Row(int(s)), ix.in.Row(int(t)), ix.rank[s], ix.rank[t])
 }
 
 // Name implements core.Index.
@@ -225,9 +216,6 @@ func (ix *Index) Sizes() core.SizeBreakdown {
 		Aux:     len(ix.rank) * 4,
 	}
 }
-
-// Encoding reports the label encoding the frozen stores use.
-func (ix *Index) Encoding() labelstore.Encoding { return ix.in.Encoding() }
 
 // LabelSizes returns (total Lin entries, total Lout entries); E2 reports
 // them against the full TC size.

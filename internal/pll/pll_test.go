@@ -59,13 +59,13 @@ func TestLabelsSortedByRank(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 150, M: 450, Seed: 3})
 	ix := New(g, Options{})
 	for v := 0; v < g.N(); v++ {
-		lin, _ := ix.in.Row(v)
+		lin := ix.in.Row(v)
 		for i := 1; i < len(lin); i++ {
 			if lin[i-1] >= lin[i] {
 				t.Fatalf("in[%d] not strictly ascending", v)
 			}
 		}
-		lout, _ := ix.out.Row(v)
+		lout := ix.out.Row(v)
 		for i := 1; i < len(lout); i++ {
 			if lout[i-1] >= lout[i] {
 				t.Fatalf("out[%d] not strictly ascending", v)
@@ -85,13 +85,13 @@ func TestLabelsSound(t *testing.T) {
 		hub[ix.rank[v]] = graph.V(v)
 	}
 	for v := 0; v < g.N(); v++ {
-		lin, _ := ix.in.Row(v)
+		lin := ix.in.Row(v)
 		for _, r := range lin {
 			if !oracle.Reach(hub[r], graph.V(v)) {
 				t.Fatalf("unsound Lin entry: hub %d does not reach %d", hub[r], v)
 			}
 		}
-		lout, _ := ix.out.Row(v)
+		lout := ix.out.Row(v)
 		for _, r := range lout {
 			if !oracle.Reach(graph.V(v), hub[r]) {
 				t.Fatalf("unsound Lout entry: %d does not reach hub %d", v, hub[r])

@@ -17,11 +17,11 @@
 //     while still exercising the delete path of the E8 experiment.
 //
 // Storage: the bulk of the labeling is frozen in internal/labelstore flat
-// CSR arrays (optionally varint-compressed) — queries merge contiguous
-// memory. Insert repair thaws only the touched rows into a small
-// copy-on-write overlay; a rebuild (or delete) folds everything back into
-// a fresh frozen store, so steady-state reads stay flat no matter how
-// many inserts have happened since construction.
+// CSR arrays — queries merge contiguous memory. Insert repair thaws only
+// the touched rows into a small copy-on-write overlay; a rebuild (or
+// delete) folds everything back into a fresh frozen store, so
+// steady-state reads stay flat no matter how many inserts have happened
+// since construction.
 package tol
 
 import (
@@ -33,23 +33,11 @@ import (
 	"repro/internal/labelstore"
 )
 
-// Options configures the index.
-type Options struct {
-	// Enc selects the frozen label encoding: labelstore.Raw (default)
-	// keeps flat uint32 arrays, labelstore.Varint delta-compresses them.
-	Enc labelstore.Encoding
-	// Check is an optional cancellation checkpoint ticked once per BFS
-	// dequeue of the initial build; nil runs unchecked. Incremental
-	// updates run unchecked (they are bounded by the repair frontier).
-	Check *core.Check
-}
-
 // Index is the TOL dynamic 2-hop index over a general digraph.
 type Index struct {
 	g      *core.DynGraph
 	rank   []uint32
 	byRank []graph.V // byRank[r] = vertex with rank r
-	enc    labelstore.Encoding
 	// in/out are the frozen label stores; inOv/outOv hold rows thawed by
 	// insert repair, superseding the frozen row for that vertex.
 	in, out     *labelstore.Store
@@ -63,18 +51,15 @@ type Index struct {
 }
 
 // New builds TOL over g using the in-degree × out-degree total order.
-func New(g *graph.Digraph) *Index { return NewOptions(g, Options{}) }
+func New(g *graph.Digraph) *Index { return NewChecked(g, nil) }
 
-// NewChecked is New under a cancellation checkpoint.
+// NewChecked is New under a cancellation checkpoint, ticked once per BFS
+// dequeue of the initial build; nil runs unchecked. Incremental updates
+// run unchecked (they are bounded by the repair frontier).
 func NewChecked(g *graph.Digraph, chk *core.Check) *Index {
-	return NewOptions(g, Options{Check: chk})
-}
-
-// NewOptions builds TOL with full configuration.
-func NewOptions(g *graph.Digraph, opts Options) *Index {
 	start := time.Now()
 	n := g.N()
-	ix := &Index{g: core.NewDynGraph(g), enc: opts.Enc, stamp: make([]uint64, n), chk: opts.Check}
+	ix := &Index{g: core.NewDynGraph(g), stamp: make([]uint64, n), chk: chk}
 	defer func() { ix.chk = nil }()
 	key := func(v graph.V) int { return (g.InDegree(v) + 1) * (g.OutDegree(v) + 1) }
 	vs := make([]graph.V, n)
@@ -112,8 +97,8 @@ func (ix *Index) rebuild() {
 		ix.prunedBFS(v, uint32(r), v, true)
 		ix.prunedBFS(v, uint32(r), v, false)
 	}
-	ix.in = ix.bin.Freeze(ix.enc)
-	ix.out = ix.bout.Freeze(ix.enc)
+	ix.in = ix.bin.Freeze()
+	ix.out = ix.bout.Freeze()
 	ix.bin.Release()
 	ix.bout.Release()
 	ix.bin, ix.bout = nil, nil
@@ -156,59 +141,30 @@ func (ix *Index) Sizes() core.SizeBreakdown {
 	}
 }
 
-// inRow returns Lin(u) as a sorted slice when one is materialized —
-// builder row during rebuild, overlay row after repair, or a raw frozen
-// row. A varint frozen row reports ok == false (iterate via inCursor).
-func (ix *Index) inRow(u graph.V) ([]uint32, bool) {
+// inRow returns the current Lin(u) as a sorted slice: the builder row
+// during rebuild, the overlay row after repair, else the frozen row.
+func (ix *Index) inRow(u graph.V) []uint32 {
 	if ix.bin != nil {
-		return ix.bin.Row(int(u)), true
+		return ix.bin.Row(int(u))
 	}
 	if len(ix.inOv) != 0 {
 		if row, ok := ix.inOv[u]; ok {
-			return row, true
+			return row
 		}
 	}
 	return ix.in.Row(int(u))
 }
 
-func (ix *Index) outRow(u graph.V) ([]uint32, bool) {
+func (ix *Index) outRow(u graph.V) []uint32 {
 	if ix.bout != nil {
-		return ix.bout.Row(int(u)), true
+		return ix.bout.Row(int(u))
 	}
 	if len(ix.outOv) != 0 {
 		if row, ok := ix.outOv[u]; ok {
-			return row, true
+			return row
 		}
 	}
 	return ix.out.Row(int(u))
-}
-
-func (ix *Index) inCursor(u graph.V) labelstore.Cursor {
-	if row, ok := ix.inRow(u); ok {
-		return labelstore.SliceCursor(row)
-	}
-	return ix.in.Cursor(int(u))
-}
-
-func (ix *Index) outCursor(u graph.V) labelstore.Cursor {
-	if row, ok := ix.outRow(u); ok {
-		return labelstore.SliceCursor(row)
-	}
-	return ix.out.Cursor(int(u))
-}
-
-func (ix *Index) inContains(u graph.V, r uint32) bool {
-	if row, ok := ix.inRow(u); ok {
-		return containsRank(row, r)
-	}
-	return ix.in.Contains(int(u), r)
-}
-
-func (ix *Index) outContains(u graph.V, r uint32) bool {
-	if row, ok := ix.outRow(u); ok {
-		return containsRank(row, r)
-	}
-	return ix.out.Contains(int(u), r)
 }
 
 // insertIn adds rank r to Lin(u): into the builder during rebuild, else
@@ -221,7 +177,7 @@ func (ix *Index) insertIn(u graph.V, r uint32) {
 	}
 	row, ok := ix.inOv[u]
 	if !ok {
-		row = ix.in.AppendRow(make([]uint32, 0, 8), int(u))
+		row = append(make([]uint32, 0, 8), ix.in.Row(int(u))...)
 	}
 	ix.inOv[u] = insertSorted(row, r)
 }
@@ -234,7 +190,7 @@ func (ix *Index) insertOut(u graph.V, r uint32) {
 	}
 	row, ok := ix.outOv[u]
 	if !ok {
-		row = ix.out.AppendRow(make([]uint32, 0, 8), int(u))
+		row = append(make([]uint32, 0, 8), ix.out.Row(int(u))...)
 	}
 	ix.outOv[u] = insertSorted(row, r)
 }
@@ -257,12 +213,12 @@ func (ix *Index) prunedBFS(h graph.V, r uint32, from graph.V, forward bool) {
 			// induction of the total-order framework — or when h already
 			// labels u (an earlier run of h's BFS handled this frontier).
 			if forward {
-				if ix.inContains(u, r) || ix.coveredBelow(h, u, r) {
+				if containsRank(ix.inRow(u), r) || ix.coveredBelow(h, u, r) {
 					continue
 				}
 				ix.insertIn(u, r)
 			} else {
-				if ix.outContains(u, r) || ix.coveredBelow(u, h, r) {
+				if containsRank(ix.outRow(u), r) || ix.coveredBelow(u, h, r) {
 					continue
 				}
 				ix.insertOut(u, r)
@@ -305,44 +261,35 @@ func (ix *Index) coveredBelow(s, t graph.V, limit uint32) bool {
 	if s == t {
 		return true
 	}
+	ls, lt := ix.outRow(s), ix.inRow(t)
 	rs, rt := ix.rank[s], ix.rank[t]
-	if rt < limit && ix.outContains(s, rt) {
+	if rt < limit && containsRank(ls, rt) {
 		return true
 	}
-	if rs < limit && ix.inContains(t, rs) {
+	if rs < limit && containsRank(lt, rs) {
 		return true
 	}
-	cs, ct := ix.outCursor(s), ix.inCursor(t)
-	a, aok := cs.Next()
-	b, bok := ct.Next()
-	for aok && bok && a < limit && b < limit {
+	i, j := 0, 0
+	for i < len(ls) && j < len(lt) && ls[i] < limit && lt[j] < limit {
 		switch {
-		case a == b:
+		case ls[i] == lt[j]:
 			return true
-		case a < b:
-			a, aok = cs.Next()
+		case ls[i] < lt[j]:
+			i++
 		default:
-			b, bok = ct.Next()
+			j++
 		}
 	}
 	return false
 }
 
 // covered reports whether current labels certify s → t (the three query
-// cases of §3.2). The steady-state path — raw frozen rows, no thawed
-// overlay — merges contiguous slices; thawed or varint rows merge
-// through cursors. Both are 0 allocs.
+// cases of §3.2): one merge of two row slices, frozen or thawed, 0 allocs.
 func (ix *Index) covered(s, t graph.V) bool {
 	if s == t {
 		return true
 	}
-	rs, rt := ix.rank[s], ix.rank[t]
-	ls, lok := ix.outRow(s)
-	lt, tok := ix.inRow(t)
-	if lok && tok {
-		return labelstore.CoverRows(ls, lt, rs, rt)
-	}
-	return labelstore.CoverCursors(ix.outCursor(s), ix.inCursor(t), rs, rt)
+	return labelstore.CoverRows(ix.outRow(s), ix.inRow(t), ix.rank[s], ix.rank[t])
 }
 
 // Name implements core.Index.
@@ -363,34 +310,19 @@ func (ix *Index) InsertEdge(u, v graph.V) error {
 	// for its own pairs.
 	fwd := make([]uint32, 0, 8)
 	fwd = append(fwd, ix.rank[u])
-	fwd = ix.appendIn(fwd, u)
+	fwd = append(fwd, ix.inRow(u)...)
 	for _, r := range fwd {
 		ix.prunedBFS(ix.byRank[r], r, v, true)
 	}
 	// Hubs reached from v extend backward through u.
 	bwd := make([]uint32, 0, 8)
 	bwd = append(bwd, ix.rank[v])
-	bwd = ix.appendOut(bwd, v)
+	bwd = append(bwd, ix.outRow(v)...)
 	for _, r := range bwd {
 		ix.prunedBFS(ix.byRank[r], r, u, false)
 	}
 	ix.refreshStats()
 	return nil
-}
-
-// appendIn appends the current Lin(u) to dst (overlay or frozen row).
-func (ix *Index) appendIn(dst []uint32, u graph.V) []uint32 {
-	if row, ok := ix.inRow(u); ok {
-		return append(dst, row...)
-	}
-	return ix.in.AppendRow(dst, int(u))
-}
-
-func (ix *Index) appendOut(dst []uint32, u graph.V) []uint32 {
-	if row, ok := ix.outRow(u); ok {
-		return append(dst, row...)
-	}
-	return ix.out.AppendRow(dst, int(u))
 }
 
 // DeleteEdge removes (u, v) and rebuilds the labeling (see package doc).

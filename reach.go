@@ -44,7 +44,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gripp"
 	"repro/internal/ip"
-	"repro/internal/labelstore"
 	"repro/internal/lcrbloom"
 	"repro/internal/lcrdecomp"
 	"repro/internal/lcrgtc"
@@ -135,20 +134,6 @@ var (
 	Fig1Labeled = graph.Fig1Labeled
 )
 
-// LabelEncoding selects how the 2-hop label families (PLL/TFL/DL/HL,
-// TOL) store their frozen label sets; see Options.LabelEnc.
-type LabelEncoding uint8
-
-// Label storage encodings.
-const (
-	// EncRaw keeps labels as flat uint32 arrays — fastest queries
-	// (contiguous slice merges). The default.
-	EncRaw LabelEncoding = iota
-	// EncVarint delta-compresses each label row into a varint byte
-	// stream — smaller footprint, queries decode through cursors.
-	EncVarint
-)
-
 // Prepare returns a preprocessing memo for g: pass it as Options.Prepared
 // to every Build over the same graph and the SCC condensation every
 // DAG-only technique needs (§3.1) is computed exactly once and shared.
@@ -226,12 +211,6 @@ type Options struct {
 	// at n. Guarantee: for a fixed Seed the built index answers
 	// identically at any worker count (see TestParallelBuildDeterminism).
 	Workers int
-	// LabelEnc selects the label storage encoding of the 2-hop label
-	// families (PLL, TFL, DL, HL, TOL): EncRaw (default) keeps flat
-	// uint32 arrays, EncVarint delta-compresses them (~25-40% smaller
-	// labels on typical graphs, a cursor-decode on the query path).
-	// Other kinds ignore it.
-	LabelEnc LabelEncoding
 	// Prepared, when non-nil, supplies the shared preprocessing memo of
 	// Prepare(g): every DAG-only build drawing from it reuses one SCC
 	// condensation instead of recomputing it per kind, and the build's
@@ -246,11 +225,6 @@ type Options struct {
 	// passes, ...); see OBSERVABILITY.md for the span-name schema. Nil
 	// disables phase recording at zero cost.
 	Spans *BuildSpans
-}
-
-// labelEnc maps the public encoding selector onto the internal one.
-func (o Options) labelEnc() labelstore.Encoding {
-	return labelstore.Encoding(o.LabelEnc)
 }
 
 // timed runs a direct (non-SCC-lifted) builder under an "index/build"
@@ -324,23 +298,23 @@ func BuildCtx(ctx context.Context, k Kind, g *Graph, opt Options) (ix Index, err
 		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index { return pathhop.New(d) }), nil
 	case KindTFL:
 		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index {
-			return pll.New(d, pll.Options{Order: pll.OrderTopological, Enc: opt.labelEnc(), Check: chk})
+			return pll.New(d, pll.Options{Order: pll.OrderTopological, Check: chk})
 		}), nil
 	case KindDL:
 		return timed(sp, func() Index {
-			return pll.New(g, pll.Options{Order: pll.OrderDegree, Name: "DL", Enc: opt.labelEnc(), Check: chk})
+			return pll.New(g, pll.Options{Order: pll.OrderDegree, Name: "DL", Check: chk})
 		}), nil
 	case KindPLL:
 		return timed(sp, func() Index {
-			return pll.New(g, pll.Options{Order: pll.OrderDegree, Enc: opt.labelEnc(), Check: chk})
+			return pll.New(g, pll.Options{Order: pll.OrderDegree, Check: chk})
 		}), nil
 	case KindHL:
 		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index {
-			return pll.New(d, pll.Options{Order: pll.OrderDegreeProduct, Name: "HL", Enc: opt.labelEnc(), Check: chk})
+			return pll.New(d, pll.Options{Order: pll.OrderDegreeProduct, Name: "HL", Check: chk})
 		}), nil
 	case KindTOL:
 		return timed(sp, func() Index {
-			return tol.NewOptions(g, tol.Options{Enc: opt.labelEnc(), Check: chk})
+			return tol.NewChecked(g, chk)
 		}), nil
 	case KindDBL:
 		return timedN(sp, par.Resolve(opt.Workers), func() Index {
@@ -384,7 +358,7 @@ func BuildDynamic(k Kind, g *Graph, opt Options) (ix DynamicIndex, err error) {
 	defer core.Recover(&err)
 	switch k {
 	case KindTOL:
-		return tol.NewOptions(g, tol.Options{Enc: opt.labelEnc()}), nil
+		return tol.New(g), nil
 	case KindDAGGER:
 		return dagger.New(g, dagger.Options{K: opt.K, Seed: opt.Seed}), nil
 	case KindDBL:

@@ -14,8 +14,9 @@ package reach
 // mmaps the file (reading it into memory where mmap is unavailable).
 // Either way the checksum is verified first and the index is then bound
 // through one format switch to zero-copy views of its arrays — a cold
-// start is a read (or page mapping) plus a checksum pass (and, for varint
-// labels, one validation pass), not a decode into fresh arrays.
+// start is a read (or page mapping), a checksum pass and, for 2-hop
+// labels, one pass checking every row is ascending — not a decode into
+// fresh arrays.
 //
 // Snapshots are positional facts about one specific graph. Pairing a
 // snapshot with the graph it was built from is the caller's

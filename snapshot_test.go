@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -162,7 +161,7 @@ func TestSaveIndexRefusesCondensedPLL(t *testing.T) {
 }
 
 // TestSnapshotMappedEquivalence is the acceptance matrix for the one
-// snapshot layout: for each snapshottable kind and label encoding,
+// snapshot layout: for each snapshottable kind (bfl, pll, dl),
 // build → SaveIndex, then LoadIndex from a stream, LoadIndexMapped from
 // the file, and LoadIndex from the opened file (the read-into-memory
 // path OpenMapped falls back to where mmap is unavailable) must all
@@ -183,8 +182,7 @@ func TestSnapshotMappedEquivalence(t *testing.T) {
 	}{
 		{"bfl", KindBFL, Options{}},
 		{"pll-raw", KindPLL, Options{}},
-		{"pll-varint", KindPLL, Options{LabelEnc: EncVarint}},
-		{"dl-varint", KindDL, Options{LabelEnc: EncVarint}},
+		{"dl", KindDL, Options{}},
 	}
 	for _, gc := range graphs {
 		for _, tc := range cases {
@@ -352,10 +350,12 @@ func TestLoadIndexTruncationNeverPanics(t *testing.T) {
 }
 
 // TestLoadIndexRefusesOldLayouts: a BFL snapshot in the version-1 or
-// version-2 layout (interval and filter arrays in separate sections), and
-// a PLL snapshot in the version-1 streamed layout (no checksum), are
-// refused by LoadIndex and LoadIndexMapped with an error naming the
-// version and saying to rebuild — never a panic, never a wrong index.
+// version-2 layout (interval and filter arrays in separate sections), a
+// PLL snapshot in the version-1 streamed layout (no checksum), and a
+// version-2 PLL snapshot whose labels are delta-varint streams (meta
+// encoding word 1) are refused by LoadIndex and LoadIndexMapped with an
+// error naming the version (or the varint encoding) and saying to
+// rebuild — never a panic, never a wrong index.
 func TestLoadIndexRefusesOldLayouts(t *testing.T) {
 	g := Fig1Plain()
 	n := uint32(g.N())
@@ -363,9 +363,10 @@ func TestLoadIndexRefusesOldLayouts(t *testing.T) {
 	for _, old := range []struct {
 		format  string
 		version uint16
+		want    string // the error names this
 		write   func(pw *persist.Writer)
 	}{
-		{"bfl", 1, func(pw *persist.Writer) {
+		{"bfl", 1, "version 1", func(pw *persist.Writer) {
 			pw.Section("meta", bflMeta)
 			pw.Section("intervals", func(e *persist.Encoder) { e.U32s(make([]uint32, 2*n)) })
 			pw.Section("filters", func(e *persist.Encoder) {
@@ -375,7 +376,7 @@ func TestLoadIndexRefusesOldLayouts(t *testing.T) {
 				}
 			})
 		}},
-		{"bfl", 2, func(pw *persist.Writer) {
+		{"bfl", 2, "version 2", func(pw *persist.Writer) {
 			pw.Section("meta", bflMeta)
 			pw.U32s("post", make([]uint32, n))
 			pw.U32s("min", make([]uint32, n))
@@ -383,7 +384,7 @@ func TestLoadIndexRefusesOldLayouts(t *testing.T) {
 			pw.AlignedBytes("fin", 8, make([]byte, 32*n))
 			pw.Checksum()
 		}},
-		{"pll", 1, func(pw *persist.Writer) {
+		{"pll", 1, "version 1", func(pw *persist.Writer) {
 			pw.Section("meta", func(e *persist.Encoder) { e.String("PLL"); e.U32(n) })
 			pw.Section("rank", func(e *persist.Encoder) { e.U32s(make([]uint32, n)) })
 			pw.Section("labels", func(e *persist.Encoder) {
@@ -392,6 +393,25 @@ func TestLoadIndexRefusesOldLayouts(t *testing.T) {
 					e.U32s([]uint32{v}) // out-labels
 				}
 			})
+		}},
+		{"pll", 2, "varint", func(pw *persist.Writer) {
+			pw.Section("meta", func(e *persist.Encoder) {
+				e.String("PLL")
+				e.U32(n)
+				e.U32(1) // the label encoding word: delta-varint
+				e.U64(uint64(n))
+				e.U64(uint64(n))
+			})
+			pw.U32s("rank", make([]uint32, n))
+			offs := make([]uint32, n+1)
+			for v := range offs {
+				offs[v] = uint32(v)
+			}
+			pw.U32s("inoff", offs)
+			pw.U32s("outoff", offs)
+			pw.AlignedBytes("indata", 1, make([]byte, n)) // one entry, 0, per row
+			pw.AlignedBytes("outdata", 1, make([]byte, n))
+			pw.Checksum()
 		}},
 	} {
 		var buf bytes.Buffer
@@ -404,38 +424,56 @@ func TestLoadIndexRefusesOldLayouts(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := fmt.Sprintf("version %d", old.version)
 		_, errRead := LoadIndex(bytes.NewReader(buf.Bytes()), g, Options{})
 		_, errMap := LoadIndexMapped(path, g, Options{})
 		for call, err := range map[string]error{"LoadIndex": errRead, "LoadIndexMapped": errMap} {
-			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "rebuild") {
-				t.Errorf("%s v%d %s: err = %v, want one naming %q and saying to rebuild", old.format, old.version, call, err, want)
+			if err == nil || !strings.Contains(err.Error(), old.want) || !strings.Contains(err.Error(), "rebuild") {
+				t.Errorf("%s v%d %s: err = %v, want one naming %q and saying to rebuild", old.format, old.version, call, err, old.want)
 			}
 		}
 	}
 }
 
-// TestSnapshotRefusesMalformedVarintRow: a varint label row whose last
-// byte claims a continuation, in a snapshot whose checksum was recomputed
-// to match, fails both load calls with an error. Trusting the checksum
-// alone would load it, and the row's cursor would stop early and answer
-// wrong.
-func TestSnapshotRefusesMalformedVarintRow(t *testing.T) {
+// TestSnapshotRefusesMalformedLabelRow: a PLL snapshot with two entries
+// of one label row swapped, whose checksum was recomputed to match, fails
+// both load calls with an error. Trusting the checksum alone would load
+// it, and the query merge could step past a hub the two rows share and
+// answer false.
+func TestSnapshotRefusesMalformedLabelRow(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 300, M: 900, Seed: 19})
-	ix, err := Build(KindPLL, g, Options{LabelEnc: EncVarint})
+	ix, err := Build(KindPLL, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := snapshotOf(t, ix)
-	// The "indata" section: name, u64 length, then the align/pad header
-	// (align 1, so no pad) and the varint stream. Its last byte ends the
-	// last non-empty row; setting its high bit truncates that varint.
-	hdr := bytes.Index(raw, []byte("\x06\x00indata"))
-	if hdr < 0 {
-		t.Fatal("no indata section")
+	// array returns the little-endian words of a 4-byte-aligned array
+	// section: its name, u64 length, then the u32 align | u32 pad header,
+	// pad zero bytes and the array.
+	array := func(name string) []byte {
+		hdr := bytes.Index(raw, append([]byte{byte(len(name)), 0}, name...))
+		if hdr < 0 {
+			t.Fatalf("no %s section", name)
+		}
+		at := hdr + 2 + len(name)
+		size := int(binary.LittleEndian.Uint64(raw[at:]))
+		pad := int(binary.LittleEndian.Uint32(raw[at+12:]))
+		return raw[at+16+pad : at+8+size]
 	}
-	size := binary.LittleEndian.Uint64(raw[hdr+8:])
-	raw[hdr+16+int(size)-1] |= 0x80
+	off, lab := array("inoff"), array("inlab")
+	swapped := false
+	for v := 0; v+1 < len(off)/4 && !swapped; v++ {
+		lo, hi := binary.LittleEndian.Uint32(off[4*v:]), binary.LittleEndian.Uint32(off[4*v+4:])
+		if hi-lo >= 2 {
+			a, b := lab[4*lo:], lab[4*lo+4:]
+			x, y := binary.LittleEndian.Uint32(a), binary.LittleEndian.Uint32(b)
+			binary.LittleEndian.PutUint32(a, y)
+			binary.LittleEndian.PutUint32(b, x)
+			swapped = true
+		}
+	}
+	if !swapped {
+		t.Fatal("no in-label row with two entries")
+	}
 	// Recompute the trailing checksum: the crc32 section is the last 19
 	// bytes (name 2+5, length 8, CRC 4) and covers everything before it.
 	body := len(raw) - 19
@@ -448,8 +486,8 @@ func TestSnapshotRefusesMalformedVarintRow(t *testing.T) {
 	_, errRead := LoadIndex(bytes.NewReader(raw), g, Options{})
 	_, errMap := LoadIndexMapped(path, g, Options{})
 	for call, err := range map[string]error{"LoadIndex": errRead, "LoadIndexMapped": errMap} {
-		if err == nil || !strings.Contains(err.Error(), "invalid varint") {
-			t.Errorf("%s: err = %v, want an invalid-varint error", call, err)
+		if err == nil || !strings.Contains(err.Error(), "not strictly ascending") {
+			t.Errorf("%s: err = %v, want a not-strictly-ascending error", call, err)
 		}
 	}
 }
