@@ -2,10 +2,12 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"io/fs"
+	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/faultinject"
 )
@@ -67,6 +69,11 @@ func Read(r io.Reader) (*Digraph, error) {
 // lines, oversized vertex ids, too many edges, too many labels, and
 // overlong lines all surface as errors — never panics or unbounded
 // allocation.
+//
+// A numeric edge line costs no allocation: fields are sliced out of the
+// scanner's buffer, ids parsed in place and labels looked up by their
+// bytes. The edge list is reserved from the "edges=" count Write puts in
+// its header, but never beyond what the input can hold (see reserveEdges).
 func ReadLimited(r io.Reader, lim Limits) (*Digraph, error) {
 	if err := faultinject.HitErr("graph/read"); err != nil {
 		return nil, err
@@ -77,28 +84,38 @@ func ReadLimited(r io.Reader, lim Limits) (*Digraph, error) {
 	if lim.MaxEdges <= 0 {
 		lim.MaxEdges = DefaultLimits.MaxEdges
 	}
+	size := inputSize(r)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), 1<<20) // grows to 1 MiB for a long line
 	b := NewBuilder(0)
 	lineNo, edges := 0, 0
+	var f [4][]byte
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := sc.Bytes()
+		nf := splitFields(line, &f)
+		if nf < 0 { // not ASCII: split at Unicode white space, as strings.Fields does
+			words := bytes.Fields(line)
+			nf = len(words)
+			copy(f[:], words)
+		}
+		if nf == 0 || f[0][0] == '#' {
+			if lineNo == 1 {
+				b.edges = reserveEdges(line, size, lim.MaxEdges)
+			}
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) != 2 && len(f) != 3 {
-			return nil, fmt.Errorf("graph: line %d: want 2 or 3 fields, got %d", lineNo, len(f))
+		if nf != 2 && nf != 3 {
+			return nil, fmt.Errorf("graph: line %d: want 2 or 3 fields, got %d", lineNo, nf)
 		}
 		if edges++; edges > lim.MaxEdges {
 			return nil, fmt.Errorf("graph: line %d: more than %d edges", lineNo, lim.MaxEdges)
 		}
-		u, err := parseVertex(b, f[0])
+		u, err := readVertex(b, f[0])
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 		}
-		v, err := parseVertex(b, f[1])
+		v, err := readVertex(b, f[1])
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 		}
@@ -109,10 +126,12 @@ func ReadLimited(r io.Reader, lim Limits) (*Digraph, error) {
 		if int(hi) >= lim.MaxVertices {
 			return nil, fmt.Errorf("graph: line %d: vertex id %d exceeds limit %d", lineNo, hi, lim.MaxVertices)
 		}
-		if len(f) == 3 {
-			l, err := b.TryLabelID(f[2])
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+		if nf == 3 {
+			l, ok := b.labelIDs[string(f[2])]
+			if !ok {
+				if l, err = b.TryLabelID(string(f[2])); err != nil {
+					return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+				}
 			}
 			b.AddLabeledEdge(u, v, l)
 		} else {
@@ -120,9 +139,97 @@ func ReadLimited(r io.Reader, lim Limits) (*Digraph, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: line %d: %w", lineNo+1, err)
 	}
 	return b.Freeze()
+}
+
+// asciiSpace marks the bytes strings.Fields and strings.TrimSpace treat as
+// white space in ASCII text.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields splits an ASCII line at white space, keeping the first
+// len(f) fields in f, and returns the number of fields. It returns -1 if
+// the line holds a byte >= 0x80, whose white space only Unicode decoding
+// can tell.
+func splitFields(line []byte, f *[4][]byte) int {
+	n := 0
+	for i := 0; i < len(line); {
+		c := line[i]
+		if c >= 0x80 {
+			return -1
+		}
+		if asciiSpace[c] {
+			i++
+			continue
+		}
+		j := i + 1
+		for ; j < len(line) && !asciiSpace[line[j]]; j++ {
+			if line[j] >= 0x80 {
+				return -1
+			}
+		}
+		if n < len(f) {
+			f[n] = line[i:j]
+		}
+		n++
+		i = j
+	}
+	return n
+}
+
+// readVertex is parseVertex for a field in the scanner's buffer (never
+// empty): a decimal id up to 2³²−1 is parsed in place, anything else is
+// copied out for the name table.
+func readVertex(b *Builder, tok []byte) (V, error) {
+	var n uint64
+	for _, c := range tok {
+		if c < '0' || c > '9' {
+			return parseVertex(b, string(tok))
+		}
+		if n = n*10 + uint64(c-'0'); n > math.MaxUint32 {
+			return parseVertex(b, string(tok))
+		}
+	}
+	return V(n), nil
+}
+
+// inputSize returns the byte size r reports, through Stat on a regular
+// file or Size on a bytes or strings reader, or -1 if it reports none.
+func inputSize(r io.Reader) int64 {
+	switch s := r.(type) {
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size()
+		}
+	case interface{ Size() int64 }:
+		return s.Size()
+	}
+	return -1
+}
+
+// reserveEdges returns an empty edge list with room for the edges a header
+// line "# ... edges=N ..." announces, trusting N only as far as the input
+// can hold: an edge line is at least 3 bytes, so at most ⌈size/3⌉ of them,
+// and never more than maxEdges. Without a size or a count it returns nil,
+// and the list grows as edges arrive.
+func reserveEdges(header []byte, size int64, maxEdges int) []Edge {
+	i := bytes.Index(header, []byte("edges="))
+	if size < 0 || i < 0 {
+		return nil
+	}
+	var n int64
+	for _, c := range header[i+len("edges="):] {
+		if c < '0' || c > '9' || n > size {
+			break
+		}
+		n = n*10 + int64(c-'0')
+	}
+	n = min(n, (size+2)/3, int64(maxEdges))
+	if n <= 0 {
+		return nil
+	}
+	return make([]Edge, 0, n)
 }
 
 func parseVertex(b *Builder, tok string) (V, error) {

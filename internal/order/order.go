@@ -63,9 +63,19 @@ func Rank(o []graph.V) []uint32 {
 // is the number of levels. Used as a cheap negative filter: if
 // level(s) >= level(t) and s != t then t is unreachable from s... only when
 // levels are computed forward; callers use it in that direction.
+//
+// Where the ids already are a topological order, as in a condensation
+// (every edge points to a lower id) or its reverse (to a higher one), one
+// sweep in that order computes the levels; otherwise Kahn's Topological
+// supplies the order. Longest-path levels do not depend on which
+// topological order computes them, so the result is the same either way.
 func Levels(g *graph.Digraph) ([]uint32, int) {
-	topo, _ := Topological(g)
 	lev := make([]uint32, g.N())
+	if max, ok := sweepLevels(g, lev); ok {
+		return lev, int(max) + 1
+	}
+	clear(lev)
+	topo, _ := Topological(g)
 	max := uint32(0)
 	for _, v := range topo {
 		for _, w := range g.Succ(v) {
@@ -78,6 +88,41 @@ func Levels(g *graph.Digraph) ([]uint32, int) {
 		}
 	}
 	return lev, int(max) + 1
+}
+
+// sweepLevels fills lev by visiting the ids in the direction g's first
+// edge runs, descending if it points to a lower id and ascending
+// otherwise, and returns the highest level. It reports false, with lev
+// partly written, at the first edge that does not run that way.
+func sweepLevels(g *graph.Digraph, lev []uint32) (uint32, bool) {
+	n := g.N()
+	down := false
+	for v := 0; v < n; v++ {
+		if s := g.Succ(graph.V(v)); len(s) > 0 {
+			down = s[0] < graph.V(v)
+			break
+		}
+	}
+	max := uint32(0)
+	for i := 0; i < n; i++ {
+		v := graph.V(i)
+		if down {
+			v = graph.V(n - 1 - i)
+		}
+		lv := lev[v]
+		for _, w := range g.Succ(v) {
+			if w == v || (w < v) != down {
+				return 0, false
+			}
+			if lv+1 > lev[w] {
+				lev[w] = lv + 1
+			}
+		}
+		if lv > max {
+			max = lv
+		}
+	}
+	return max, true
 }
 
 // LevelBuckets groups the vertices of a DAG by topological level (see

@@ -2,10 +2,12 @@ package order
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/scc"
 )
 
 func TestTopologicalDAG(t *testing.T) {
@@ -179,5 +181,65 @@ func TestSourcesSinks(t *testing.T) {
 	snk := Sinks(g)
 	if len(snk) != 1 || snk[0] != 2 {
 		t.Errorf("Sinks = %v", snk)
+	}
+}
+
+// kahnLevels is Levels as it was before the id-order sweep: levels always
+// propagated along Kahn's Topological order. The reference Levels must
+// equal on every input, cyclic ones included.
+func kahnLevels(g *graph.Digraph) ([]uint32, int) {
+	topo, _ := Topological(g)
+	lev := make([]uint32, g.N())
+	max := uint32(0)
+	for _, v := range topo {
+		for _, w := range g.Succ(v) {
+			if lev[v]+1 > lev[w] {
+				lev[w] = lev[v] + 1
+			}
+		}
+		if lev[v] > max {
+			max = lev[v]
+		}
+	}
+	return lev, int(max) + 1
+}
+
+// TestLevelsMatchKahn checks Levels against kahnLevels on seeded random
+// DAGs whose ids are shuffled (the sweep fails and Kahn runs), on their
+// condensations (every edge to a lower id: the descending sweep) and the
+// reverses of those (the ascending sweep), and on cyclic graphs.
+func TestLevelsMatchKahn(t *testing.T) {
+	check := func(name string, g *graph.Digraph, sweeps bool) {
+		t.Helper()
+		if _, ok := sweepLevels(g, make([]uint32, g.N())); ok != sweeps {
+			t.Fatalf("%s: the id-order sweep succeeded = %v, want %v", name, ok, sweeps)
+		}
+		lev, nl := Levels(g)
+		want, wnl := kahnLevels(g)
+		if nl != wnl || !slices.Equal(lev, want) {
+			t.Fatalf("%s (n=%d m=%d): Levels gives %d levels %v, Kahn %d levels %v",
+				name, g.N(), g.M(), nl, lev, wnl, want)
+		}
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		n := 1 + int(seed)*7
+		dag := gen.RandomDAG(gen.Config{N: n, M: 3 * n, Seed: seed})
+		cond := scc.Condense(dag).DAG
+		check("shuffled DAG", dag, false)
+		check("condensation", cond, true)
+		check("reversed condensation", cond.Reverse(), true)
+		check("cyclic", gen.ErdosRenyi(gen.Config{N: n, M: 2 * n, Seed: seed}), false)
+	}
+	check("self-loop", graph.FromEdges(3, [][2]graph.V{{2, 1}, {1, 1}, {1, 0}}), false)
+	check("empty", graph.FromEdges(0, nil), true)
+}
+
+// TestLevelsOfCondensationAllocatesOnce: a condensation's ids are already
+// a topological order, so Levels allocates only its result, no in-degree
+// array, queue or order.
+func TestLevelsOfCondensationAllocatesOnce(t *testing.T) {
+	cond := scc.Condense(gen.ErdosRenyi(gen.Config{N: 2000, M: 6000, Seed: 3})).DAG
+	if allocs := testing.AllocsPerRun(5, func() { Levels(cond) }); allocs != 1 {
+		t.Fatalf("Levels of a condensation makes %.0f allocations, want 1", allocs)
 	}
 }
