@@ -85,15 +85,23 @@ func New(dag *graph.Digraph, opts Options) *Index {
 	start := time.Now()
 	n := dag.N()
 	rec := makeRecords(n)
+	// The DFS intervals and the level buckets are independent and write
+	// disjoint data, so they run side by side; "bfl/levels" opens and
+	// closes inside "bfl/dfs-intervals", keeping the spans LIFO.
+	var buckets [][]graph.V
 	end := opts.Spans.Start("bfl/dfs-intervals")
-	po := order.DFSForest(dag, order.Sources(dag), nil)
-	for v := range rec {
-		rec[v].post, rec[v].min = po.Post[v], po.Min[v]
-	}
-	end()
-
-	end = opts.Spans.Start("bfl/levels")
-	buckets := order.LevelBuckets(dag)
+	par.Do(opts.Workers, 2, func(i int) {
+		if i == 1 {
+			endLevels := opts.Spans.Start("bfl/levels")
+			buckets = order.LevelBuckets(dag)
+			endLevels()
+			return
+		}
+		po := order.DFSForest(dag, order.Sources(dag), nil)
+		for v := range rec {
+			rec[v].post, rec[v].min = po.Post[v], po.Min[v]
+		}
+	})
 	end()
 	seed := uint64(opts.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	hash := func(v graph.V) uint64 {

@@ -150,9 +150,9 @@ func TestBFLReachCountedMatchesGuidedDFS(t *testing.T) {
 
 	// A cyclic graph through the condensation adapter.
 	cyc := gen.ErdosRenyi(gen.Config{N: 300, M: 900, Seed: 14})
-	cond := scc.Condense(cyc)
+	cond := scc.Condense(cyc, 0)
 	inner := New(cond.DAG, Options{Seed: 15})
-	adapted, err := core.ForGeneralLoaded(cyc, nil, nil, func(*graph.Digraph) (core.Index, error) { return inner, nil })
+	adapted, err := core.ForGeneralLoaded(cyc, nil, 0, nil, func(*graph.Digraph) (core.Index, error) { return inner, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/scc"
 )
 
@@ -16,46 +17,34 @@ type DAGBuilder func(dag *graph.Digraph) Index
 // is the standard reduction the paper notes "most plain reachability
 // indexes in literature assume".
 func ForGeneral(g *graph.Digraph, build DAGBuilder) Index {
-	return ForGeneralSpans(g, nil, build)
+	return ForGeneralPrepared(g, nil, 0, 0, nil, build)
 }
 
-// ForGeneralSpans is ForGeneral with build-phase observability: the SCC
-// condensation and the inner index construction are recorded as named
-// spans (a nil recorder records nothing). Builders that expose their own
-// internal phases nest them under "index/build".
-func ForGeneralSpans(g *graph.Digraph, spans *obs.Spans, build DAGBuilder) Index {
-	return ForGeneralSpansN(g, spans, 0, build)
-}
-
-// ForGeneralSpansN is ForGeneralSpans for builders with a parallel
-// construction phase: the "index/build" span records the resolved worker
-// count as its `workers` attribute. The SCC condensation itself (Tarjan)
-// is inherently sequential and always runs serial.
-func ForGeneralSpansN(g *graph.Digraph, spans *obs.Spans, workers int, build DAGBuilder) Index {
-	return ForGeneralPrepared(g, spans, workers, nil, build)
-}
-
-// ForGeneralPrepared is ForGeneralSpansN with the condensation drawn from
-// a shared preprocessing memo: when prep is non-nil (and bound to g), the
-// SCC condensation is computed at most once across every index built over
-// the same graph, and the "scc/condense" span records whether this build
-// hit the memo as its `cached` attribute. A nil prep recomputes per build,
-// which is the pre-memo behavior the one-off Build path keeps.
-func ForGeneralPrepared(g *graph.Digraph, spans *obs.Spans, workers int, prep *Prepared, build DAGBuilder) Index {
+// ForGeneralPrepared is ForGeneral with build-phase observability and the
+// condensation drawn from a shared preprocessing memo. The SCC
+// condensation and the inner index construction are recorded as the
+// named spans "scc/condense" and "index/build" (a nil recorder records
+// nothing); builders that expose their own internal phases nest them
+// under "index/build". workers is the caller's resolved
+// reach.Options.Workers: the condensation builds its two CSR sides on up
+// to two of them (Tarjan itself stays serial) and a computed
+// "scc/condense" span records it as its `workers` attribute. buildWorkers
+// is the "index/build" span's `workers` attribute: the resolved count
+// for builders with a parallel construction phase, 0 for serial ones.
+//
+// When prep is non-nil (and bound to g), the SCC condensation is computed
+// at most once across every index built over the same graph, and the
+// "scc/condense" span records whether this build hit the memo as its
+// `cached` attribute. A nil prep recomputes per build, which is the
+// pre-memo behavior the one-off Build path keeps.
+func ForGeneralPrepared(g *graph.Digraph, spans *obs.Spans, workers, buildWorkers int, prep *Prepared, build DAGBuilder) Index {
 	// Phase-level fault-injection points: every index lifted through the
 	// condensation adapter (most of the catalogue) is panickable here by
 	// the stress harness even if its builder has no checkpoint of its own.
 	faultinject.Hit("core/scc-condense")
-	var cond *scc.Condensation
-	if prep != nil && prep.Graph() == g {
-		cond = prep.CondenseSpans(spans)
-	} else {
-		endCond := spans.Start("scc/condense")
-		cond = scc.Condense(g)
-		endCond()
-	}
+	cond := condense(g, spans, workers, prep)
 	faultinject.Hit("core/index-build")
-	end := spans.StartN("index/build", workers)
+	end := spans.StartN("index/build", buildWorkers)
 	inner := build(cond.DAG)
 	end()
 	return newCondensed(cond, inner)
@@ -68,16 +57,10 @@ func ForGeneralPrepared(g *graph.Digraph, spans *obs.Spans, workers int, prep *P
 // by span name alone. The condensation still runs (or comes from the
 // prep memo): it is derived from the immutable graph and deterministic,
 // but not free. On a 10⁶-vertex, 4·10⁶-edge random DAG (2 vCPUs) it
-// takes ≈0.6 s, half of it Tarjan, against ≈0.5 s for BFL's whole build.
-func ForGeneralLoaded(g *graph.Digraph, spans *obs.Spans, prep *Prepared, load func(dag *graph.Digraph) (Index, error)) (Index, error) {
-	var cond *scc.Condensation
-	if prep != nil && prep.Graph() == g {
-		cond = prep.CondenseSpans(spans)
-	} else {
-		endCond := spans.Start("scc/condense")
-		cond = scc.Condense(g)
-		endCond()
-	}
+// takes ≈0.6 s, ≈0.35 s of it the serial Tarjan, against ≈0.4 s for
+// BFL's whole build.
+func ForGeneralLoaded(g *graph.Digraph, spans *obs.Spans, workers int, prep *Prepared, load func(dag *graph.Digraph) (Index, error)) (Index, error) {
+	cond := condense(g, spans, workers, prep)
 	end := spans.Start("index/load")
 	inner, err := load(cond.DAG)
 	end()
@@ -85,6 +68,17 @@ func ForGeneralLoaded(g *graph.Digraph, spans *obs.Spans, prep *Prepared, load f
 		return nil, err
 	}
 	return newCondensed(cond, inner), nil
+}
+
+// condense is the "scc/condense" phase: from prep's memo when prep is
+// bound to g, computed on workers otherwise.
+func condense(g *graph.Digraph, spans *obs.Spans, workers int, prep *Prepared) *scc.Condensation {
+	if prep != nil && prep.Graph() == g {
+		return prep.CondenseSpans(spans, workers)
+	}
+	end := spans.StartN("scc/condense", par.Resolve(workers))
+	defer end()
+	return scc.Condense(g, workers)
 }
 
 // newCondensed wraps a DAG index in the condensation adapter, binding the

@@ -32,7 +32,7 @@ const latencySampleMask = 31
 // decided the query alone or index-guided traversal had to run, and how
 // many vertices that fallback expanded. It is the query-side half of the
 // observability layer (the build-side half is the Spans plumbing in
-// ForGeneralSpans and the builders).
+// ForGeneralPrepared and the builders).
 //
 // With nil metrics every method forwards straight to the inner index, so
 // a disabled wrapper costs one pointer comparison per call. All interface

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/scc"
 )
 
@@ -45,7 +46,7 @@ func (p *Prepared) Graph() *graph.Digraph { return p.g }
 func (p *Prepared) Condensation() (cond *scc.Condensation, cached bool) {
 	computed := false
 	p.once.Do(func() {
-		p.cond = scc.Condense(p.g)
+		p.cond = scc.Condense(p.g, 0)
 		computed = true
 	})
 	if computed {
@@ -55,17 +56,18 @@ func (p *Prepared) Condensation() (cond *scc.Condensation, cached bool) {
 	return p.cond, true
 }
 
-// CondenseSpans is Condensation with build-phase observability: the
-// first call records an "scc/condense" span timing the real computation
-// (cached=false); every later call records a zero-length span with
-// cached=true, so the per-build timeline stays complete while the shared
-// cost appears exactly once.
-func (p *Prepared) CondenseSpans(spans *obs.Spans) *scc.Condensation {
+// CondenseSpans is Condensation with build-phase observability and the
+// caller's worker count (see scc.Condense): the first call records an
+// "scc/condense" span timing the real computation, with the resolved
+// worker count as its `workers` attribute (cached=false); every later
+// call records a zero-length span with cached=true, so the per-build
+// timeline stays complete while the shared cost appears exactly once.
+func (p *Prepared) CondenseSpans(spans *obs.Spans, workers int) *scc.Condensation {
 	computed := false
 	p.once.Do(func() {
 		computed = true
-		end := spans.StartCached("scc/condense", false)
-		p.cond = scc.Condense(p.g)
+		end := spans.StartN("scc/condense", par.Resolve(workers))
+		p.cond = scc.Condense(p.g, workers)
 		end()
 	})
 	if !computed {

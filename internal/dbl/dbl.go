@@ -103,7 +103,7 @@ func New(g *graph.Digraph, opts Options) *Index {
 	}
 
 	// BL labels on the condensation (all vertices of an SCC share filters).
-	cond := scc.Condense(g)
+	cond := scc.Condense(g, opts.Workers)
 	dag := cond.DAG
 	nc := dag.N()
 	w := ix.words

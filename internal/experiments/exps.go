@@ -319,7 +319,7 @@ func E10(w io.Writer, sc Scale, seed int64) {
 		"er-cyclic":   gen.ErdosRenyi(gen.Config{N: sc.n(2000), M: sc.n(5000), Seed: seed}),
 	}
 	for name, g0 := range graphs {
-		cond := scc.Condense(g0)
+		cond := scc.Condense(g0, 0)
 		g := cond.DAG
 		raw, _ := reach.Build(reach.KindPLL, g, reach.Options{})
 		for rname, r := range map[string]*reduction.Reduced{

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"repro/internal/par"
 )
 
 // Builder accumulates vertices and edges and produces an immutable Digraph.
@@ -200,46 +202,67 @@ func (b *Builder) freeze() (g *Digraph, sorts int, err error) {
 // [0, count) is v's vertex in the result, edges inside one class are
 // dropped, and parallel edges between two classes merge into one per
 // label. The label universe is g's. Built straight from g's CSR in
-// O(n + m); it is the condensation once class is an SCC numbering.
-func Quotient(g *Digraph, class []uint32, count int) *Digraph {
-	off := make([]uint32, count+2) // laid out as in Freeze
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.Succ(V(u)) {
-			if class[v] != class[u] {
-				off[class[u]+2]++
-			}
+// O(n + m), its successor and predecessor sides at once on up to two of
+// workers (0 = GOMAXPROCS, 1 = serial): both sides dedup the same
+// (from, to, label) set, so the result does not depend on workers. It is
+// the condensation once class is an SCC numbering.
+func Quotient(g *Digraph, class []uint32, count, workers int) *Digraph {
+	q := &Digraph{n: count, numLabels: g.numLabels, names: &nameIndex{}}
+	par.Do(workers, 2, func(i int) {
+		if i == 0 {
+			q.succOff, q.succ, q.succLab = quotientSide(g.succOff, g.succ, g.succLab, class, count)
+		} else {
+			q.predOff, q.pred, q.predLab = quotientSide(g.predOff, g.pred, g.predLab, class, count)
 		}
-	}
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	keys := make([]uint64, off[count+1])
-	for u := 0; u < g.n; u++ {
-		cu := class[u]
-		for i := g.succOff[u]; i < g.succOff[u+1]; i++ {
-			if cv := class[g.succ[i]]; cv != cu {
-				keys[off[cu+1]] = uint64(cv) << 16
-				if g.succLab != nil {
-					keys[off[cu+1]] |= uint64(g.succLab[i])
-				}
-				off[cu+1]++
-			}
-		}
-	}
-	q, _ := csr(count, off[:count+1], keys, g.Labeled())
-	q.numLabels = g.numLabels
+	})
+	q.m = len(q.succ)
 	return q
 }
 
-// csr lays out n rows of uint64(To)<<16|Label keys, row v being
-// keys[off[v]:off[v+1]], as a Digraph (owning off and keys): each row is
-// sorted unless it already is, deduplicated and compacted, and the reverse
-// CSR is filled in ascending source order, so it comes out sorted too.
-// sorts counts the rows it had to sort.
-func csr(n int, off []uint32, keys []uint64, labeled bool) (g *Digraph, sorts int) {
+// quotientSide is one side of Quotient over the CSR rows adj[off[u]:
+// off[u+1]] (labels lab, nil when unlabeled): row class[u] collects
+// uint64(class[x])<<16|label for every neighbour x of u in another class,
+// and pack sorts, dedups and compacts the rows. A row's room is the
+// summed degree of its class's members, so no pass counts edges.
+func quotientSide(off []uint32, adj []V, lab []Label, class []uint32, count int) ([]uint32, []V, []Label) {
+	qoff := make([]uint32, count+1)
+	for u, c := range class {
+		qoff[c+1] += off[u+1] - off[u]
+	}
+	for c := 0; c < count; c++ {
+		qoff[c+1] += qoff[c]
+	}
+	fill := slices.Clone(qoff[:count])
+	keys := make([]uint64, qoff[count])
+	for u, cu := range class {
+		pos := fill[cu]
+		for i := off[u]; i < off[u+1]; i++ {
+			if cx := class[adj[i]]; cx != cu {
+				k := uint64(cx) << 16
+				if lab != nil {
+					k |= uint64(lab[i])
+				}
+				keys[pos] = k
+				pos++
+			}
+		}
+		fill[cu] = pos
+	}
+	qadj, qlab, _ := pack(qoff, fill, keys, lab != nil)
+	return qoff, qadj, qlab
+}
+
+// pack lays out rows of uint64(V)<<16|Label keys, row v being
+// keys[off[v]:end[v]] for v < len(off)-1: each row is sorted unless it
+// already is, deduplicated and compacted to the front of keys, off is
+// rewritten to the packed offsets, and the keys are split into vertex
+// and (when labeled) label arrays. end may alias off[1:]. sorts counts
+// the rows it had to sort.
+func pack(off, end []uint32, keys []uint64, labeled bool) (adj []V, lab []Label, sorts int) {
+	rows := len(off) - 1
 	m := 0
-	for v := 0; v < n; v++ {
-		row := keys[off[v]:off[v+1]]
+	for v := 0; v < rows; v++ {
+		row := keys[off[v]:end[v]]
 		if !slices.IsSorted(row) {
 			slices.Sort(row)
 			sorts++
@@ -247,19 +270,34 @@ func csr(n int, off []uint32, keys []uint64, labeled bool) (g *Digraph, sorts in
 		off[v] = uint32(m)
 		m += copy(keys[m:], slices.Compact(row))
 	}
-	off[n] = uint32(m)
-	g = &Digraph{n: n, m: m, succOff: off, succ: make([]V, m),
-		predOff: make([]uint32, n+1), pred: make([]V, m), names: &nameIndex{}}
+	off[rows] = uint32(m)
+	adj = make([]V, m)
 	if labeled {
-		g.succLab = make([]Label, m)
-		g.predLab = make([]Label, m)
+		lab = make([]Label, m)
 	}
 	for i, k := range keys[:m] {
-		g.succ[i] = V(k >> 16)
-		g.predOff[g.succ[i]+1]++
+		adj[i] = V(k >> 16)
 		if labeled {
-			g.succLab[i] = Label(k)
+			lab[i] = Label(k)
 		}
+	}
+	return adj, lab, sorts
+}
+
+// csr lays out n rows of uint64(To)<<16|Label keys, row v being
+// keys[off[v]:off[v+1]], as a Digraph owning off: pack lays out the
+// successor side, and the reverse CSR is filled in ascending source
+// order, so it comes out sorted too. sorts counts the rows pack sorted.
+func csr(n int, off []uint32, keys []uint64, labeled bool) (g *Digraph, sorts int) {
+	succ, succLab, sorts := pack(off, off[1:], keys, labeled)
+	m := len(succ)
+	g = &Digraph{n: n, m: m, succOff: off, succ: succ, succLab: succLab,
+		predOff: make([]uint32, n+1), pred: make([]V, m), names: &nameIndex{}}
+	if labeled {
+		g.predLab = make([]Label, m)
+	}
+	for _, t := range succ {
+		g.predOff[t+1]++
 	}
 	for v := 0; v < n; v++ {
 		g.predOff[v+1] += g.predOff[v]
@@ -267,10 +305,10 @@ func csr(n int, off []uint32, keys []uint64, labeled bool) (g *Digraph, sorts in
 	fill := slices.Clone(g.predOff[:n])
 	for u := 0; u < n; u++ {
 		for i := off[u]; i < off[u+1]; i++ {
-			t := g.succ[i]
+			t := succ[i]
 			g.pred[fill[t]] = V(u)
 			if labeled {
-				g.predLab[fill[t]] = g.succLab[i]
+				g.predLab[fill[t]] = succLab[i]
 			}
 			fill[t]++
 		}

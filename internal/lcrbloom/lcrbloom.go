@@ -107,7 +107,7 @@ func (ix *Index) buildFamily(g *graph.Digraph, mask labelset.Set) family {
 		return true
 	})
 	sub := b.MustFreeze()
-	cond := scc.Condense(sub)
+	cond := scc.Condense(sub, 0)
 	dag := cond.DAG
 	nc := dag.N()
 	cOut := make([]uint64, nc*w)

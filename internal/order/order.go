@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 )
 
@@ -226,9 +227,13 @@ func (p *PostOrder) Contains(s, t graph.V) bool {
 
 // DFSForest computes a spanning forest of the DAG g by depth-first search
 // and its post-order interval numbering. Roots are tried in the given
-// order; children are visited in the order their edges appear, optionally
-// shuffled by rng (GRAIL's randomized spanning trees). The traversal is
-// iterative.
+// order, then every vertex still unreached, in id order, becomes a root
+// of its own; children are visited in the order their edges appear,
+// optionally shuffled by rng (GRAIL's randomized spanning trees, each
+// vertex's successors shuffled into its own run of one m-entry arena when
+// it is pushed). The traversal is iterative and allocates its result, one
+// n-frame stack and, with rng, the arena. A subtree's post numbers are
+// contiguous, so Min[v] is the post counter when v is pushed.
 func DFSForest(g *graph.Digraph, roots []graph.V, rng *rand.Rand) *PostOrder {
 	n := g.N()
 	p := &PostOrder{
@@ -236,95 +241,61 @@ func DFSForest(g *graph.Digraph, roots []graph.V, rng *rand.Rand) *PostOrder {
 		Min:    make([]uint32, n),
 		Parent: make([]graph.V, n),
 	}
-	visited := make([]bool, n)
-	var counter uint32
-
+	// One bit per vertex: the per-edge test reads n/8 bytes, not n words.
+	seen := bitset.New(n)
+	var arena []graph.V
+	if rng != nil {
+		arena = make([]graph.V, 0, g.M())
+	}
+	// A frame is a vertex, its next child's position and, with rng, the
+	// start of its shuffled successors in arena.
 	type frame struct {
-		v    graph.V
-		kids []graph.V
-		ki   int
-		min  uint32
+		v        graph.V
+		ki, base uint32
 	}
-	var stack []frame
-
-	push := func(v graph.V, parent graph.V) {
-		visited[v] = true
+	stack := make([]frame, 0, n)
+	var counter uint32
+	push := func(v, parent graph.V) {
+		seen.Set(int(v))
 		p.Parent[v] = parent
-		kids := g.Succ(v)
-		if rng != nil && len(kids) > 1 {
-			shuffled := make([]graph.V, len(kids))
-			copy(shuffled, kids)
-			rng.Shuffle(len(shuffled), func(i, j int) {
-				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-			})
-			kids = shuffled
+		p.Min[v] = counter
+		base := uint32(len(arena))
+		if rng != nil {
+			arena = append(arena, g.Succ(v)...)
+			if kids := arena[base:]; len(kids) > 1 {
+				rng.Shuffle(len(kids), func(i, j int) { kids[i], kids[j] = kids[j], kids[i] })
+			}
 		}
-		stack = append(stack, frame{v: v, kids: kids, min: ^uint32(0)})
+		stack = append(stack, frame{v: v, base: base})
 	}
 
-	for _, root := range roots {
-		if visited[root] {
+	for i := 0; i < len(roots)+n; i++ {
+		root := graph.V(i - len(roots))
+		if i < len(roots) {
+			root = roots[i]
+		}
+		if seen.Test(int(root)) {
 			continue
 		}
 		push(root, root)
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.ki < len(f.kids) {
-				w := f.kids[f.ki]
-				f.ki++
-				if !visited[w] {
-					push(w, f.v)
-				}
+			kids := g.Succ(f.v)
+			if rng != nil {
+				kids = arena[f.base : int(f.base)+len(kids)]
+			}
+			ki := int(f.ki)
+			for ki < len(kids) && seen.Test(int(kids[ki])) {
+				ki++
+			}
+			if ki < len(kids) {
+				f.ki = uint32(ki) + 1
+				push(kids[ki], f.v)
 				continue
 			}
-			// finish f.v
-			post := counter
+			p.Post[f.v] = counter
 			counter++
-			min := f.min
-			if min == ^uint32(0) {
-				min = post
-			}
-			p.Post[f.v] = post
-			p.Min[f.v] = min
 			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				pf := &stack[len(stack)-1]
-				if min < pf.min {
-					pf.min = min
-				}
-			}
-		}
-	}
-	// Any vertex not reached from the given roots becomes its own root.
-	for v := 0; v < n; v++ {
-		if !visited[v] {
-			push(graph.V(v), graph.V(v))
-			for len(stack) > 0 {
-				f := &stack[len(stack)-1]
-				if f.ki < len(f.kids) {
-					w := f.kids[f.ki]
-					f.ki++
-					if !visited[w] {
-						push(w, f.v)
-					}
-					continue
-				}
-				post := counter
-				counter++
-				min := f.min
-				if min == ^uint32(0) {
-					min = post
-				}
-				p.Post[f.v] = post
-				p.Min[f.v] = min
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 {
-					pf := &stack[len(stack)-1]
-					if min < pf.min {
-						pf.min = min
-					}
-				}
-			}
 		}
 	}
 	return p

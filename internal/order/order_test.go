@@ -224,7 +224,7 @@ func TestLevelsMatchKahn(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		n := 1 + int(seed)*7
 		dag := gen.RandomDAG(gen.Config{N: n, M: 3 * n, Seed: seed})
-		cond := scc.Condense(dag).DAG
+		cond := scc.Condense(dag, 0).DAG
 		check("shuffled DAG", dag, false)
 		check("condensation", cond, true)
 		check("reversed condensation", cond.Reverse(), true)
@@ -238,8 +238,73 @@ func TestLevelsMatchKahn(t *testing.T) {
 // a topological order, so Levels allocates only its result, no in-degree
 // array, queue or order.
 func TestLevelsOfCondensationAllocatesOnce(t *testing.T) {
-	cond := scc.Condense(gen.ErdosRenyi(gen.Config{N: 2000, M: 6000, Seed: 3})).DAG
+	cond := scc.Condense(gen.ErdosRenyi(gen.Config{N: 2000, M: 6000, Seed: 3}), 0).DAG
 	if allocs := testing.AllocsPerRun(5, func() { Levels(cond) }); allocs != 1 {
 		t.Fatalf("Levels of a condensation makes %.0f allocations, want 1", allocs)
+	}
+}
+
+// TestDFSForestMatchesOracle holds DFSForest equal, Post, Min and Parent,
+// to the walk it replaced, and leaves rng where the old walk left it: on
+// random DAGs, with all, some or no roots given (duplicates and
+// non-sources included), and on cyclic graphs, with and without rng.
+func TestDFSForestMatchesOracle(t *testing.T) {
+	pick := rand.New(rand.NewSource(35))
+	for iter := 0; iter < 400; iter++ {
+		n := 2 + pick.Intn(150)
+		cfg := gen.Config{N: n, M: pick.Intn(4 * n), Seed: int64(iter)}
+		g := gen.RandomDAG(cfg)
+		if iter%4 == 3 {
+			g = gen.ErdosRenyi(cfg)
+		}
+		var roots []graph.V
+		switch iter % 3 {
+		case 0:
+			roots = Sources(g)
+		case 1:
+			for k := pick.Intn(n); k > 0; k-- {
+				roots = append(roots, graph.V(pick.Intn(n)))
+			}
+		}
+		for _, shuffled := range []bool{false, true} {
+			var rngGot, rngWant *rand.Rand
+			if shuffled {
+				rngGot, rngWant = rand.New(rand.NewSource(int64(iter))), rand.New(rand.NewSource(int64(iter)))
+			}
+			got, want := DFSForest(g, roots, rngGot), dfsForestOracle(g, roots, rngWant)
+			if !slices.Equal(got.Post, want.Post) || !slices.Equal(got.Min, want.Min) ||
+				!slices.Equal(got.Parent, want.Parent) {
+				t.Fatalf("iter %d (rng %v): forest differs from the oracle", iter, shuffled)
+			}
+			if shuffled && rngGot.Int63() != rngWant.Int63() {
+				t.Fatalf("iter %d: rng stream differs after the walk", iter)
+			}
+		}
+	}
+}
+
+// TestDFSForestAllocsDoNotGrowWithN pins DFSForest as a fixed set of
+// arrays: the same number of allocations at n=10⁴ and n=10⁵, with and
+// without rng. A copy per shuffled vertex, or an append-grown stack,
+// would grow with n.
+func TestDFSForestAllocsDoNotGrowWithN(t *testing.T) {
+	allocs := func(n int, shuffled bool) float64 {
+		g := gen.RandomDAG(gen.Config{N: n, M: 4 * n, Seed: 1})
+		roots := Sources(g)
+		return testing.AllocsPerRun(2, func() {
+			var rng *rand.Rand
+			if shuffled {
+				rng = rand.New(rand.NewSource(1))
+			}
+			DFSForest(g, roots, rng)
+		})
+	}
+	for _, shuffled := range []bool{false, true} {
+		small, large := allocs(10_000, shuffled), allocs(100_000, shuffled)
+		t.Logf("DFSForest allocations (rng %v): %v at n=10⁴, %v at n=10⁵", shuffled, small, large)
+		if small != large || large > 10 {
+			t.Fatalf("DFSForest (rng %v) allocates %v at n=10⁴ but %v at n=10⁵; want the same small constant",
+				shuffled, small, large)
+		}
 	}
 }

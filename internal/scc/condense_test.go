@@ -10,9 +10,10 @@ import (
 )
 
 // builderCondense is the Builder-based Condense that graph.Quotient
-// replaced, kept as the reference the condensation must equal.
+// replaced, over the classic Tarjan, kept as the reference the
+// condensation must equal.
 func builderCondense(g *graph.Digraph) *Condensation {
-	c := Tarjan(g)
+	c := tarjanOracle(g)
 	b := graph.NewBuilder(c.Count)
 	if g.Labeled() {
 		b = graph.NewLabeledBuilder(c.Count)
@@ -71,11 +72,14 @@ func TestCondenseMatchesBuilderOracle(t *testing.T) {
 			// condensed edges once SCCs swallow some.
 			g = gen.UniformLabels(gen.ErdosRenyi(cfg), 1+rng.Intn(8), int64(iter))
 		}
-		got, want := Condense(g), builderCondense(g)
-		if !slices.Equal(got.Comp, want.Comp) {
-			t.Fatalf("iter %d: Comp differs", iter)
+		want := builderCondense(g)
+		for _, workers := range []int{1, 2} {
+			got := Condense(g, workers)
+			if !slices.Equal(got.Comp, want.Comp) {
+				t.Fatalf("iter %d workers %d: Comp differs", iter, workers)
+			}
+			sameGraph(t, got.DAG, want.DAG)
 		}
-		sameGraph(t, got.DAG, want.DAG)
 	}
 }
 
@@ -85,11 +89,57 @@ func TestCondenseMatchesBuilderOracle(t *testing.T) {
 func TestCondenseAllocsDoNotGrowWithM(t *testing.T) {
 	allocs := func(n int) float64 {
 		g := gen.RandomDAG(gen.Config{N: n, M: 4 * n, Seed: 1})
-		return testing.AllocsPerRun(2, func() { Condense(g) })
+		return testing.AllocsPerRun(2, func() { Condense(g, 0) })
 	}
 	small, large := allocs(10_000), allocs(100_000)
 	t.Logf("Condense allocations: %v at m=4·10⁴, %v at m=4·10⁵", small, large)
 	if small != large || large > 20 {
 		t.Fatalf("Condense allocates %v at m=4·10⁴ but %v at m=4·10⁵; want the same small constant", small, large)
 	}
+}
+
+// TestTarjanMatchesOracle holds Pearce's one-word Tarjan equal, Comp and
+// Count, to the classic four-array form on cyclic (self-loops included),
+// acyclic and labeled graphs, on a 2·10⁵-vertex closed path (one
+// component, the deepest stack) and on a 10⁵-long chain of 2-cycles
+// (a deep stack that emits many components).
+func TestTarjanMatchesOracle(t *testing.T) {
+	same := func(name string, g *graph.Digraph) {
+		t.Helper()
+		got, want := Tarjan(g), tarjanOracle(g)
+		if got.Count != want.Count || !slices.Equal(got.Comp, want.Comp) {
+			t.Fatalf("%s: Count %d, want %d; Comp equal: %v", name, got.Count, want.Count,
+				slices.Equal(got.Comp, want.Comp))
+		}
+	}
+	rng := rand.New(rand.NewSource(35))
+	for iter := 0; iter < 400; iter++ {
+		n := 1 + rng.Intn(120)
+		cfg := gen.Config{N: max(n, 2), M: rng.Intn(3 * n), Seed: int64(iter)}
+		switch iter % 3 {
+		case 0:
+			same("er", gen.ErdosRenyi(cfg))
+		case 1:
+			same("dag", gen.RandomDAG(cfg))
+		default:
+			same("labeled", gen.UniformLabels(gen.ErdosRenyi(cfg), 1+rng.Intn(8), int64(iter)))
+		}
+	}
+	const ring = 200_000
+	b := graph.NewBuilder(ring)
+	for i := 0; i < ring; i++ {
+		b.AddEdge(graph.V(i), graph.V((i+1)%ring))
+	}
+	same("closed path", b.MustFreeze())
+	const pairs = 100_000
+	b = graph.NewBuilder(2 * pairs)
+	for i := 0; i < pairs; i++ {
+		u, v := graph.V(2*i), graph.V(2*i+1)
+		b.AddEdge(u, v)
+		b.AddEdge(v, u)
+		if i+1 < pairs {
+			b.AddEdge(v, u+2)
+		}
+	}
+	same("chain of 2-cycles", b.MustFreeze())
 }

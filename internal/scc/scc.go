@@ -22,74 +22,68 @@ type Components struct {
 	Count int      // number of components
 }
 
-// Tarjan runs the iterative Tarjan SCC algorithm on g.
+// Tarjan runs Tarjan's SCC algorithm on g, iteratively, in Pearce's
+// one-word-per-vertex form ("A space-efficient algorithm for finding
+// strongly connected components", IPL 2016). state[v] is 0 while v is
+// unvisited, v's DFS index (from 1) while v is on the component stack,
+// and n-1-k once v is in the k-th emitted component. Indexes are reused
+// as components pop, so the active ones are exactly 1..A for the A
+// vertices on the stack, and A <= n-F <= n-K for F finished vertices in K
+// components: an active index never exceeds a finished number. So
+// low = min(low, state[w]) takes one load per edge and needs no on-stack
+// test, and a finished w never lowers low. A finished 0 (the n-th of n
+// singleton components) can only be the last vertex to finish. The
+// emission order, and so Comp, is classic Tarjan's.
 func Tarjan(g *graph.Digraph) *Components {
 	n := g.N()
-	const unvisited = ^uint32(0)
-	index := make([]uint32, n)
-	low := make([]uint32, n)
-	comp := make([]uint32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-	}
+	state := make([]uint32, n)
 	// Both stacks hold at most n entries: sized once, never regrown.
 	stack := make([]uint32, 0, n)
-	var next uint32
+	// Explicit DFS frames: vertex, position within its successor list,
+	// and the least index seen from its subtree.
+	type frame struct{ v, ei, low uint32 }
+	frames := make([]frame, 0, n)
+	next := uint32(1) // the next DFS index
 	var count uint32
 
-	// Explicit DFS frames: vertex and position within its successor list.
-	type frame struct {
-		v  uint32
-		ei uint32
-	}
-	frames := make([]frame, 0, n)
-
 	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
+		if state[root] != 0 {
 			continue
 		}
-		frames = append(frames[:0], frame{v: uint32(root)})
-		index[root] = next
-		low[root] = next
+		state[root] = next
+		frames = append(frames[:0], frame{v: uint32(root), low: next})
 		next++
 		stack = append(stack, uint32(root))
-		onStack[root] = true
 
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			v := f.v
+			v, ei, low := f.v, int(f.ei), f.low
 			succ := g.Succ(v)
-			advanced := false
-			for int(f.ei) < len(succ) {
-				w := succ[f.ei]
-				f.ei++
-				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-					advanced = true
+			for ; ei < len(succ); ei++ {
+				s := state[succ[ei]]
+				if s == 0 {
 					break
-				} else if onStack[w] {
-					if index[w] < low[v] {
-						low[v] = index[w]
-					}
 				}
+				low = min(low, s)
 			}
-			if advanced {
+			if ei < len(succ) {
+				// Descend into the unvisited succ[ei].
+				f.ei, f.low = uint32(ei)+1, low
+				w := succ[ei]
+				state[w] = next
+				frames = append(frames, frame{v: w, low: next})
+				next++
+				stack = append(stack, w)
 				continue
 			}
 			// v is finished.
-			if low[v] == index[v] {
+			if low == state[v] {
+				c := uint32(n) - 1 - count
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = count
+					state[w] = c
+					next--
 					if w == v {
 						break
 					}
@@ -98,14 +92,16 @@ func Tarjan(g *graph.Digraph) *Components {
 			}
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
+				if p := &frames[len(frames)-1]; low < p.low {
+					p.low = low
 				}
 			}
 		}
 	}
-	return &Components{Comp: comp, Count: int(count)}
+	for v, s := range state {
+		state[v] = uint32(n) - 1 - s
+	}
+	return &Components{Comp: state, Count: int(count)}
 }
 
 // Condensation is the DAG obtained by coalescing each SCC of a general
@@ -119,13 +115,16 @@ type Condensation struct {
 }
 
 // Condense computes the condensation of g: Tarjan, then the quotient of
-// g's CSR by the component ids. Edge labels are preserved: a labeled edge
+// g's CSR by the component ids, whose successor and predecessor sides are
+// built on up to two of workers (the reach.Options.Workers convention:
+// 0 = GOMAXPROCS, 1 = serial). Edge labels are preserved: a labeled edge
 // (u, l, v) between distinct components becomes the labeled edge
 // (comp(u), l, comp(v)) in the DAG (deduplicated), and the label universe
-// stays g's even if some labels only occur inside SCCs.
-func Condense(g *graph.Digraph) *Condensation {
+// stays g's even if some labels only occur inside SCCs. The result does
+// not depend on workers.
+func Condense(g *graph.Digraph, workers int) *Condensation {
 	c := Tarjan(g)
-	return &Condensation{DAG: graph.Quotient(g, c.Comp, c.Count), Comp: c.Comp}
+	return &Condensation{DAG: graph.Quotient(g, c.Comp, c.Count, workers), Comp: c.Comp}
 }
 
 // SameComponent reports whether u and v are in the same SCC.

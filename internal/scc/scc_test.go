@@ -50,7 +50,7 @@ func TestTarjanReverseTopoIDs(t *testing.T) {
 
 func TestCondenseIsDAG(t *testing.T) {
 	g := gen.ErdosRenyi(gen.Config{N: 300, M: 1200, Seed: 3})
-	cond := Condense(g)
+	cond := Condense(g, 0)
 	if !order.IsDAG(cond.DAG) {
 		t.Fatal("condensation has a cycle")
 	}
@@ -68,7 +68,7 @@ func TestCondensePreservesReachability(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 5; iter++ {
 		g := gen.ErdosRenyi(gen.Config{N: 60, M: 150, Seed: int64(iter)})
-		cond := Condense(g)
+		cond := Condense(g, 0)
 		for q := 0; q < 200; q++ {
 			s := graph.V(rng.Intn(g.N()))
 			tt := graph.V(rng.Intn(g.N()))
@@ -94,7 +94,7 @@ func TestCondenseLabeled(t *testing.T) {
 	b.AddLabeledEdge(1, 2, 2)
 	b.AddLabeledEdge(2, 3, 0)
 	g := b.MustFreeze()
-	cond := Condense(g)
+	cond := Condense(g, 0)
 	if cond.DAG.Labels() != g.Labels() {
 		t.Fatalf("label universe shrank: %d vs %d", cond.DAG.Labels(), g.Labels())
 	}

@@ -51,7 +51,7 @@ func NewClosureN(g *graph.Digraph, workers int) *Closure {
 // condensation aborts after a bounded number of block sweeps. A nil check
 // is free.
 func NewClosureChecked(g *graph.Digraph, workers int, chk *core.Check) *Closure {
-	cond := scc.Condense(g)
+	cond := scc.Condense(g, workers)
 	dag := cond.DAG
 	nc := dag.N()
 	mat := bitset.NewMatrix(nc, nc)

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // FsyncMode re-exports the WAL durability policy.
@@ -332,6 +334,9 @@ func (mdb *mutDB) rebuildOnce() (err error) {
 		}
 		opts := mdb.opts
 		opts.Prepared = Prepare(g1)
+		// A background rebuild leaves one CPU to the writer and the
+		// readers it runs beside: at most GOMAXPROCS-1 workers, at least 1.
+		opts.Workers = max(1, min(par.Resolve(opts.Workers), runtime.GOMAXPROCS(0)-1))
 		ix1, err := BuildCtx(mdb.ctx, snap.kind, g1, opts)
 		if err != nil {
 			return err

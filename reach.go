@@ -267,39 +267,46 @@ func BuildCtx(ctx context.Context, k Kind, g *Graph, opt Options) (ix Index, err
 	defer core.Recover(&err)
 	chk := core.NewCheck(ctx, "build/"+string(k))
 	sp := opt.Spans
+	w := par.Resolve(opt.Workers)
+	// lift condenses g on w workers and builds the DAG index over the
+	// condensation; buildWorkers is w for builders with a parallel phase,
+	// 0 for serial ones (the "index/build" span's `workers` attribute).
+	lift := func(buildWorkers int, build core.DAGBuilder) (Index, error) {
+		return core.ForGeneralPrepared(g, sp, w, buildWorkers, opt.Prepared, build), nil
+	}
 	switch k {
 	case KindTreeCover:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index { return treecover.New(d) }), nil
+		return lift(0, func(d *Graph) Index { return treecover.New(d) })
 	case KindTreeSSPI:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index { return sspi.New(d) }), nil
+		return lift(0, func(d *Graph) Index { return sspi.New(d) })
 	case KindDualLabel:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index { return duallabel.New(d) }), nil
+		return lift(0, func(d *Graph) Index { return duallabel.New(d) })
 	case KindGRIPP:
 		return timed(sp, func() Index { return gripp.New(g) }), nil
 	case KindPathTree:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index { return pathtree.New(d) }), nil
+		return lift(0, func(d *Graph) Index { return pathtree.New(d) })
 	case KindGRAIL:
-		return core.ForGeneralPrepared(g, sp, par.Resolve(opt.Workers), opt.Prepared, func(d *Graph) Index {
+		return lift(w, func(d *Graph) Index {
 			return grail.New(d, grail.Options{K: opt.K, Seed: opt.Seed, Workers: opt.Workers})
-		}), nil
+		})
 	case KindFerrari:
-		return core.ForGeneralPrepared(g, sp, par.Resolve(opt.Workers), opt.Prepared, func(d *Graph) Index {
+		return lift(w, func(d *Graph) Index {
 			return ferrari.New(d, ferrari.Options{K: opt.K, Workers: opt.Workers})
-		}), nil
+		})
 	case KindDAGGER:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index {
+		return lift(0, func(d *Graph) Index {
 			return dagger.New(d, dagger.Options{K: opt.K, Seed: opt.Seed})
-		}), nil
+		})
 	case KindTwoHop:
 		return timed(sp, func() Index { return twohop.NewChecked(g, chk) }), nil
 	case KindThreeHop:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index { return threehop.NewChecked(d, chk) }), nil
+		return lift(0, func(d *Graph) Index { return threehop.NewChecked(d, chk) })
 	case KindPathHop:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index { return pathhop.New(d) }), nil
+		return lift(0, func(d *Graph) Index { return pathhop.New(d) })
 	case KindTFL:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index {
+		return lift(0, func(d *Graph) Index {
 			return pll.New(d, pll.Options{Order: pll.OrderTopological, Check: chk})
-		}), nil
+		})
 	case KindDL:
 		return timed(sp, func() Index {
 			return pll.New(g, pll.Options{Order: pll.OrderDegree, Name: "DL", Check: chk})
@@ -309,33 +316,33 @@ func BuildCtx(ctx context.Context, k Kind, g *Graph, opt Options) (ix Index, err
 			return pll.New(g, pll.Options{Order: pll.OrderDegree, Check: chk})
 		}), nil
 	case KindHL:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index {
+		return lift(0, func(d *Graph) Index {
 			return pll.New(d, pll.Options{Order: pll.OrderDegreeProduct, Name: "HL", Check: chk})
-		}), nil
+		})
 	case KindTOL:
 		return timed(sp, func() Index {
 			return tol.NewChecked(g, chk)
 		}), nil
 	case KindDBL:
-		return timedN(sp, par.Resolve(opt.Workers), func() Index {
+		return timedN(sp, w, func() Index {
 			return dbl.New(g, dbl.Options{K: opt.K, Bits: opt.Bits, Seed: opt.Seed, Workers: opt.Workers})
 		}), nil
 	case KindOReach:
-		return core.ForGeneralPrepared(g, sp, par.Resolve(opt.Workers), opt.Prepared, func(d *Graph) Index {
+		return lift(w, func(d *Graph) Index {
 			return oreach.New(d, oreach.Options{K: opt.K, Workers: opt.Workers})
-		}), nil
+		})
 	case KindIP:
-		return core.ForGeneralPrepared(g, sp, par.Resolve(opt.Workers), opt.Prepared, func(d *Graph) Index {
+		return lift(w, func(d *Graph) Index {
 			return ip.New(d, ip.Options{K: opt.K, Seed: opt.Seed, Workers: opt.Workers})
-		}), nil
+		})
 	case KindBFL:
-		return core.ForGeneralPrepared(g, sp, par.Resolve(opt.Workers), opt.Prepared, func(d *Graph) Index {
+		return lift(w, func(d *Graph) Index {
 			return bfl.New(d, bfl.Options{Seed: opt.Seed, Spans: sp, Workers: opt.Workers})
-		}), nil
+		})
 	case KindFeline:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index { return feline.New(d) }), nil
+		return lift(0, func(d *Graph) Index { return feline.New(d) })
 	case KindPReaCH:
-		return core.ForGeneralPrepared(g, sp, 0, opt.Prepared, func(d *Graph) Index { return preach.New(d) }), nil
+		return lift(0, func(d *Graph) Index { return preach.New(d) })
 	}
 	return nil, fmt.Errorf("reach: unknown index kind %q", k)
 }

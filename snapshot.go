@@ -131,7 +131,7 @@ func loadSnapshot(open func() (*persist.Mapped, error), g *Graph, opt Options) (
 	}()
 	switch m.Format() {
 	case "bfl":
-		return core.ForGeneralLoaded(g, opt.Spans, opt.Prepared, func(dag *graph.Digraph) (Index, error) {
+		return core.ForGeneralLoaded(g, opt.Spans, opt.Workers, opt.Prepared, func(dag *graph.Digraph) (Index, error) {
 			return bfl.FromMapped(m, dag)
 		})
 	case "pll":
