@@ -50,7 +50,8 @@ func fallbackPairs(t testing.TB, db *DB, g *Graph, want int, seed int64) []Pair 
 }
 
 // TestFallbackReachZeroAlloc: on a 10⁶-vertex DAG a DB.Reach that falls
-// back to the guided DFS allocates nothing at steady state.
+// back to the guided DFS allocates nothing at steady state, both through
+// the observed path (Metrics) and straight to the probe (DBConfig{}).
 func TestFallbackReachZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race; zero-alloc cannot hold")
@@ -59,19 +60,26 @@ func TestFallbackReachZeroAlloc(t *testing.T) {
 		t.Skip("builds a 10⁶-vertex index")
 	}
 	g := gen.RandomDAG(gen.Config{N: 1_000_000, M: 4_000_000, Seed: 21})
-	db, err := NewDB(g, DBConfig{Metrics: true})
+	observed, err := NewDB(g, DBConfig{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := fallbackPairs(t, db, g, 64, 22)
+	// The same build falls back on the same pairs in both DBs.
+	pairs := fallbackPairs(t, observed, g, 64, 22)
+	plain, err := NewDB(g, DBConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, p := range pairs {
-			db.Reach(p.S, p.T)
+	for name, db := range map[string]*DB{"Metrics": observed, "DBConfig{}": plain} {
+		allocs := testing.AllocsPerRun(50, func() {
+			for _, p := range pairs {
+				db.Reach(p.S, p.T)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %d fallback DB.Reach calls allocate %.1f objects, want 0", name, len(pairs), allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%d fallback DB.Reach calls allocate %.1f objects, want 0", len(pairs), allocs)
 	}
 }
 

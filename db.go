@@ -66,6 +66,9 @@ type DB struct {
 	// the recorder, or the auto-tuner's sample ring — so a DB with none of
 	// them never reads the clock.
 	timed bool
+	// unobserved is set when nothing watches a plain query: no cache, not
+	// timed, no tracing. Reach then goes straight to the probe.
+	unobserved bool
 	// mut is the live-mutation engine, nil unless DBConfig.Mutation
 	// enabled it (see mutable.go), and aut the auto-tuning engine, nil
 	// unless DBConfig.AutoTune enabled it (see autotune.go). Both only
@@ -272,6 +275,7 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 		recorder:     cfg.RecordWorkload,
 		timed:        cfg.Metrics || cfg.RecordWorkload != nil || cfg.AutoTune != nil,
 	}
+	db.unobserved = db.cache == nil && !db.timed && !db.traceEnabled
 	if cfg.Metrics {
 		db.metrics = obs.NewDBMetrics()
 		if cfg.Options.Spans == nil {
@@ -501,6 +505,9 @@ func (db *DB) ReachCtx(ctx context.Context, s, t V) (res bool, err error) {
 		}
 	}
 	defer db.boundary(&err)
+	if db.unobserved {
+		return db.cur.Load().reach(s, t), nil
+	}
 	tr := db.traceFrom(ctx)
 	var start time.Time
 	if db.timed {

@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -363,7 +364,7 @@ func TestDBMetricsDecidedFallback(t *testing.T) {
 	for _, sp := range snap.Build {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"scc/condense", "index/build", "bfl/dfs-intervals", "bfl/filters-out"} {
+	for _, want := range []string{"scc/condense", "index/build", "bfl/levels", "bfl/filters-out"} {
 		if !names[want] {
 			t.Errorf("missing build phase %q in %v", want, names)
 		}
@@ -462,6 +463,67 @@ func TestDBAlternativePlainAndLCRKinds(t *testing.T) {
 		}
 		if ok, _ := db.Query(a, g, "(friendOf|follows)*"); ok {
 			t.Errorf("%+v: LCR answer wrong", cfg)
+		}
+	}
+}
+
+// TestReachObserversSeeEveryQuery: a DB with nothing watching its plain
+// queries answers them straight from the index, so each observer, on
+// alone, must still see every DB.Reach: N calls give N plain-route
+// observations with Metrics, N cache lookups with a cache, and N traces
+// with an index/probe phase with Tracing and a traced context.
+func TestReachObserversSeeEveryQuery(t *testing.T) {
+	g := gen.RandomDAG(gen.Config{N: 500, M: 1500, Seed: 31})
+	oracle := tc.NewClosure(g)
+	const n = 200
+	for _, c := range []struct {
+		name string
+		cfg  DBConfig
+		seen func(db *DB, tracer *obs.Tracer) int64
+	}{
+		{"metrics", DBConfig{Metrics: true}, func(db *DB, _ *obs.Tracer) int64 {
+			snap, _ := db.MetricsSnapshot()
+			return snap.Routes[obs.RoutePlain.String()].Queries
+		}},
+		{"cache", DBConfig{CacheSize: 64}, func(db *DB, _ *obs.Tracer) int64 {
+			st, _ := db.CacheStats()
+			return st.Hits + st.Misses
+		}},
+		{"tracing", DBConfig{Tracing: true}, func(db *DB, tracer *obs.Tracer) int64 {
+			var probed int64
+			for _, rec := range tracer.Snapshot().Recent {
+				for _, p := range rec.Phases {
+					if p.Name == "index/probe" {
+						probed++
+						break
+					}
+				}
+			}
+			return probed
+		}},
+	} {
+		db, err := NewDB(g, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracer := obs.NewTracer(n, 0)
+		for i := 0; i < n; i++ {
+			s, tt := V(i*7%g.N()), V(i*13%g.N())
+			var got bool
+			var err error
+			if c.cfg.Tracing {
+				tr := tracer.Start("")
+				got, err = db.ReachCtx(obs.WithTrace(context.Background(), tr), s, tt)
+				tracer.Finish(tr)
+			} else {
+				got, err = db.Reach(s, tt)
+			}
+			if err != nil || got != oracle.Reach(s, tt) {
+				t.Fatalf("%s: Reach(%d,%d) = %v, %v; want %v", c.name, s, tt, got, err, oracle.Reach(s, tt))
+			}
+		}
+		if seen := c.seen(db, tracer); seen != n {
+			t.Errorf("%s: %d of %d queries observed", c.name, seen, n)
 		}
 	}
 }

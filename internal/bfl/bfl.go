@@ -7,11 +7,15 @@
 // reverse-topological pass (Lout(v) = own bit ∪ children's filters); Lin
 // is the dual. The AP() contra-positive of §3.3 gives the definite
 // negative: if Lout(t) ⊄ Lout(s) then Out(t) ⊄ Out(s), so t is not
-// reachable from s — no false negatives by construction. A DFS forest
-// adds two exact tests: its postorder is a reverse topological order of
-// the DAG, so post(s) < post(t) is a definite negative, and t inside s's
-// subtree interval is a definite positive. Undecided queries fall back to
-// a DFS pruned by the same tests.
+// reachable from s — no false negatives by construction.
+//
+// BFL indexes an SCC condensation, whose vertex ids are Tarjan's
+// emission order: a DFS postorder, so a reverse topological order. That
+// order adds two exact tests. s < t is a definite negative, decided from
+// the two ids before any label is read; and t in [Min[s], s], the ids
+// that completed inside s's DFS subtree (scc.Condensation.Min), is a
+// definite positive. Undecided queries fall back to a DFS pruned by the
+// same tests.
 //
 // All of a vertex's labels live in one 64-byte record, so a probe reads
 // one cache line per endpoint and the guided DFS one per vertex it visits.
@@ -26,11 +30,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/order"
 	"repro/internal/par"
+	"repro/internal/scc"
 	"repro/internal/scratch"
 )
 
 // Options configures BFL. The filter widths are not options: they are
-// what fits beside the interval in one cache line (see record).
+// what fits beside the interval's low end in one cache line (see record).
 type Options struct {
 	// Seed scrambles the vertex→bit hash.
 	Seed int64
@@ -44,22 +49,23 @@ type Options struct {
 	Spans *obs.Spans
 }
 
-// record is everything a probe reads about one vertex: its DFS postorder
-// number, the least postorder number in its DFS subtree (the subtree is
-// exactly the interval [min, post]), a 256-bit Lout and a 192-bit Lin.
-// The 256/192 split was measured against 192/192 at n=10⁶ (EXPERIMENTS.md
-// E23): the wider Lout decides more and probes faster.
+// record is everything a probe reads about one vertex v: min, the low
+// end of v's Tarjan interval (every id in [min, v] is reachable from v),
+// a 256-bit Lout and a 224-bit Lin (in, then in7 for bits 192–223). The
+// 256-bit Lout was measured against 192 bits at n=10⁶ (EXPERIMENTS.md
+// E23): the wider Lout decides more and probes faster. The vertex id is
+// the postorder, so no word holds one and Lin gets 224 bits (E28).
 type record struct {
-	post, min uint32
-	out       [4]uint64
-	in        [3]uint64
+	min, in7 uint32
+	out      [4]uint64
+	in       [3]uint64
 }
 
 // recordSize is 64 bytes: one cache line on amd64 and most arm64 parts.
 const recordSize = int(unsafe.Sizeof(record{}))
 
-// Index is the BFL partial index over a DAG: one line-aligned record per
-// vertex.
+// Index is the BFL partial index over a condensation's DAG: one
+// line-aligned record per vertex.
 type Index struct {
 	g     *graph.Digraph
 	rec   []record
@@ -80,28 +86,13 @@ func makeRecords(n int) []record {
 	return unsafe.Slice((*record)(unsafe.Pointer(&words[skip])), n)
 }
 
-// New builds BFL over a DAG.
-func New(dag *graph.Digraph, opts Options) *Index {
+// New builds BFL over c's DAG, taking each vertex's interval from c.Min.
+func New(c *scc.Condensation, opts Options) *Index {
 	start := time.Now()
-	n := dag.N()
-	rec := makeRecords(n)
-	// The DFS intervals and the level buckets are independent and write
-	// disjoint data, so they run side by side; "bfl/levels" opens and
-	// closes inside "bfl/dfs-intervals", keeping the spans LIFO.
-	var buckets [][]graph.V
-	end := opts.Spans.Start("bfl/dfs-intervals")
-	par.Do(opts.Workers, 2, func(i int) {
-		if i == 1 {
-			endLevels := opts.Spans.Start("bfl/levels")
-			buckets = order.LevelBuckets(dag)
-			endLevels()
-			return
-		}
-		po := order.DFSForest(dag, order.Sources(dag), nil)
-		for v := range rec {
-			rec[v].post, rec[v].min = po.Post[v], po.Min[v]
-		}
-	})
+	dag := c.DAG
+	rec := makeRecords(dag.N())
+	end := opts.Spans.Start("bfl/levels")
+	buckets := order.LevelBuckets(dag)
 	end()
 	seed := uint64(opts.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	hash := func(v graph.V) uint64 {
@@ -114,30 +105,40 @@ func New(dag *graph.Digraph, opts Options) *Index {
 	// Forward filters, deepest level first: successors' filters are
 	// complete before a vertex unions them in. Bit h mod 256.
 	end = opts.Spans.StartN("bfl/filters-out", nw)
+	// Each vertex's union is built in locals and stored once: the
+	// neighbours' records are only read.
 	par.Sweep(opts.Workers, order.Reversed(buckets), func(_ int, v graph.V) {
-		r := &rec[v]
+		var out [4]uint64
 		h := hash(v)
-		r.out[h>>6%4] |= 1 << (h % 64)
+		out[h>>6%4] = 1 << (h % 64)
 		for _, u := range dag.Succ(v) {
 			src := &rec[u].out
-			for k := range r.out {
-				r.out[k] |= src[k]
-			}
+			out[0] |= src[0]
+			out[1] |= src[1]
+			out[2] |= src[2]
+			out[3] |= src[3]
 		}
+		rec[v].min, rec[v].out = c.Min[v], out
 	})
 	end()
-	// Backward filters, shallowest level first. Bit (h>>8) mod 192.
+	// Backward filters, shallowest level first. Bit (h>>8) mod 224.
 	end = opts.Spans.StartN("bfl/filters-in", nw)
 	par.Sweep(opts.Workers, buckets, func(_ int, v graph.V) {
-		r := &rec[v]
-		pos := hash(v) >> 8 % 192
-		r.in[pos/64] |= 1 << (pos % 64)
-		for _, u := range dag.Pred(v) {
-			src := &rec[u].in
-			for k := range r.in {
-				r.in[k] |= src[k]
-			}
+		var in [3]uint64
+		var in7 uint32
+		if pos := hash(v) >> 8 % 224; pos < 192 {
+			in[pos/64] = 1 << (pos % 64)
+		} else {
+			in7 = 1 << (pos - 192)
 		}
+		for _, u := range dag.Pred(v) {
+			src := &rec[u]
+			in[0] |= src.in[0]
+			in[1] |= src.in[1]
+			in[2] |= src.in[2]
+			in7 |= src.in7
+		}
+		rec[v].in, rec[v].in7 = in, in7
 	})
 	end()
 	ix := bind(dag, rec, nil)
@@ -159,27 +160,26 @@ func (ix *Index) Name() string { return "BFL" }
 // Unrolled, it inlines and reads each line once without a loop branch.
 func refutes(s, t *record) bool {
 	return t.out[0]&^s.out[0]|t.out[1]&^s.out[1]|t.out[2]&^s.out[2]|t.out[3]&^s.out[3]|
-		s.in[0]&^t.in[0]|s.in[1]&^t.in[1]|s.in[2]&^t.in[2] != 0
+		s.in[0]&^t.in[0]|s.in[1]&^t.in[1]|s.in[2]&^t.in[2]|uint64(s.in7&^t.in7) != 0
 }
 
-// decide is TryReach on the records of s ≠ t. The postorder of a DFS
-// forest over a DAG is a reverse topological order, so post(s) < post(t)
-// is a definite negative, checked first because it needs two words; past
-// it, t lies in s's subtree [min(s), post(s)] iff min(s) ≤ post(t).
-func decide(s, t *record) (reach, ok bool) {
-	if s.post < t.post || refutes(s, t) {
-		return false, true
-	}
-	sub := s.min <= t.post
-	return sub, sub
-}
-
-// TryReach implements core.Partial.
-func (ix *Index) TryReach(s, t graph.V) (bool, bool) {
-	if s == t {
+// decide is TryReach for t < s, given s's record and t's id and record.
+// t in s's Tarjan interval [min(s), s] is a definite positive, read from
+// s's line alone; past it, the filters may refute.
+func decide(s *record, t graph.V, rt *record) (reach, ok bool) {
+	if s.min <= t {
 		return true, true
 	}
-	return decide(&ix.rec[s], &ix.rec[t])
+	return false, refutes(s, rt)
+}
+
+// TryReach implements core.Partial. Ids are a reverse topological order,
+// so s <= t is decided from the ids before any record is read.
+func (ix *Index) TryReach(s, t graph.V) (bool, bool) {
+	if s <= t {
+		return s == t, true
+	}
+	return decide(&ix.rec[s], t, &ix.rec[t])
 }
 
 // Reach answers Qr(s, t) exactly via filter-guided DFS.
@@ -190,23 +190,25 @@ func (ix *Index) Reach(s, t graph.V) bool {
 
 // ReachCounted implements core.ReachCounter: the same guided DFS as
 // Reach, additionally reporting how many vertices it expanded and whether
-// the index labels decided the query without any expansion.
+// the index decided the query without any expansion.
 func (ix *Index) ReachCounted(s, t graph.V) (bool, int, bool) {
 	r, n := ix.search(s, t)
 	return r, n, n == 0
 }
 
 // search is core.CountingGuidedDFS with TryReach as the filter,
-// specialised: t's record is loaded once, the per-visit test is decide
+// specialised: t's record is loaded once, the per-visit test is TryReach
 // written out in the loop rather than a call through a func value, and
-// the adjacency is the concrete CSR. It expands and counts exactly what
-// the generic loop does.
+// the adjacency is the concrete CSR. A successor w < t is pruned by its
+// id before the visited set or its record is touched; since TryReach
+// prunes it too, whatever the visited set says, it expands and counts
+// exactly what the generic loop does.
 func (ix *Index) search(s, t graph.V) (bool, int) {
-	if s == t {
-		return true, 0
+	if s <= t {
+		return s == t, 0
 	}
 	rec, rt := ix.rec, &ix.rec[t]
-	if r, ok := decide(&rec[s], rt); ok {
+	if r, ok := decide(&rec[s], t, rt); ok {
 		return r, 0
 	}
 	sc := scratch.Get(ix.g.N())
@@ -220,8 +222,11 @@ func (ix *Index) search(s, t graph.V) (bool, int) {
 		sc.Queue = sc.Queue[:len(sc.Queue)-1]
 		expanded++
 		for _, w := range ix.g.Succ(v) {
-			if w == t {
-				return true, expanded
+			if w <= t {
+				if w == t {
+					return true, expanded
+				}
+				continue // pruned by id: w cannot reach t
 			}
 			if visited.Test(int(w)) {
 				continue
@@ -229,11 +234,11 @@ func (ix *Index) search(s, t graph.V) (bool, int) {
 			visited.Set(int(w))
 			// decide, inlined.
 			r := &rec[w]
-			if r.post < rt.post || refutes(r, rt) {
-				continue // pruned: w cannot reach t
-			}
-			if r.min <= rt.post {
+			if r.min <= t {
 				return true, expanded
+			}
+			if refutes(r, rt) {
+				continue // pruned: w cannot reach t
 			}
 			sc.Queue = append(sc.Queue, w)
 		}
@@ -245,8 +250,8 @@ func (ix *Index) search(s, t graph.V) (bool, int) {
 func (ix *Index) Stats() core.Stats { return ix.stats }
 
 // Sizes implements core.Sized: the records need no offset table, so
-// Offsets is 0; the filters are Labels and the DFS interval is Aux.
+// Offsets is 0; the filters are Labels and the interval's low end is Aux.
 func (ix *Index) Sizes() core.SizeBreakdown {
 	n := len(ix.rec)
-	return core.SizeBreakdown{Labels: n * (recordSize - 8), Aux: n * 8}
+	return core.SizeBreakdown{Labels: n * (recordSize - 4), Aux: n * 4}
 }

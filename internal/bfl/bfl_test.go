@@ -13,21 +13,37 @@ import (
 	"repro/internal/tc"
 )
 
+// build condenses g and builds BFL over the condensation, as reach.Build
+// does: BFL reads Tarjan's order, so it never indexes a raw DAG.
+func build(g *graph.Digraph, opts Options) (*Index, *scc.Condensation) {
+	c := scc.Condense(g, 0)
+	return New(c, opts), c
+}
+
+// lifted returns a builder of BFL through the condensation adapter, with
+// tweak applied to the inner index.
+func lifted(opts Options, tweak func(*Index) *Index) func(*graph.Digraph) core.Index {
+	return func(g *graph.Digraph) core.Index {
+		return core.ForGeneralPrepared(g, nil, 0, 0, nil, func(c *scc.Condensation) core.Index {
+			return tweak(New(c, opts))
+		})
+	}
+}
+
+func asIs(ix *Index) *Index { return ix }
+
 func TestConformance(t *testing.T) {
-	indextest.CheckDAGIndex(t, func(dag *graph.Digraph) core.Index {
-		return New(dag, Options{Seed: 1})
-	})
+	indextest.CheckGeneralIndex(t, lifted(Options{Seed: 1}, asIs))
 }
 
 func TestPartialSoundness(t *testing.T) {
-	indextest.CheckPartialSoundness(t, func(dag *graph.Digraph) core.Index {
-		return New(dag, Options{Seed: 2})
-	})
+	indextest.CheckPartialSoundness(t, lifted(Options{Seed: 2}, asIs))
 }
 
-// narrow sets every filter word from the keep-th on to all ones, so those
-// words never refute and ix behaves as BFL with keep-word filters
-// (keep = 0: the postorder cut and the interval are the only tests).
+// narrow sets every filter word from the keep-th on to all ones (in7 is
+// Lin's fourth word), so those words never refute and ix behaves as BFL
+// with keep-word filters (keep = 0: the id cut and the interval are the
+// only tests).
 func narrow(ix *Index, keep int) *Index {
 	for i := range ix.rec {
 		r := &ix.rec[i]
@@ -37,22 +53,23 @@ func narrow(ix *Index, keep int) *Index {
 		for k := keep; k < len(r.in); k++ {
 			r.in[k] = ^uint64(0)
 		}
+		if keep <= len(r.in) {
+			r.in7 = ^uint32(0)
+		}
 	}
 	return ix
 }
 
 func TestTinyFilterStillExact(t *testing.T) {
 	// Saturated filters decide nothing; guided DFS must still give exact
-	// answers, on the cut and the interval alone.
-	indextest.CheckDAGIndex(t, func(dag *graph.Digraph) core.Index {
-		return narrow(New(dag, Options{Seed: 3}), 0)
-	})
+	// answers, on the id cut and the interval alone.
+	indextest.CheckGeneralIndex(t, lifted(Options{Seed: 3}, func(ix *Index) *Index { return narrow(ix, 0) }))
 }
 
 func TestNoFalseNegatives(t *testing.T) {
 	// The §3.3 AP() contract: lookup-only answers never deny a real path.
 	g := gen.RandomDAG(gen.Config{N: 300, M: 900, Seed: 4})
-	ix := New(g, Options{Seed: 5})
+	ix := lifted(Options{Seed: 5}, asIs)(g).(core.Partial)
 	oracle := tc.NewClosure(g)
 	for s := graph.V(0); int(s) < g.N(); s += 2 {
 		for tt := graph.V(0); int(tt) < g.N(); tt += 3 {
@@ -67,16 +84,15 @@ func TestNoFalseNegatives(t *testing.T) {
 
 func TestFilterSubsetInvariant(t *testing.T) {
 	// The §3.3 AP() contract at the filter level: u → v implies
-	// Lout(v) ⊆ Lout(u) and Lin(u) ⊆ Lin(v), for every edge (hence,
-	// transitively, every reachable pair); and the postorder falls along
-	// every edge.
-	g := gen.RandomDAG(gen.Config{N: 250, M: 750, Seed: 9})
-	ix := New(g, Options{Seed: 10})
-	g.Edges(func(e graph.Edge) bool {
-		from, to := &ix.rec[e.From], &ix.rec[e.To]
-		if to.post >= from.post {
-			t.Fatalf("post(%d) = %d >= post(%d) = %d across edge", e.To, to.post, e.From, from.post)
+	// Lout(v) ⊆ Lout(u) and Lin(u) ⊆ Lin(v), for every condensation edge
+	// (hence, transitively, every reachable pair); and ids, Tarjan's
+	// postorder, fall along every edge.
+	ix, c := build(gen.RandomDAG(gen.Config{N: 250, M: 750, Seed: 9}), Options{Seed: 10})
+	c.DAG.Edges(func(e graph.Edge) bool {
+		if e.To >= e.From {
+			t.Fatalf("edge %d -> %d: the id does not fall", e.From, e.To)
 		}
+		from, to := &ix.rec[e.From], &ix.rec[e.To]
 		for j := range from.out {
 			if to.out[j]&^from.out[j] != 0 {
 				t.Fatalf("Lout(%d) ⊄ Lout(%d) across edge", e.To, e.From)
@@ -87,6 +103,9 @@ func TestFilterSubsetInvariant(t *testing.T) {
 				t.Fatalf("Lin(%d) ⊄ Lin(%d) across edge", e.From, e.To)
 			}
 		}
+		if from.in7&^to.in7 != 0 {
+			t.Fatalf("Lin(%d) ⊄ Lin(%d) across edge (bits 192–223)", e.From, e.To)
+		}
 		return true
 	})
 }
@@ -94,7 +113,8 @@ func TestFilterSubsetInvariant(t *testing.T) {
 func TestWiderFiltersPruneMore(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 400, M: 1200, Seed: 6})
 	count := func(keep int) int {
-		ix := narrow(New(g, Options{Seed: 7}), keep)
+		ix, _ := build(g, Options{Seed: 7})
+		narrow(ix, keep)
 		decided := 0
 		for s := graph.V(0); int(s) < g.N(); s += 4 {
 			for tt := graph.V(0); int(tt) < g.N(); tt += 4 {
@@ -106,7 +126,7 @@ func TestWiderFiltersPruneMore(t *testing.T) {
 		return decided
 	}
 	if small, full := count(1), count(4); full <= small {
-		t.Errorf("256/192-bit filters decided %d <= 64/64-bit %d", full, small)
+		t.Errorf("256/224-bit filters decided %d <= 64/64-bit %d", full, small)
 	}
 }
 
@@ -138,20 +158,26 @@ func TestBFLReachCountedMatchesGuidedDFS(t *testing.T) {
 		return qs
 	}
 
-	fig1 := graph.Fig1Plain()
-	same(t, "fig1", fig1, New(fig1, Options{Seed: 1}), allPairs(fig1))
+	fig1, fig1c := build(graph.Fig1Plain(), Options{Seed: 1})
+	same(t, "fig1", fig1c.DAG, fig1, allPairs(fig1c.DAG))
 
-	big := gen.RandomDAG(gen.Config{N: 10_000, M: 40_000, Seed: 11})
-	qs := gen.QueriesWithRatio(big, 20_000, 0.3, 12)
-	same(t, "dag-1e4", big, New(big, Options{Seed: 13}), qs)
+	dag := gen.RandomDAG(gen.Config{N: 10_000, M: 40_000, Seed: 11})
+	big, bigc := build(dag, Options{Seed: 13})
+	// The pairs, 30 % positive, in the condensation's ids.
+	var qs []gen.Query
+	for _, q := range gen.QueriesWithRatio(dag, 20_000, 0.3, 12) {
+		qs = append(qs, gen.Query{S: bigc.Comp[q.S], T: bigc.Comp[q.T]})
+	}
+	same(t, "dag-1e4", bigc.DAG, big, qs)
 	// Saturated filters force long fallbacks: the loop's bookkeeping is
 	// exercised, not just its first probe.
-	same(t, "dag-1e4-unfiltered", big, narrow(New(big, Options{Seed: 13}), 0), qs[:2_000])
+	unfiltered, _ := build(dag, Options{Seed: 13})
+	same(t, "dag-1e4-unfiltered", bigc.DAG, narrow(unfiltered, 0), qs[:2_000])
 
 	// A cyclic graph through the condensation adapter.
 	cyc := gen.ErdosRenyi(gen.Config{N: 300, M: 900, Seed: 14})
 	cond := scc.Condense(cyc, 0)
-	inner := New(cond.DAG, Options{Seed: 15})
+	inner := New(cond, Options{Seed: 15})
 	adapted, err := core.ForGeneralLoaded(cyc, nil, 0, nil, func(*graph.Digraph) (core.Index, error) { return inner, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +206,7 @@ func TestBFLRecordIsOneLine(t *testing.T) {
 	}
 	aligned := func(rec []record) bool { return uintptr(unsafe.Pointer(&rec[0]))%64 == 0 }
 	for _, n := range []int{1, 7, 100, 10_000, 100_000} {
-		g := gen.RandomDAG(gen.Config{N: n, M: 3 * (n - 1), Seed: int64(n)})
-		ix := New(g, Options{})
+		ix, c := build(gen.RandomDAG(gen.Config{N: n, M: 3 * (n - 1), Seed: int64(n)}), Options{})
 		if !aligned(ix.rec) {
 			t.Errorf("n=%d: built records start at %p, not 64-aligned", n, &ix.rec[0])
 		}
@@ -189,7 +214,7 @@ func TestBFLRecordIsOneLine(t *testing.T) {
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := readStream(buf.Bytes(), g)
+		got, err := readStream(buf.Bytes(), c.DAG)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,19 +224,19 @@ func TestBFLRecordIsOneLine(t *testing.T) {
 	}
 }
 
-// TestFootprint: one 64-byte record a vertex — 56 bytes of filters and 8
+// TestFootprint: one 64-byte record a vertex — 60 bytes of filters and 4
 // of interval — and the sections sum to Stats().Bytes, directly and
 // through the condensation adapter (which adds 4 bytes a vertex of Comp).
 func TestFootprint(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 500, M: 1500, Seed: 16})
-	ix := New(g, Options{})
+	ix, _ := build(g, Options{})
 	if st := ix.Stats(); st.Entries != 500 || st.Bytes != 64*500 {
 		t.Errorf("Stats = %d entries, %d bytes; want 500, %d", st.Entries, st.Bytes, 64*500)
 	}
-	if sz := ix.Sizes(); sz.Offsets != 0 || sz.Labels != 56*500 || sz.Aux != 8*500 {
-		t.Errorf("Sizes = %+v, want labels %d, aux %d", sz, 56*500, 8*500)
+	if sz := ix.Sizes(); sz.Offsets != 0 || sz.Labels != 60*500 || sz.Aux != 4*500 {
+		t.Errorf("Sizes = %+v, want labels %d, aux %d", sz, 60*500, 4*500)
 	}
-	adapted := core.ForGeneral(g, func(d *graph.Digraph) core.Index { return New(d, Options{}) })
+	adapted := lifted(Options{}, asIs)(g)
 	for name, x := range map[string]core.Index{"direct": ix, "adapter": adapted} {
 		sz, ok := core.SizesOf(x)
 		if !ok || sz.Total() != x.Stats().Bytes {

@@ -12,17 +12,18 @@ import (
 )
 
 // Snapshots use the shared internal/persist container (format "bfl",
-// version 3) in one layout, bound zero-copy by FromMapped whether
+// version 4) in one layout, bound zero-copy by FromMapped whether
 // persist.OpenMapped page-mapped the file or persist.ReadMapped read it
 // from a stream:
 //
 //	meta  — vertex count n
-//	rec   — n 64-byte records, 64-byte aligned: post, min (u32), then
+//	rec   — n 64-byte records, 64-byte aligned: min, in7 (u32), then
 //	        out[4] and in[3] (u64), all little-endian
 //	crc32 — CRC-32C of everything above
 //
 // On a little-endian host the rec section is the record array byte for
-// byte. Versions 1 and 2 (separate interval and filter arrays) are
+// byte. Versions 1 and 2 (separate interval and filter arrays) and 3
+// (a DFS postorder word where in7 now is, and a 192-bit Lin) are
 // refused: a snapshot caches a deterministic build, so rebuild it.
 //
 // BFL is a partial index: the guided-DFS fallback needs the graph the
@@ -32,7 +33,7 @@ import (
 // mismatches are not — as with any external index file in a DBMS).
 const (
 	persistFormat  = "bfl"
-	persistVersion = 3
+	persistVersion = 4
 )
 
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
@@ -78,7 +79,7 @@ func fromWire(b []byte) []record {
 func swapped(rec []record) []record {
 	for i := range rec {
 		r := &rec[i]
-		r.post, r.min = bits.ReverseBytes32(r.post), bits.ReverseBytes32(r.min)
+		r.min, r.in7 = bits.ReverseBytes32(r.min), bits.ReverseBytes32(r.in7)
 		for k := range r.out {
 			r.out[k] = bits.ReverseBytes64(r.out[k])
 		}
@@ -119,10 +120,10 @@ func records(b []byte, n int) ([]record, error) {
 }
 
 // FromMapped binds a snapshot opened with persist.OpenMapped or read with
-// persist.ReadMapped as a zero-copy index over dag — the same DAG the
-// snapshot was built over (for a general graph, the SCC condensation the
-// builder ran on); the filter-guided fallback traverses dag, so answers
-// are only correct over the original graph. The records are a view into
+// persist.ReadMapped as a zero-copy index over dag — the DAG of the SCC
+// condensation the snapshot was built over; the records hold its Tarjan
+// intervals and the filter-guided fallback traverses dag, so answers are
+// only correct over that condensation. The records are a view into
 // the snapshot's bytes (decoded into memory instead on a big-endian
 // host). The index pins the Mapped for its lifetime.
 func FromMapped(m *persist.Mapped, dag *graph.Digraph) (*Index, error) {

@@ -43,8 +43,8 @@ func readStream(b []byte, dag *graph.Digraph) (*Index, error) {
 }
 
 func TestPersistRoundTrip(t *testing.T) {
-	g := gen.RandomDAG(gen.Config{N: 180, M: 540, Seed: 21})
-	ix := New(g, Options{Seed: 5})
+	ix, c := build(gen.RandomDAG(gen.Config{N: 180, M: 540, Seed: 21}), Options{Seed: 5})
+	g := c.DAG
 
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
@@ -61,8 +61,8 @@ func TestPersistRoundTrip(t *testing.T) {
 }
 
 func TestPersistMappedRoundTrip(t *testing.T) {
-	g := gen.RandomDAG(gen.Config{N: 180, M: 540, Seed: 22})
-	ix := New(g, Options{Seed: 6})
+	ix, c := build(gen.RandomDAG(gen.Config{N: 180, M: 540, Seed: 22}), Options{Seed: 6})
+	g := c.DAG
 
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
@@ -95,9 +95,10 @@ func TestPersistMappedRoundTrip(t *testing.T) {
 // every byte flip in it fails to load with an error, never a panic, both
 // page-mapped from a file and read from a stream.
 func TestPersistTruncationAndCorruption(t *testing.T) {
-	g := gen.RandomDAG(gen.Config{N: 150, M: 450, Seed: 25})
+	ix, c := build(gen.RandomDAG(gen.Config{N: 150, M: 450, Seed: 25}), Options{Seed: 8})
+	g := c.DAG
 	var buf bytes.Buffer
-	if _, err := New(g, Options{Seed: 8}).WriteTo(&buf); err != nil {
+	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -128,9 +129,8 @@ func TestPersistTruncationAndCorruption(t *testing.T) {
 }
 
 func TestPersistWrongGraph(t *testing.T) {
-	g := gen.RandomDAG(gen.Config{N: 120, M: 360, Seed: 23})
+	ix, _ := build(gen.RandomDAG(gen.Config{N: 120, M: 360, Seed: 23}), Options{Seed: 7})
 	other := gen.RandomDAG(gen.Config{N: 121, M: 360, Seed: 24})
-	ix := New(g, Options{Seed: 7})
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -11,20 +11,27 @@ import (
 // DAGBuilder constructs an index assuming its input is a DAG.
 type DAGBuilder func(dag *graph.Digraph) Index
 
+// CondensationBuilder constructs an index over a condensation's DAG; it
+// may also read the condensation's Tarjan order (scc.Condensation.Min).
+type CondensationBuilder func(c *scc.Condensation) Index
+
 // ForGeneral lifts a DAG-only index builder to general graphs via SCC
-// condensation (§3.1): Qr(s, t) is answered by first checking whether s and
-// t share an SCC, then querying the DAG index on the component graph. This
-// is the standard reduction the paper notes "most plain reachability
-// indexes in literature assume".
+// condensation (§3.1): Qr(s, t) is answered by first comparing the
+// component ids of s and t (equal: one SCC; the source's id lower: no
+// path), then querying the DAG index on the component graph. This is the
+// standard reduction the paper notes "most plain reachability indexes in
+// literature assume".
 func ForGeneral(g *graph.Digraph, build DAGBuilder) Index {
-	return ForGeneralPrepared(g, nil, 0, 0, nil, build)
+	return ForGeneralPrepared(g, nil, 0, 0, nil, func(c *scc.Condensation) Index { return build(c.DAG) })
 }
 
 // ForGeneralPrepared is ForGeneral with build-phase observability and the
-// condensation drawn from a shared preprocessing memo. The SCC
-// condensation and the inner index construction are recorded as the
-// named spans "scc/condense" and "index/build" (a nil recorder records
-// nothing); builders that expose their own internal phases nest them
+// condensation drawn from a shared preprocessing memo; build receives the
+// whole condensation, so an index may use Tarjan's order (BFL takes its
+// intervals from it) as well as the DAG. The SCC condensation and the
+// inner index construction are recorded as the named spans
+// "scc/condense" and "index/build" (a nil recorder records nothing);
+// builders that expose their own internal phases nest them
 // under "index/build". workers is the caller's resolved
 // reach.Options.Workers: the condensation builds its two CSR sides on up
 // to two of them (Tarjan itself stays serial) and a computed
@@ -37,7 +44,7 @@ func ForGeneral(g *graph.Digraph, build DAGBuilder) Index {
 // "scc/condense" span records whether this build hit the memo as its
 // `cached` attribute. A nil prep recomputes per build, which is the
 // pre-memo behavior the one-off Build path keeps.
-func ForGeneralPrepared(g *graph.Digraph, spans *obs.Spans, workers, buildWorkers int, prep *Prepared, build DAGBuilder) Index {
+func ForGeneralPrepared(g *graph.Digraph, spans *obs.Spans, workers, buildWorkers int, prep *Prepared, build CondensationBuilder) Index {
 	// Phase-level fault-injection points: every index lifted through the
 	// condensation adapter (most of the catalogue) is panickable here by
 	// the stress harness even if its builder has no checkpoint of its own.
@@ -45,7 +52,7 @@ func ForGeneralPrepared(g *graph.Digraph, spans *obs.Spans, workers, buildWorker
 	cond := condense(g, spans, workers, prep)
 	faultinject.Hit("core/index-build")
 	end := spans.StartN("index/build", buildWorkers)
-	inner := build(cond.DAG)
+	inner := build(cond)
 	end()
 	return newCondensed(cond, inner)
 }
@@ -95,6 +102,10 @@ func newCondensed(cond *scc.Condensation, inner Index) *condensed {
 	return c
 }
 
+// condensed answers through the condensation. Tarjan numbers components
+// in reverse topological order, so s reaches t only if
+// Comp[s] >= Comp[t]: every query with Comp[s] <= Comp[t] is settled by
+// the two Comp words alone, before the inner index is called.
 type condensed struct {
 	cond  *scc.Condensation
 	inner Index
@@ -107,8 +118,8 @@ func (c *condensed) Name() string { return c.inner.Name() }
 
 func (c *condensed) Reach(s, t graph.V) bool {
 	cs, ct := c.cond.Comp[s], c.cond.Comp[t]
-	if cs == ct {
-		return true
+	if cs <= ct {
+		return cs == ct
 	}
 	return c.inner.Reach(cs, ct)
 }
@@ -122,8 +133,8 @@ func (c *condensed) Stats() Stats {
 // TryReach forwards partial-index lookups through the condensation.
 func (c *condensed) TryReach(s, t graph.V) (bool, bool) {
 	cs, ct := c.cond.Comp[s], c.cond.Comp[t]
-	if cs == ct {
-		return true, true
+	if cs <= ct {
+		return cs == ct, true
 	}
 	if c.p != nil {
 		return c.p.TryReach(cs, ct)
@@ -132,15 +143,15 @@ func (c *condensed) TryReach(s, t graph.V) (bool, bool) {
 }
 
 // ReachCounted implements ReachCounter: it answers exactly like Reach but
-// additionally reports whether the inner index decided the query from its
-// labels alone and, if not, how many DAG vertices the guided fallback
-// expanded. When the inner index counts for itself (the guided-DFS family
+// additionally reports whether the query was decided without traversal
+// (by the component cut or the inner index's labels) and, if not, how
+// many DAG vertices the guided fallback expanded. When the inner index counts for itself (the guided-DFS family
 // all do) the query is byte-for-byte the traversal Reach performs, so
 // instrumented and raw queries do identical work apart from the counter.
 func (c *condensed) ReachCounted(s, t graph.V) (reachable bool, visited int, decided bool) {
 	cs, ct := c.cond.Comp[s], c.cond.Comp[t]
-	if cs == ct {
-		return true, 0, true
+	if cs <= ct {
+		return cs == ct, 0, true
 	}
 	if c.rc != nil {
 		return c.rc.ReachCounted(cs, ct)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/scc"
 	"repro/internal/tc"
 	"repro/internal/traversal"
 )
@@ -169,5 +170,82 @@ func TestUnsupportedError(t *testing.T) {
 	var u *core.Unsupported
 	if !errors.As(err, &u) {
 		t.Error("errors.As failed")
+	}
+}
+
+// countingIndex is an exact inner index over a condensation's DAG that
+// counts every call made to it, whatever the method.
+type countingIndex struct {
+	oracle *tc.Closure
+	calls  int
+}
+
+func (c *countingIndex) Name() string      { return "counting" }
+func (c *countingIndex) Stats() core.Stats { return core.Stats{} }
+func (c *countingIndex) Reach(s, t graph.V) bool {
+	c.calls++
+	return c.oracle.Reach(s, t)
+}
+func (c *countingIndex) TryReach(s, t graph.V) (bool, bool) {
+	c.calls++
+	return c.oracle.Reach(s, t), true
+}
+func (c *countingIndex) ReachCounted(s, t graph.V) (bool, int, bool) {
+	c.calls++
+	return c.oracle.Reach(s, t), 0, true
+}
+
+// TestCondensedCutsBeforeInner: component ids are in reverse topological
+// order, so the adapter answers every pair with Comp[s] <= Comp[t] from
+// the two Comp words. Over all pairs of a cyclic graph, Reach, TryReach
+// and ReachCounted each call the inner index exactly once per pair with
+// Comp[s] > Comp[t] and never otherwise, and every answer is exact.
+func TestCondensedCutsBeforeInner(t *testing.T) {
+	g := gen.ErdosRenyi(gen.Config{N: 2000, M: 3000, Seed: 7})
+	var inner *countingIndex
+	var cond *scc.Condensation
+	ix := core.ForGeneralPrepared(g, nil, 0, 0, nil, func(c *scc.Condensation) core.Index {
+		cond = c
+		inner = &countingIndex{oracle: tc.NewClosure(c.DAG)}
+		return inner
+	})
+	p, rc := ix.(core.Partial), ix.(core.ReachCounter)
+	oracle := tc.NewClosure(g)
+	above := 0 // pairs with Comp[s] > Comp[t]
+	for s := graph.V(0); int(s) < g.N(); s++ {
+		for tt := graph.V(0); int(tt) < g.N(); tt++ {
+			if cond.Comp[s] > cond.Comp[tt] {
+				above++
+			}
+		}
+	}
+	if above == 0 || above == g.N()*g.N() {
+		t.Fatalf("%d of %d pairs above the cut: the graph does not exercise it", above, g.N()*g.N())
+	}
+	for name, ask := range map[string]func(s, t graph.V) bool{
+		"Reach":        ix.Reach,
+		"TryReach":     func(s, t graph.V) bool { r, _ := p.TryReach(s, t); return r },
+		"ReachCounted": func(s, t graph.V) bool { r, _, _ := rc.ReachCounted(s, t); return r },
+	} {
+		inner.calls = 0
+		for s := graph.V(0); int(s) < g.N(); s++ {
+			for tt := graph.V(0); int(tt) < g.N(); tt++ {
+				before := inner.calls
+				if got, want := ask(s, tt), oracle.Reach(s, tt); got != want {
+					t.Fatalf("%s(%d,%d) = %v, want %v", name, s, tt, got, want)
+				}
+				wantCalls := 0
+				if cond.Comp[s] > cond.Comp[tt] {
+					wantCalls = 1
+				}
+				if inner.calls-before != wantCalls {
+					t.Fatalf("%s(%d,%d): %d inner calls with Comp %d -> %d, want %d",
+						name, s, tt, inner.calls-before, cond.Comp[s], cond.Comp[tt], wantCalls)
+				}
+			}
+		}
+		if inner.calls != above {
+			t.Fatalf("%s: %d inner calls over all pairs, want %d", name, inner.calls, above)
+		}
 	}
 }

@@ -99,7 +99,8 @@ func TestCondenseAllocsDoNotGrowWithM(t *testing.T) {
 }
 
 // TestTarjanMatchesOracle holds Pearce's one-word Tarjan equal, Comp and
-// Count, to the classic four-array form on cyclic (self-loops included),
+// Count, to the classic four-array form (the frame's emitted word, which
+// yields Min, changes neither) on cyclic (self-loops included),
 // acyclic and labeled graphs, on a 2·10⁵-vertex closed path (one
 // component, the deepest stack) and on a 10⁵-long chain of 2-cycles
 // (a deep stack that emits many components).
@@ -110,6 +111,16 @@ func TestTarjanMatchesOracle(t *testing.T) {
 		if got.Count != want.Count || !slices.Equal(got.Comp, want.Comp) {
 			t.Fatalf("%s: Count %d, want %d; Comp equal: %v", name, got.Count, want.Count,
 				slices.Equal(got.Comp, want.Comp))
+		}
+		// The frame's emitted word adds Min beside Comp and changes
+		// neither: one entry a component, each at most its own id.
+		if len(got.Min) != got.Count {
+			t.Fatalf("%s: %d Min entries for %d components", name, len(got.Min), got.Count)
+		}
+		for c, lo := range got.Min {
+			if lo > uint32(c) {
+				t.Fatalf("%s: Min[%d] = %d > %d", name, c, lo, c)
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(35))

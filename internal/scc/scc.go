@@ -17,8 +17,15 @@ import (
 // reverse topological order of the condensation (i.e. if component a can
 // reach component b in the condensation, then id(a) > id(b)), which is the
 // order Tarjan's algorithm emits them in.
+//
+// The emission order is also a DFS postorder of the condensation, so it
+// carries an interval per component: Min[c] is the number of components
+// already emitted when the DFS discovered c's root. Every component
+// emitted from then until c itself completed inside the root's DFS
+// subtree, so every id in [Min[c], c] is reachable from c.
 type Components struct {
 	Comp  []uint32 // Comp[v] = component id of v
+	Min   []uint32 // Min[c] = least id in c's DFS subtree; len Count
 	Count int      // number of components
 }
 
@@ -33,17 +40,21 @@ type Components struct {
 // low = min(low, state[w]) takes one load per edge and needs no on-stack
 // test, and a finished w never lowers low. A finished 0 (the n-th of n
 // singleton components) can only be the last vertex to finish. The
-// emission order, and so Comp, is classic Tarjan's.
+// emission order, and so Comp, is classic Tarjan's. A frame also keeps
+// the emitted count at its vertex's discovery, which becomes Min of the
+// component the vertex roots.
 func Tarjan(g *graph.Digraph) *Components {
 	n := g.N()
 	state := make([]uint32, n)
 	// Both stacks hold at most n entries: sized once, never regrown.
 	stack := make([]uint32, 0, n)
 	// Explicit DFS frames: vertex, position within its successor list,
-	// and the least index seen from its subtree.
-	type frame struct{ v, ei, low uint32 }
+	// the least index seen from its subtree, and the number of components
+	// emitted when the vertex was discovered.
+	type frame struct{ v, ei, low, emitted uint32 }
 	frames := make([]frame, 0, n)
-	next := uint32(1) // the next DFS index
+	mins := make([]uint32, n) // at most n components
+	next := uint32(1)         // the next DFS index
 	var count uint32
 
 	for root := 0; root < n; root++ {
@@ -51,7 +62,7 @@ func Tarjan(g *graph.Digraph) *Components {
 			continue
 		}
 		state[root] = next
-		frames = append(frames[:0], frame{v: uint32(root), low: next})
+		frames = append(frames[:0], frame{v: uint32(root), low: next, emitted: count})
 		next++
 		stack = append(stack, uint32(root))
 
@@ -71,7 +82,7 @@ func Tarjan(g *graph.Digraph) *Components {
 				f.ei, f.low = uint32(ei)+1, low
 				w := succ[ei]
 				state[w] = next
-				frames = append(frames, frame{v: w, low: next})
+				frames = append(frames, frame{v: w, low: next, emitted: count})
 				next++
 				stack = append(stack, w)
 				continue
@@ -88,6 +99,7 @@ func Tarjan(g *graph.Digraph) *Components {
 						break
 					}
 				}
+				mins[count] = f.emitted
 				count++
 			}
 			frames = frames[:len(frames)-1]
@@ -101,7 +113,7 @@ func Tarjan(g *graph.Digraph) *Components {
 	for v, s := range state {
 		state[v] = uint32(n) - 1 - s
 	}
-	return &Components{Comp: state, Count: int(count)}
+	return &Components{Comp: state, Min: mins[:count:count], Count: int(count)}
 }
 
 // Condensation is the DAG obtained by coalescing each SCC of a general
@@ -112,6 +124,9 @@ type Condensation struct {
 	DAG *graph.Digraph
 	// Comp maps an original vertex to its DAG vertex.
 	Comp []uint32
+	// Min is Components.Min: every DAG vertex in [Min[c], c] is
+	// reachable from c.
+	Min []uint32
 }
 
 // Condense computes the condensation of g: Tarjan, then the quotient of
@@ -124,7 +139,7 @@ type Condensation struct {
 // not depend on workers.
 func Condense(g *graph.Digraph, workers int) *Condensation {
 	c := Tarjan(g)
-	return &Condensation{DAG: graph.Quotient(g, c.Comp, c.Count, workers), Comp: c.Comp}
+	return &Condensation{DAG: graph.Quotient(g, c.Comp, c.Count, workers), Comp: c.Comp, Min: c.Min}
 }
 
 // SameComponent reports whether u and v are in the same SCC.

@@ -59,6 +59,7 @@ import (
 	"repro/internal/preach"
 	"repro/internal/rlc"
 	"repro/internal/rpqindex"
+	"repro/internal/scc"
 	"repro/internal/sspi"
 	"repro/internal/threehop"
 	"repro/internal/tol"
@@ -269,10 +270,12 @@ func BuildCtx(ctx context.Context, k Kind, g *Graph, opt Options) (ix Index, err
 	sp := opt.Spans
 	w := par.Resolve(opt.Workers)
 	// lift condenses g on w workers and builds the DAG index over the
-	// condensation; buildWorkers is w for builders with a parallel phase,
-	// 0 for serial ones (the "index/build" span's `workers` attribute).
+	// condensation's DAG; buildWorkers is w for builders with a parallel
+	// phase, 0 for serial ones (the "index/build" span's `workers`
+	// attribute).
 	lift := func(buildWorkers int, build core.DAGBuilder) (Index, error) {
-		return core.ForGeneralPrepared(g, sp, w, buildWorkers, opt.Prepared, build), nil
+		return core.ForGeneralPrepared(g, sp, w, buildWorkers, opt.Prepared,
+			func(c *scc.Condensation) Index { return build(c.DAG) }), nil
 	}
 	switch k {
 	case KindTreeCover:
@@ -336,9 +339,10 @@ func BuildCtx(ctx context.Context, k Kind, g *Graph, opt Options) (ix Index, err
 			return ip.New(d, ip.Options{K: opt.K, Seed: opt.Seed, Workers: opt.Workers})
 		})
 	case KindBFL:
-		return lift(w, func(d *Graph) Index {
-			return bfl.New(d, bfl.Options{Seed: opt.Seed, Spans: sp, Workers: opt.Workers})
-		})
+		// BFL reads the condensation's Tarjan intervals, not only its DAG.
+		return core.ForGeneralPrepared(g, sp, w, w, opt.Prepared, func(c *scc.Condensation) Index {
+			return bfl.New(c, bfl.Options{Seed: opt.Seed, Spans: sp, Workers: opt.Workers})
+		}), nil
 	case KindFeline:
 		return lift(0, func(d *Graph) Index { return feline.New(d) })
 	case KindPReaCH:

@@ -350,7 +350,8 @@ func TestLoadIndexTruncationNeverPanics(t *testing.T) {
 }
 
 // TestLoadIndexRefusesOldLayouts: a BFL snapshot in the version-1 or
-// version-2 layout (interval and filter arrays in separate sections), a
+// version-2 layout (interval and filter arrays in separate sections) or
+// in the version-3 layout (a DFS postorder word in each record), a
 // PLL snapshot in the version-1 streamed layout (no checksum), and a
 // version-2 PLL snapshot whose labels are delta-varint streams (meta
 // encoding word 1) are refused by LoadIndex and LoadIndexMapped with an
@@ -382,6 +383,11 @@ func TestLoadIndexRefusesOldLayouts(t *testing.T) {
 			pw.U32s("min", make([]uint32, n))
 			pw.AlignedBytes("fout", 8, make([]byte, 32*n))
 			pw.AlignedBytes("fin", 8, make([]byte, 32*n))
+			pw.Checksum()
+		}},
+		{"bfl", 3, "version 3", func(pw *persist.Writer) {
+			pw.Section("meta", func(e *persist.Encoder) { e.U32(n) })
+			pw.AlignedBytes("rec", 64, make([]byte, 64*n)) // post, min, out[4], in[3]
 			pw.Checksum()
 		}},
 		{"pll", 1, "version 1", func(pw *persist.Writer) {
