@@ -145,10 +145,14 @@ func TestDBBatchMatchesReachAndClosure(t *testing.T) {
 // does not time. One 1024-pair DB.BatchReachCtx advances the serving
 // index's query counter by exactly 1024 and its batch counters by one
 // batch of 1024 — the serving path provably went through the index, not
-// around it. The sharded engine answers the batch in its own scatter-
-// gather form and is counted from its answers, to the same totals. Over a
-// pending overlay a pair may cost the index no probe or several, so there
-// only the batch counters are exact: still one batch of 1024.
+// around it. On the frozen DB the batch, answered block by block, advances
+// queries, positive, decided, fallback and visited by exactly what the
+// same pairs asked one at a time through DB.Reach advance on a twin DB,
+// and keeps one latency sample per 32 pairs. The sharded engine answers
+// the batch in its own scatter-gather form and is counted from its
+// answers, to the same totals. Over a pending overlay a pair may cost the
+// index no probe or several, so there only the batch counters are exact:
+// still one batch of 1024.
 func TestDBBatchProbesTheIndex(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 2000, M: 8000, Seed: 9})
 	frozen, err := NewDB(g, DBConfig{Metrics: true})
@@ -171,6 +175,20 @@ func TestDBBatchProbesTheIndex(t *testing.T) {
 	pairs := make([]Pair, 1024)
 	for i := range pairs {
 		pairs[i] = Pair{S: V(rng.Intn(g.N())), T: V(rng.Intn(g.N()))}
+	}
+	twin, err := NewDB(g, DBConfig{Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pairs {
+		if _, err := twin.Reach(p.S, p.T); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perPair, _ := twin.MetricsSnapshot()
+	one := perPair.Indexes["BFL"]
+	if one.Fallback == 0 || one.Positive == 0 {
+		t.Fatalf("per-pair counters %+v: no positive or no fallback, the pairs do not exercise them", one)
 	}
 	for _, row := range []struct {
 		name, index string
@@ -197,6 +215,17 @@ func TestDBBatchProbesTheIndex(t *testing.T) {
 		if a.Batches-b.Batches != 1 || a.BatchQueries-b.BatchQueries != 1024 {
 			t.Errorf("%s: batches +%d, batch_queries +%d, want +1 and +1024",
 				row.name, a.Batches-b.Batches, a.BatchQueries-b.BatchQueries)
+		}
+		if row.name != "frozen" {
+			continue
+		}
+		got := [5]int64{a.Queries - b.Queries, a.Positive - b.Positive, a.Decided - b.Decided, a.Fallback - b.Fallback, a.Visited - b.Visited}
+		want := [5]int64{one.Queries, one.Positive, one.Decided, one.Fallback, one.Visited}
+		if got != want {
+			t.Errorf("frozen: batch advanced queries, positive, decided, fallback, visited by %v; DB.Reach per pair by %v", got, want)
+		}
+		if d := a.Latency.Count - b.Latency.Count; d < 31 || d > 33 {
+			t.Errorf("frozen: %d latency samples for 1024 pairs, want 32 ± 1", d)
 		}
 	}
 }

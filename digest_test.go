@@ -8,14 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/grail"
 	"repro/internal/graph"
 	"repro/internal/scc"
 )
 
 // TestSnapshotDigests pins the bytes the build path produces: the
 // SHA-256 of the condensation's Comp and of both sides of its CSR, of the
-// graph snapshot, and of the BFL snapshot, on a random DAG and on a
-// cyclic ER graph with fixed seeds. A change that alters any of them on
+// graph snapshot, of the BFL and PLL snapshots, and of GRAIL's labels
+// (which come from order.DFSForest), on a random DAG and on a cyclic ER
+// graph with fixed seeds. A change that alters any of them on
 // purpose updates the digest here and says why in CHANGES.md; a change
 // that alters one by accident fails here.
 func TestSnapshotDigests(t *testing.T) {
@@ -25,11 +27,15 @@ func TestSnapshotDigests(t *testing.T) {
 		"dag/pred":  "7a50cd784f40a9543f61b96e7c829dc68f58023e5ce3524dbc04c0f2f6026d44",
 		"dag/graph": "f49ff92070d8e965a6eeca63c00fb75cdf49b688395bcd6aa78937f44acaf54d",
 		"dag/bfl":   "1b738fb37fa0d49ec46cf1434330edec8d8b89bc17f37b6ddf67e14feef5786d",
+		"dag/pll":   "190d229ca7b22ba8620d8fd2b4087c434efddb1641533e6db94409110c7e6c07",
+		"dag/grail": "47eec035624b42d337ce82ab745e115a50acbfb4a146e127f91acb6ccb2c1d78",
 		"er/comp":   "a0cf24b8e8340debae2937b3b33f46bb916b879fa15e932dd0e8700b6bea9e52",
 		"er/succ":   "051446ff207899c9b77b1749e1a01b761ecfb3180cd07e4064e49b81b2581607",
 		"er/pred":   "f201ebb82f904acc3ec2acd9c936dd9bf3c0a6755a1e5203499096bbd4e84199",
 		"er/graph":  "9a1dd62ecfffc77a7fba2f715b94639a8a636ab0c58f3a3686cae18863681a7b",
 		"er/bfl":    "ca69730aae5321c57841f63de0f2ff97e0806ae31be969d88f1e1c2dad21c021",
+		"er/pll":    "506c29191e22812039c6e73e126edeaa3dc95b4d4b89cc35ef8f95f785f7acbc",
+		"er/grail":  "b390ef6eaa9f9c9f01fdcd6c23ce061f096494ffce592c082ef20a1b7136fbc4",
 	}
 	for _, in := range []struct {
 		name string
@@ -50,12 +56,23 @@ func TestSnapshotDigests(t *testing.T) {
 		if err := SaveIndex(&bsnap, ix); err != nil {
 			t.Fatal(err)
 		}
+		var psnap bytes.Buffer
+		pll, err := Build(KindPLL, in.g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveIndex(&psnap, pll); err != nil {
+			t.Fatal(err)
+		}
+		mins, posts := grail.New(c.DAG, grail.Options{K: 3, Seed: 1603}).Labels()
 		got := map[string][]byte{
 			"comp":  u32Bytes(nil, c.Comp),
 			"succ":  csrBytes(c.DAG, c.DAG.Succ),
 			"pred":  csrBytes(c.DAG, c.DAG.Pred),
 			"graph": gsnap.Bytes(),
 			"bfl":   bsnap.Bytes(),
+			"pll":   psnap.Bytes(),
+			"grail": u32Bytes(u32Bytes(nil, mins), posts),
 		}
 		for part, b := range got {
 			key := in.name + "/" + part

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/gen"
 	"repro/internal/tc"
@@ -381,13 +382,44 @@ func TestQueryPanicContainment(t *testing.T) {
 	}
 }
 
-// TestBatchPanicContainment: a query-time panic on a pool worker stops
-// the batch and surfaces as ErrIndexPanic on the caller.
+// panicBlockIndex is a DAG index with a query-time bug in its block form.
+type panicBlockIndex struct{ panicIndex }
+
+func (panicBlockIndex) ReachBlock([]core.Pair, []bool) (int, int) { panic("block-time bug") }
+
+// TestBatchPanicContainment: a query-time panic stops the batch and
+// surfaces as ErrIndexPanic on the caller — from a per-pair index and from
+// a BlockReacher under the condensation adapter, on pool workers (a batch
+// past core.BatchInline, with a ragged last block) and, for the block
+// form, on DB.BatchReachCtx's inline path with and without metrics, where
+// the DB also counts it.
 func TestBatchPanicContainment(t *testing.T) {
 	pg := Fig1Plain()
-	pairs := make([]Pair, 512) // past the inline threshold: answered on the pool
-	if _, err := BatchReach(panicIndex{}, pg, pairs, 4); !errors.Is(err, ErrIndexPanic) {
-		t.Fatalf("BatchReach err = %v, want ErrIndexPanic", err)
+	n := 2*core.BatchInline + core.BatchBlock/2 + 1
+	if _, err := BatchReach(panicIndex{}, pg, make([]Pair, n), 4); !errors.Is(err, ErrIndexPanic) {
+		t.Fatalf("per pair: BatchReach err = %v, want ErrIndexPanic", err)
+	}
+
+	g := gen.RandomDAG(gen.Config{N: 500, M: 2000, Seed: 14})
+	ix := core.ForGeneral(g, func(*Graph) Index { return panicBlockIndex{} })
+	pairs := make([]Pair, n)
+	for i := range pairs {
+		pairs[i] = Pair{S: V(i % g.N()), T: V(i * 7 % g.N())}
+	}
+	if _, err := BatchReach(ix, g, pairs, 4); !errors.Is(err, ErrIndexPanic) {
+		t.Fatalf("block form, pool: BatchReach err = %v, want ErrIndexPanic", err)
+	}
+	for _, metrics := range []bool{false, true} {
+		db, err := NewDB(g, DBConfig{PlainIndex: ix, Metrics: metrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := db.BatchReachCtx(context.Background(), pairs); !errors.Is(err, ErrIndexPanic) || out != nil {
+			t.Fatalf("block form, inline, metrics=%v: BatchReachCtx = %v, %v; want nil, ErrIndexPanic", metrics, out, err)
+		}
+		if snap, ok := db.MetricsSnapshot(); ok && snap.Panics != 1 {
+			t.Errorf("block form, inline: panics counter %d, want 1", snap.Panics)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@
 package bfl
 
 import (
+	"math/bits"
 	"time"
 	"unsafe"
 
@@ -194,6 +195,49 @@ func (ix *Index) Reach(s, t graph.V) bool {
 func (ix *Index) ReachCounted(s, t graph.V) (bool, int, bool) {
 	r, n := ix.search(s, t)
 	return r, n, n == 0
+}
+
+// ReachBlock implements core.BlockReacher. The block is taken 64 pairs at
+// a time. Phase 1 decides what it can of the 64 with the tests TryReach
+// makes — the id cut, then s's interval, then the filters — written out
+// in one loop with no call between pairs, so the record loads of
+// different pairs are independent and their misses overlap; each pair
+// it leaves undecided sets its bit in one word. Phase 2 runs search, the
+// guided DFS ReachCounted runs, for each set bit. A pair in phase 2 is
+// one ReachCounted would have counted as a fallback, and search's
+// expansion count is what ReachCounted reports for it.
+func (ix *Index) ReachBlock(ps []core.Pair, out []bool) (fallback, visited int) {
+	rec := ix.rec
+	for lo := 0; lo < len(ps); lo += 64 {
+		blk := ps[lo:min(lo+64, len(ps))]
+		res := out[lo : lo+len(blk)]
+		var undecided uint64
+		for i, p := range blk {
+			s, t := p.S, p.T
+			if s <= t {
+				res[i] = s == t
+				continue
+			}
+			rs := &rec[s]
+			if rs.min <= t {
+				res[i] = true
+				continue
+			}
+			if refutes(rs, &rec[t]) {
+				res[i] = false
+				continue
+			}
+			undecided |= 1 << i
+		}
+		for ; undecided != 0; undecided &= undecided - 1 {
+			i := bits.TrailingZeros64(undecided)
+			r, n := ix.search(blk[i].S, blk[i].T)
+			res[i] = r
+			fallback++
+			visited += n
+		}
+	}
+	return fallback, visited
 }
 
 // search is core.CountingGuidedDFS with TryReach as the filter,

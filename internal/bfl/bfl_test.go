@@ -198,6 +198,72 @@ func TestBFLReachCountedMatchesGuidedDFS(t *testing.T) {
 	}
 }
 
+// TestReachBlockMatchesPerPair: ReachBlock answers a block as per-pair
+// ReachCounted does, and its fallback and visited totals are the sums of
+// what ReachCounted reports for the same pairs — on the condensations of a
+// random DAG and of a cyclic ER graph, with saturated filters too (every
+// pair past the id cut and the interval then runs the guided DFS), cut
+// into blocks of 1, 63, 64, 65 and 1000 pairs. The pairs include s == t,
+// s < t (the id cut) and known positives.
+func TestReachBlockMatchesPerPair(t *testing.T) {
+	for _, in := range []struct {
+		name string
+		g    *graph.Digraph
+	}{
+		{"dag", gen.RandomDAG(gen.Config{N: 5_000, M: 20_000, Seed: 21})},
+		{"er", gen.ErdosRenyi(gen.Config{N: 5_000, M: 7_500, Seed: 22})},
+	} {
+		c := scc.Condense(in.g, 0)
+		var ps []core.Pair
+		for _, q := range gen.QueriesWithRatio(in.g, 3_000, 0.3, 23) {
+			ps = append(ps, core.Pair{S: c.Comp[q.S], T: c.Comp[q.T]})
+		}
+		for v := graph.V(0); v < 200; v++ {
+			w := graph.V(c.DAG.N()-1) - v
+			ps = append(ps, core.Pair{S: v, T: v}, core.Pair{S: v, T: w}, core.Pair{S: w, T: v})
+		}
+		for _, filters := range []string{"filtered", "saturated"} {
+			ix := New(c, Options{Seed: 24})
+			if filters == "saturated" {
+				narrow(ix, 0)
+			}
+			want := make([]bool, len(ps))
+			wantFallback, wantVisited := 0, 0
+			for i, p := range ps {
+				r, n, decided := ix.ReachCounted(p.S, p.T)
+				want[i] = r
+				if !decided {
+					wantFallback++
+					wantVisited += n
+				}
+			}
+			if wantFallback == 0 {
+				t.Fatalf("%s/%s: no pair falls back: phase 2 is not exercised", in.name, filters)
+			}
+			for _, size := range []int{1, 63, 64, 65, 1000} {
+				got := make([]bool, len(ps))
+				fallback, visited := 0, 0
+				for lo := 0; lo < len(ps); lo += size {
+					hi := min(lo+size, len(ps))
+					f, v := ix.ReachBlock(ps[lo:hi], got[lo:hi])
+					fallback += f
+					visited += v
+				}
+				for i := range ps {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%s, blocks of %d: pair %d (%d,%d) = %v, ReachCounted says %v",
+							in.name, filters, size, i, ps[i].S, ps[i].T, got[i], want[i])
+					}
+				}
+				if fallback != wantFallback || visited != wantVisited {
+					t.Errorf("%s/%s, blocks of %d: fallback %d, visited %d; per pair %d, %d",
+						in.name, filters, size, fallback, visited, wantFallback, wantVisited)
+				}
+			}
+		}
+	}
+}
+
 // TestBFLRecordIsOneLine: a record is one 64-byte line and the record
 // array starts on a line boundary, built or decoded from a snapshot.
 func TestBFLRecordIsOneLine(t *testing.T) {

@@ -96,6 +96,11 @@ func New(dag *graph.Digraph, opts Options) *Index {
 // Name implements core.Index.
 func (ix *Index) Name() string { return "GRAIL" }
 
+// Labels returns the K labelings' interval ends: labeling i's interval of
+// v is [mins[i*n+v], posts[i*n+v]]. The slices are the index's own and
+// must not be modified.
+func (ix *Index) Labels() (mins, posts []uint32) { return ix.mins, ix.posts }
+
 // contains reports whether labeling i's interval of s contains t's post.
 func (ix *Index) contains(i int, s, t graph.V) bool {
 	n := ix.g.N()

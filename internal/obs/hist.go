@@ -22,13 +22,16 @@ type Histogram struct {
 }
 
 // Record adds one observation.
-func (h *Histogram) Record(d time.Duration) {
+func (h *Histogram) Record(d time.Duration) { h.RecordN(d, 1) }
+
+// RecordN adds k observations of d each.
+func (h *Histogram) RecordN(d time.Duration, k int64) {
 	ns := int64(d)
 	if ns < 0 {
 		ns = 0
 	}
-	h.sum.Add(ns)
-	h.buckets[bits.Len64(uint64(ns))%histBuckets].Add(1)
+	h.sum.Add(ns * k)
+	h.buckets[bits.Len64(uint64(ns))%histBuckets].Add(k)
 }
 
 // Count returns the number of recorded observations.

@@ -89,6 +89,25 @@ func (m *IndexMetrics) ObserveProbe(decided bool, visited int) {
 	m.Visited.Add(int64(visited))
 }
 
+// ObserveBlock records a block of completed queries at once: out holds
+// their answers, fallback of them required a guided traversal and those
+// traversals expanded visited vertices in total. It advances every
+// counter exactly as one ObserveOutcome and ObserveProbe per query would.
+func (m *IndexMetrics) ObserveBlock(out []bool, fallback, visited int) {
+	pos := 0
+	for _, r := range out {
+		if r {
+			pos++
+		}
+	}
+	m.Positive.Add(int64(pos))
+	m.Negative.Add(int64(len(out) - pos))
+	if fallback > 0 {
+		m.Fallback.Add(int64(fallback))
+		m.Visited.Add(int64(visited))
+	}
+}
+
 // ObserveBatch records one batch submission of n queries.
 func (m *IndexMetrics) ObserveBatch(n int) {
 	m.Batches.Inc()

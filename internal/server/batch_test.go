@@ -154,6 +154,22 @@ var batchDecodeSeeds = []struct {
 	{"empty body", ``, false},
 	{"array body", `[{"s":0,"t":1}]`, false},
 	{"trailing comma", `{"pairs":[{"s":0,"t":1},]}`, false},
+
+	{"whitespace between every token", " \t{ \"pairs\" \n: \r[ { \"s\" : 0 , \"t\" : \"B\" } , { \"t\"\t:\t5\t,\t\"s\"\t:\t1\t} ] } \n", true},
+	{"t before s", `{"pairs":[{"t":1,"s":0}]}`, true},
+	{"duplicate t", `{"pairs":[{"t":1,"t":2}]}`, false},
+	{"key after both", `{"pairs":[{"s":0,"t":1,"s":2}]}`, false},
+	{"id 0", `{"pairs":[{"s":0,"t":0}]}`, true},
+	{"id 01", `{"pairs":[{"s":1,"t":01}]}`, false},
+	{"id 2^32-1", `{"pairs":[{"s":4294967295,"t":1}]}`, false},
+	{"id 2^32", `{"pairs":[{"s":1,"t":4294967296}]}`, false},
+	{"string id 2^32", `{"pairs":[{"s":"4294967296","t":1}]}`, false},
+	{"nine-digit id", `{"pairs":[{"s":123456789,"t":1}]}`, false},
+	{"ten-digit id", `{"pairs":[{"s":1,"t":1000000000}]}`, false},
+	{"name in digits", `{"pairs":[{"s":99999999999,"t":5}]}`, true},
+	{"trailing comma in pair", `{"pairs":[{"s":0,"t":1,}]}`, false},
+	{"trailing comma in body", `{"pairs":[{"s":0,"t":1}],}`, false},
+	{"id at the end", `{"pairs":[{"s":0,"t":1`, false},
 }
 
 // FuzzBatchDecode pins the one-pass scanner to the encoding/json decoder

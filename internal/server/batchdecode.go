@@ -97,92 +97,117 @@ func vertexOfToken(g *reach.Graph, tok []byte) (reach.V, bool) {
 	return g.VertexByName(string(tok))
 }
 
-// batchScanner is a cursor over a request body.
-type batchScanner struct {
-	b []byte
-	i int
-}
+// The scanner is a run of index-passing helpers over the body: each takes
+// the index to read at and returns the index after what it read.
 
-// skip advances past JSON whitespace.
-func (s *batchScanner) skip() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) {
+		switch b[i] {
 		case ' ', '\t', '\n', '\r':
-			s.i++
+			i++
 		default:
-			return
+			return i
 		}
 	}
+	return i
 }
 
-// lit consumes optional whitespace and then the literal text.
-func (s *batchScanner) lit(text string) bool {
-	s.skip()
-	if len(s.b)-s.i < len(text) || string(s.b[s.i:s.i+len(text)]) != text {
-		return false
+// punct consumes optional whitespace and then the single byte c.
+func punct(b []byte, i int, c byte) (int, bool) {
+	i = skipSpace(b, i)
+	if i < len(b) && b[i] == c {
+		return i + 1, true
 	}
-	s.i += len(text)
-	return true
+	return i, false
 }
 
-// vertex consumes a reference and resolves it against g.
-func (s *batchScanner) vertex(g *reach.Graph) (reach.V, bool) {
-	s.skip()
-	tok, next, ok := scanRef(s.b, s.i)
+// scanVertex reads the reference at b[i] and resolves it against g. A
+// decimal id of one to nine digits without a leading zero is parsed as it
+// is scanned (it fits in 32 bits, so vertexOfToken would take it as an
+// id too); every other reference goes through scanRef and vertexOfToken.
+func scanVertex(b []byte, i int, g *reach.Graph) (reach.V, int, bool) {
+	if i < len(b) && b[i]-'1' < 9 {
+		id, j := uint32(0), i
+		for ; j < len(b) && j-i < 9 && b[j]-'0' < 10; j++ {
+			id = id*10 + uint32(b[j]-'0')
+		}
+		if j == len(b) || b[j]-'0' >= 10 {
+			return reach.V(id), j, int(id) < g.N()
+		}
+	}
+	tok, next, ok := scanRef(b, i)
 	if !ok {
-		return 0, false
+		return 0, i, false
 	}
-	s.i = next
-	return vertexOfToken(g, tok)
+	v, ok := vertexOfToken(g, tok)
+	return v, next, ok
 }
 
-// scanBatch decodes body into pairs (appended to pairs[:0]) when it is
-// the documented grammar; see the file comment. limit is Config.MaxBatch.
-func scanBatch(body []byte, g *reach.Graph, limit int, pairs []reach.Pair) ([]reach.Pair, scanVerdict) {
+// scanBatch decodes the body b into pairs (appended to pairs[:0]) when it
+// is the documented grammar; see the file comment. limit is Config.MaxBatch.
+func scanBatch(b []byte, g *reach.Graph, limit int, pairs []reach.Pair) ([]reach.Pair, scanVerdict) {
 	pairs = pairs[:0]
-	s := batchScanner{b: body}
-	if !s.lit("{") || !s.lit(`"pairs"`) || !s.lit(":") || !s.lit("[") {
+	i, ok := punct(b, 0, '{')
+	if !ok {
 		return pairs, scanDeclined
 	}
-	for more := !s.lit("]"); more; {
-		if !s.lit("{") {
+	const key = `"pairs"`
+	if i = skipSpace(b, i); len(b)-i < len(key) || string(b[i:i+len(key)]) != key {
+		return pairs, scanDeclined
+	}
+	if i, ok = punct(b, i+len(key), ':'); !ok {
+		return pairs, scanDeclined
+	}
+	if i, ok = punct(b, i, '['); !ok {
+		return pairs, scanDeclined
+	}
+	i, ok = punct(b, i, ']')
+	for more := !ok; more; {
+		if i, ok = punct(b, i, '{'); !ok {
 			return pairs, scanDeclined
 		}
 		if len(pairs) == limit {
 			return pairs, scanTooMany
 		}
-		var p reach.Pair
-		var haveS, haveT bool
+		// ends[0] is s, ends[1] is t; have has bit k once ends[k] is read.
+		var ends [2]reach.V
+		have := 0
 		for k := 0; k < 2; k++ {
-			if k > 0 && !s.lit(",") {
+			if k > 0 {
+				if i, ok = punct(b, i, ','); !ok {
+					return pairs, scanDeclined
+				}
+			}
+			// "s" or "t", then the colon.
+			i = skipSpace(b, i)
+			if len(b)-i < 3 || b[i] != '"' || b[i+2] != '"' || b[i+1] != 's' && b[i+1] != 't' {
 				return pairs, scanDeclined
 			}
-			isS := s.lit(`"s"`)
-			if !isS && !s.lit(`"t"`) || !s.lit(":") {
+			end := int(b[i+1] - 's') // 0 for s, 1 for t
+			if i, ok = punct(b, i+3, ':'); !ok {
 				return pairs, scanDeclined
 			}
-			v, ok := s.vertex(g)
-			if !ok {
+			if ends[end], i, ok = scanVertex(b, skipSpace(b, i), g); !ok {
 				return pairs, scanDeclined
 			}
-			if isS {
-				p.S, haveS = v, true
-			} else {
-				p.T, haveT = v, true
-			}
+			have |= 1 << end
 		}
-		if !haveS || !haveT || !s.lit("}") {
+		if have != 3 {
 			return pairs, scanDeclined
 		}
-		pairs = append(pairs, p)
-		if more = s.lit(","); !more && !s.lit("]") {
+		if i, ok = punct(b, i, '}'); !ok {
 			return pairs, scanDeclined
 		}
+		pairs = append(pairs, reach.Pair{S: ends[0], T: ends[1]})
+		if i, more = punct(b, i, ','); !more {
+			if i, ok = punct(b, i, ']'); !ok {
+				return pairs, scanDeclined
+			}
+		}
 	}
-	if !s.lit("}") {
-		return pairs, scanDeclined
-	}
-	if s.skip(); s.i != len(body) {
+	if i, ok = punct(b, i, '}'); !ok || skipSpace(b, i) != len(b) {
 		return pairs, scanDeclined
 	}
 	return pairs, scanOK

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	reach "repro"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/tc"
 )
@@ -104,7 +105,9 @@ func TestBatchReachWorkStealing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := gen.Queries(g, 997, 12) // odd count: exercises the ragged final grain
+	// Past the inline cut, so every worker count but 1 runs the block
+	// form on the pool, and a ragged last block.
+	qs := gen.Queries(g, 2*core.BatchInline+core.BatchBlock/2+1, 12)
 	pairs := make([]reach.Pair, len(qs))
 	for i, q := range qs {
 		pairs[i] = reach.Pair{S: q.S, T: q.T}
