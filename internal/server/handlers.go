@@ -30,12 +30,18 @@ func (s *Server) routes() http.Handler {
 	// Query endpoints go through the admission controller; ops surfaces
 	// bypass it — health checks and metric scrapes must answer even (and
 	// especially) when the query path is saturated.
-	mux.Handle("/v1/reach", s.admit(s.handleReach))
-	mux.Handle("/v1/query", s.admit(s.handleQuery))
-	mux.Handle("/v1/allowed", s.admit(s.handleAllowed))
-	mux.Handle("POST /v1/batch", s.admit(s.handleBatch))
-	mux.Handle("/v1/path", s.admit(s.handlePath))
-	mux.Handle("POST /v1/mutate", s.admit(s.handleMutate))
+	//
+	// Only the routes whose work polls its context carry the request
+	// deadline (Config.RequestTimeout): a product-graph search, a batch
+	// and a mutation. A point reach checks its context once, at entry,
+	// and the path and allowed-labels searches never see it, so a timer
+	// there would be built and torn down unread.
+	mux.Handle("/v1/reach", s.admit(s.handleReach, false))
+	mux.Handle("/v1/query", s.admit(s.handleQuery, true))
+	mux.Handle("/v1/allowed", s.admit(s.handleAllowed, false))
+	mux.Handle("POST /v1/batch", s.admit(s.handleBatch, true))
+	mux.Handle("/v1/path", s.admit(s.handlePath, false))
+	mux.Handle("POST /v1/mutate", s.admit(s.handleMutate, true))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -54,9 +60,10 @@ func (s *Server) routes() http.Handler {
 	return mux
 }
 
-// admit wraps a query handler in the admission controller, the in-flight
-// accounting, and the per-request deadline.
-func (s *Server) admit(h http.HandlerFunc) http.Handler {
+// admit wraps a query handler in the admission controller and the
+// in-flight accounting, and, when deadline is set, the per-request
+// deadline.
+func (s *Server) admit(h http.HandlerFunc, deadline bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st := stateFrom(r.Context())
 		var tok int
@@ -90,7 +97,7 @@ func (s *Server) admit(h http.HandlerFunc) http.Handler {
 			}
 			s.adm.release()
 		}()
-		if s.cfg.RequestTimeout > 0 {
+		if deadline && s.cfg.RequestTimeout > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 			defer cancel()
 			r = r.WithContext(ctx)
@@ -123,7 +130,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reachResponse{Reachable: res})
+	writeReach(w, res)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -142,7 +149,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reachResponse{Reachable: res})
+	writeReach(w, res)
 }
 
 func (s *Server) handleAllowed(w http.ResponseWriter, r *http.Request) {
@@ -171,7 +178,7 @@ func (s *Server) handleAllowed(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reachResponse{Reachable: res})
+	writeReach(w, res)
 }
 
 type batchResponse struct {
@@ -458,20 +465,37 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 
 // --- request plumbing --------------------------------------------------
 
-type reachResponse struct {
-	Reachable bool `json:"reachable"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// jsonContentType is the Content-Type of every JSON response, one shared
+// value slice rather than one per response.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.Encode(v) // nothing sensible to do with a write error: client owns the conn
+}
+
+// reachBodies are the two bodies of a 200 from /v1/reach, /v1/query and
+// /v1/allowed, encoded once: the bytes writeJSON writes for
+// {"reachable": false} and {"reachable": true}.
+var reachBodies = [2][]byte{[]byte(`{"reachable":false}` + "\n"), []byte(`{"reachable":true}` + "\n")}
+
+// writeReach writes a reachability answer: the response writeJSON would
+// write for it, without encoding it again.
+func writeReach(w http.ResponseWriter, res bool) {
+	body := reachBodies[0]
+	if res {
+		body = reachBodies[1]
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) // nothing sensible to do with a write error: client owns the conn
 }
 
 func writeErr(w http.ResponseWriter, status int, msg string) {
@@ -497,16 +521,49 @@ func (s *Server) writeQueryErr(w http.ResponseWriter, r *http.Request, err error
 // pair parses the s and t request parameters against g, writing the 400
 // itself when either is missing or unresolvable.
 func (s *Server) pair(w http.ResponseWriter, r *http.Request, g *reach.Graph) (sv, tv reach.V, ok bool) {
+	sTok, tTok, inPlace := rawPair(r)
+	if !inPlace {
+		sTok, tTok = r.FormValue("s"), r.FormValue("t")
+	}
 	var err error
-	if sv, err = vertexOf(g, r.FormValue("s")); err != nil {
+	if sv, err = vertexOf(g, sTok); err != nil {
 		writeErr(w, http.StatusBadRequest, "s: "+err.Error())
 		return 0, 0, false
 	}
-	if tv, err = vertexOf(g, r.FormValue("t")); err != nil {
+	if tv, err = vertexOf(g, tTok); err != nil {
 		writeErr(w, http.StatusBadRequest, "t: "+err.Error())
 		return 0, 0, false
 	}
 	return sv, tv, true
+}
+
+// rawPair reads the first s and t values straight from the raw query,
+// without building the form map, when that is exactly what FormValue
+// would return: a GET or HEAD (no form body is read), both keys present
+// in the query (so a multipart value, appended after it, never comes
+// first), and no '%', '+' or ';' in it (nothing to unescape, no pair
+// ParseQuery would reject). ok is false in every other case.
+func rawPair(r *http.Request) (sTok, tTok string, ok bool) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		return "", "", false
+	}
+	q := r.URL.RawQuery
+	if strings.ContainsAny(q, "%+;") {
+		return "", "", false
+	}
+	var haveS, haveT bool
+	for q != "" && !(haveS && haveT) {
+		var kv string
+		kv, q, _ = strings.Cut(q, "&")
+		k, v, _ := strings.Cut(kv, "=")
+		switch {
+		case k == "s" && !haveS:
+			sTok, haveS = v, true
+		case k == "t" && !haveT:
+			tTok, haveT = v, true
+		}
+	}
+	return sTok, tTok, haveS && haveT
 }
 
 // vertexOf resolves a request token to a vertex: a decimal id, or a

@@ -16,8 +16,9 @@ import (
 // lifecycle —
 //
 //   - tracing: query requests (/v1/*) get an obs.Trace carrying the
-//     caller's X-Request-Id (generated when absent, always echoed back
-//     on the response), threaded through the request context so the
+//     caller's X-Request-Id (generated when absent or not 1–128
+//     bytes of visible ASCII, always echoed back on the response),
+//     threaded through the request context so the
 //     admission controller and the DB's query paths append phase
 //     timings; finished traces land in the Tracer's ring buffers,
 //     served at /debug/traces;
@@ -79,34 +80,45 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		if st.trace != nil {
 			st.trace.Status = status
 			traceID = st.trace.ID
-			_, slow = tracer.Finish(st.trace)
+			slow = tracer.Finish(st.trace)
 			st.trace = nil
 		}
 		if accessLog == nil {
 			return
 		}
-		attrs := make([]slog.Attr, 0, 8)
-		attrs = append(attrs,
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", status),
-			slog.Duration("dur", dur),
-			slog.Int64("bytes", sw.bytes),
-		)
-		if q := r.URL.RawQuery; q != "" {
-			attrs = append(attrs, slog.String("query", q))
-		}
-		if traceID != "" {
-			attrs = append(attrs, slog.String("id", traceID))
-		}
-		if st.admissionWait > 0 {
-			attrs = append(attrs, slog.Duration("admission_wait", st.admissionWait))
-		}
 		msg, level := "request", slog.LevelInfo
 		if slow {
 			msg, level = "slow request", slog.LevelWarn
 		}
-		accessLog.LogAttrs(r.Context(), level, msg, attrs...)
+		h := accessLog.Handler()
+		if !h.Enabled(r.Context(), level) {
+			return
+		}
+		// One record with pc 0 — the access line has no use for a call
+		// site — and its attrs in a fixed array, straight to the handler
+		// rather than through Logger.LogAttrs.
+		var attrs [8]slog.Attr
+		attrs[0] = slog.String("method", r.Method)
+		attrs[1] = slog.String("path", r.URL.Path)
+		attrs[2] = slog.Int("status", status)
+		attrs[3] = slog.Duration("dur", dur)
+		attrs[4] = slog.Int64("bytes", sw.bytes)
+		n := 5
+		if q := r.URL.RawQuery; q != "" {
+			attrs[n] = slog.String("query", q)
+			n++
+		}
+		if traceID != "" {
+			attrs[n] = slog.String("id", traceID)
+			n++
+		}
+		if st.admissionWait > 0 {
+			attrs[n] = slog.Duration("admission_wait", st.admissionWait)
+			n++
+		}
+		rec := slog.NewRecord(time.Now(), level, msg, 0)
+		rec.AddAttrs(attrs[:n]...)
+		h.Handle(r.Context(), rec) // a failed log write has nowhere better to go
 	})
 }
 

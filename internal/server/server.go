@@ -66,8 +66,11 @@ type Config struct {
 	// RetryAfter is the Retry-After hint attached to 429 responses.
 	// Default 1s (rounded up to whole seconds on the wire).
 	RetryAfter time.Duration
-	// RequestTimeout is the per-request deadline threaded through the
-	// DB's *Ctx entry points. Default 10s; negative disables.
+	// RequestTimeout is the deadline of a /v1/query, /v1/batch or
+	// /v1/mutate request, threaded through the DB's *Ctx entry points
+	// that poll it. /v1/reach (which checks its context only at entry),
+	// /v1/path and /v1/allowed carry none. Default 10s; negative
+	// disables.
 	RequestTimeout time.Duration
 	// ReloadTimeout bounds one /admin/reload rebuild. Default 0: no
 	// limit. The rebuild runs detached from the admin request's context,

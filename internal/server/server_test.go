@@ -535,18 +535,68 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestRequestTimeout gives the server a tiny per-request deadline and
-// stalls the handler past it: the response must be 504, not a hang.
+// stalls each route that carries it past it: the response must be 504,
+// not a hang.
 func TestRequestTimeout(t *testing.T) {
 	s, ts := newTestServer(t, Config{RequestTimeout: 20 * time.Millisecond})
 	s.testHookAdmitted = func(r *http.Request) { <-r.Context().Done() }
-	resp, err := http.Get(ts.URL + "/v1/reach?s=A&t=G")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
+	for _, tc := range []struct{ method, url, body string }{
+		{"GET", "/v1/query?s=A&t=G&alpha=(friendOf|follows)*", ""},
+		{"POST", "/v1/batch", `{"pairs":[{"s":0,"t":1}]}`},
+	} {
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.url, strings.NewReader(tc.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("stalled request: status %d body %s, want 504", resp.StatusCode, body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("%s %s stalled: status %d body %s, want 504", tc.method, tc.url, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestRequestDeadlineRoutes checks which routes carry Config.RequestTimeout:
+// the three whose work polls its context (/v1/query, /v1/batch,
+// /v1/mutate) and none of the others.
+func TestRequestDeadlineRoutes(t *testing.T) {
+	s, ts := newTestServer(t, Config{RequestTimeout: time.Minute})
+	var mu sync.Mutex
+	hasDeadline := map[string]bool{}
+	s.testHookAdmitted = func(r *http.Request) {
+		_, ok := r.Context().Deadline()
+		mu.Lock()
+		hasDeadline[r.URL.Path] = ok
+		mu.Unlock()
+	}
+	for _, tc := range []struct {
+		method, url, body string
+		want              bool
+	}{
+		{"GET", "/v1/reach?s=A&t=G", "", false},
+		{"GET", "/v1/path?s=A&t=G", "", false},
+		{"GET", "/v1/allowed?s=A&t=G&labels=0", "", false},
+		{"GET", "/v1/query?s=A&t=G&alpha=(friendOf|follows)*", "", true},
+		{"POST", "/v1/batch", `{"pairs":[{"s":0,"t":1}]}`, true},
+		{"POST", "/v1/mutate", `{"ops":[]}`, true},
+	} {
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.url, strings.NewReader(tc.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		path, _, _ := strings.Cut(tc.url, "?")
+		mu.Lock()
+		got, seen := hasDeadline[path]
+		mu.Unlock()
+		if !seen {
+			t.Errorf("%s: admission hook never ran", path)
+		} else if got != tc.want {
+			t.Errorf("%s: request deadline set = %v, want %v", path, got, tc.want)
+		}
 	}
 }
 

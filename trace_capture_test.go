@@ -22,9 +22,9 @@ func TestDBTracingPhases(t *testing.T) {
 	phasesOf := func(run func(ctx context.Context)) []string {
 		tr := tracer.Start("")
 		run(obs.WithTrace(context.Background(), tr))
-		rec, _ := tracer.Finish(tr)
+		tracer.Finish(tr)
 		var names []string
-		for _, p := range rec.Phases {
+		for _, p := range tracer.Snapshot().Recent[0].Phases {
 			names = append(names, p.Name)
 		}
 		return names
