@@ -2,12 +2,14 @@
 // via Bloom-filter labels, "one of the state-of-the-art techniques for
 // plain reachability indexing".
 //
-// Every vertex v hashes to a position in each filter's bit space. Lout(v)
-// is a Bloom filter over {hash(w) : w reachable from v}, computed in one
-// reverse-topological pass (Lout(v) = own bit ∪ children's filters); Lin
-// is the dual. The AP() contra-positive of §3.3 gives the definite
-// negative: if Lout(t) ⊄ Lout(s) then Out(t) ⊄ Out(s), so t is not
-// reachable from s — no false negatives by construction.
+// Every vertex v owns one position in each filter's bit space, taken
+// from its postorder group, the run of consecutive ids it falls in (see
+// groups). Lout(v) is a Bloom filter over {bit(w) : w reachable from v},
+// computed in one reverse-topological pass (Lout(v) = own bit ∪
+// children's filters); Lin is the dual. The AP() contra-positive of §3.3
+// gives the definite negative: if Lout(t) ⊄ Lout(s) then Out(t) ⊄
+// Out(s), so t is not reachable from s — no false negatives by
+// construction.
 //
 // BFL indexes an SCC condensation, whose vertex ids are Tarjan's
 // emission order: a DFS postorder, so a reverse topological order. That
@@ -38,7 +40,9 @@ import (
 // Options configures BFL. The filter widths are not options: they are
 // what fits beside the interval's low end in one cache line (see record).
 type Options struct {
-	// Seed scrambles the vertex→bit hash.
+	// Seed rotates the map from postorder groups to filter bits (see
+	// groups). A rotation only renames each filter's bits, so every seed
+	// refutes exactly the same pairs.
 	Seed int64
 	// Workers caps the pool running the per-partition Bloom-filter merge
 	// passes (0 = GOMAXPROCS, 1 = serial). Each pass is a
@@ -55,7 +59,9 @@ type Options struct {
 // a 256-bit Lout and a 224-bit Lin (in, then in7 for bits 192–223). The
 // 256-bit Lout was measured against 192 bits at n=10⁶ (EXPERIMENTS.md
 // E23): the wider Lout decides more and probes faster. The vertex id is
-// the postorder, so no word holds one and Lin gets 224 bits (E28).
+// the postorder, so no word holds one and Lin gets 224 bits (E28). v's
+// own bit in each filter is its postorder group's (see groups); a query
+// only tests subsets, so it reads records built with any bit map alike.
 type record struct {
 	min, in7 uint32
 	out      [4]uint64
@@ -87,31 +93,72 @@ func makeRecords(n int) []record {
 	return unsafe.Slice((*record)(unsafe.Pointer(&words[skip])), n)
 }
 
-// New builds BFL over c's DAG, taking each vertex's interval from c.Min.
+// groups is G, the number of postorder groups a build splits its n ids
+// into: vertex v takes its filter bits from its group v/⌈n/G⌉ — Lout's
+// bit is the group mod 256, Lin's the group mod 224, both rotated by
+// Options.Seed. Ids are Tarjan's postorder, so a vertex's descendants are
+// a few runs of consecutive ids. Consecutive ids share a group and so a
+// bit: a run of descendants sets one bit per group it spans (at n = 10⁶,
+// one per 245 ids) where a mixed hash of the id set one bit per id. The
+// filters stay sparser and refute more pairs before the guided DFS.
+//
+// G is fixed by a count sweep (EXPERIMENTS.md E31, BenchmarkGroupSweep):
+// guided-DFS expansions per uniform pair, one RandomDAG seed per size.
+//
+//	graph                   hash    G=1024  G=4096  G=16384  G=n
+//	RandomDAG 10⁴,  m=4n    0.329   0.250   0.259   0.332    0.332
+//	RandomDAG 10⁵,  m=4n    0.424   0.296   0.283   0.301    0.455
+//	RandomDAG 10⁶,  m=4n    0.434   0.309   0.270   0.280    0.485
+//	RandomDAG 10⁶,  m=8n    137.0   93.2    94.0    96.1     146.0
+//	LayeredDAG 200×500      131.0   99.2    123.4   130.0    131.8
+//	ScaleFree 10⁵, deg 3    0.004   0.045   0.019   0.010    0.004
+//
+// Rule: the G with the fewest expansions per uniform pair on RandomDAG
+// m = 4n at 10⁵ and 10⁶, the graphs the benchmark serves; at 10⁶ it
+// also has the fewest per known positive (3.97 against the hash's 4.37).
+// ER, BandedDAG and TreePlus expand the same at every G. ScaleFree is
+// the one family that pays: its hub-fed descendant sets are no runs, so
+// 0.23 % of its uniform pairs fall back where 0.11 % did, and a known
+// positive expands 7.3 vertices where it expanded 4.2.
+const groups = 4096
+
+// New builds BFL over c's DAG, taking each vertex's interval from c.Min
+// and its filter bits from its postorder group (see groups).
 func New(c *scc.Condensation, opts Options) *Index {
+	return newWith(c, opts, groupBits(c.DAG.N(), groups, opts.Seed))
+}
+
+// groupBits maps vertex v of an n-vertex DAG to its Lout and Lin bit
+// positions: v's group among count consecutive-id groups, rotated by
+// seed.
+func groupBits(n, count int, seed int64) func(graph.V) (out, in uint32) {
+	size := graph.V(max(1, (n+count-1)/count))
+	rot := (uint64(seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d) >> 32
+	return func(v graph.V) (uint32, uint32) {
+		x := uint64(v/size) + rot
+		return uint32(x % 256), uint32(x % 224)
+	}
+}
+
+// newWith builds BFL over c's DAG with vertex v's own Lout and Lin bits
+// at the positions bit(v) returns (Lout's < 256, Lin's < 224).
+func newWith(c *scc.Condensation, opts Options, bit func(graph.V) (out, in uint32)) *Index {
 	start := time.Now()
 	dag := c.DAG
 	rec := makeRecords(dag.N())
 	end := opts.Spans.Start("bfl/levels")
 	buckets := order.LevelBuckets(dag)
 	end()
-	seed := uint64(opts.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	hash := func(v graph.V) uint64 {
-		x := (uint64(v) + 1) * seed
-		x ^= x >> 33
-		x *= 0xff51afd7ed558ccd
-		return x ^ x>>29
-	}
 	nw := par.Resolve(opts.Workers)
 	// Forward filters, deepest level first: successors' filters are
-	// complete before a vertex unions them in. Bit h mod 256.
+	// complete before a vertex unions them in.
 	end = opts.Spans.StartN("bfl/filters-out", nw)
 	// Each vertex's union is built in locals and stored once: the
 	// neighbours' records are only read.
 	par.Sweep(opts.Workers, order.Reversed(buckets), func(_ int, v graph.V) {
 		var out [4]uint64
-		h := hash(v)
-		out[h>>6%4] = 1 << (h % 64)
+		pos, _ := bit(v)
+		out[pos/64] = 1 << (pos % 64)
 		for _, u := range dag.Succ(v) {
 			src := &rec[u].out
 			out[0] |= src[0]
@@ -122,12 +169,12 @@ func New(c *scc.Condensation, opts Options) *Index {
 		rec[v].min, rec[v].out = c.Min[v], out
 	})
 	end()
-	// Backward filters, shallowest level first. Bit (h>>8) mod 224.
+	// Backward filters, shallowest level first.
 	end = opts.Spans.StartN("bfl/filters-in", nw)
 	par.Sweep(opts.Workers, buckets, func(_ int, v graph.V) {
 		var in [3]uint64
 		var in7 uint32
-		if pos := hash(v) >> 8 % 224; pos < 192 {
+		if _, pos := bit(v); pos < 192 {
 			in[pos/64] = 1 << (pos % 64)
 		} else {
 			in7 = 1 << (pos - 192)

@@ -24,7 +24,12 @@ import (
 // On a little-endian host the rec section is the record array byte for
 // byte. Versions 1 and 2 (separate interval and filter arrays) and 3
 // (a DFS postorder word where in7 now is, and a 192-bit Lin) are
-// refused: a snapshot caches a deterministic build, so rebuild it.
+// refused: a snapshot caches a deterministic build, so rebuild it. Which
+// bit a vertex owns in each filter is no part of the layout: a query
+// only tests filter subsets and never recomputes a bit, so a version 4
+// snapshot written when bits came from a random hash of the id, before
+// postorder groups, still answers exactly and loads as it is
+// (TestLoadIndexAcceptsRandomHashSnapshot in the root package).
 //
 // BFL is a partial index: the guided-DFS fallback needs the graph the
 // labels were computed over, so FromMapped re-binds the snapshot to a

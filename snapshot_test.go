@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/persist"
+	"repro/internal/tc"
 )
 
 // snapshotOf saves ix into a fresh buffer.
@@ -435,6 +436,42 @@ func TestLoadIndexRefusesOldLayouts(t *testing.T) {
 		for call, err := range map[string]error{"LoadIndex": errRead, "LoadIndexMapped": errMap} {
 			if err == nil || !strings.Contains(err.Error(), old.want) || !strings.Contains(err.Error(), "rebuild") {
 				t.Errorf("%s v%d %s: err = %v, want one naming %q and saying to rebuild", old.format, old.version, call, err, old.want)
+			}
+		}
+	}
+}
+
+// TestLoadIndexAcceptsRandomHashSnapshot: a BFL version 4 snapshot
+// written when BFL still hashed ids to filter bits (kept in
+// internal/bfl/testdata; internal/bfl's TestRandomHashOracleWritesFixture
+// shows the random-hash build writes it byte for byte) loads through
+// LoadIndex and LoadIndexMapped and answers every pair exactly. A query
+// only tests filter subsets and never hashes, so the bit map is no part
+// of the layout and the version stays 4.
+func TestLoadIndexAcceptsRandomHashSnapshot(t *testing.T) {
+	const path = "internal/bfl/testdata/v4-random-hash.snap"
+	g := gen.ErdosRenyi(gen.Config{N: 400, M: 600, Seed: 4001})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := LoadIndex(bytes.NewReader(raw), g, Options{})
+	if err != nil {
+		t.Fatalf("LoadIndex: %v", err)
+	}
+	mapped, err := LoadIndexMapped(path, g, Options{})
+	if err != nil {
+		t.Fatalf("LoadIndexMapped: %v", err)
+	}
+	oracle := tc.NewClosure(g)
+	for s := V(0); int(s) < g.N(); s++ {
+		for tt := V(0); int(tt) < g.N(); tt++ {
+			want := oracle.Reach(s, tt)
+			if got := streamed.Reach(s, tt); got != want {
+				t.Fatalf("LoadIndex: Reach(%d, %d) = %v, want %v", s, tt, got, want)
+			}
+			if got := mapped.Reach(s, tt); got != want {
+				t.Fatalf("LoadIndexMapped: Reach(%d, %d) = %v, want %v", s, tt, got, want)
 			}
 		}
 	}
