@@ -26,14 +26,14 @@ func TestSnapshotDigests(t *testing.T) {
 		"dag/succ":  "4422728a8c62439d9c23edf39fcf3090db83d8e2f5afab412c14f13397399d6d",
 		"dag/pred":  "7a50cd784f40a9543f61b96e7c829dc68f58023e5ce3524dbc04c0f2f6026d44",
 		"dag/graph": "f49ff92070d8e965a6eeca63c00fb75cdf49b688395bcd6aa78937f44acaf54d",
-		"dag/bfl":   "202f0cb162880c3b539bffffade63e324a49350b85480d3c042dc64063b9a800",
+		"dag/bfl":   "5b0c7c745f5b67b3873cecfcb993b932d75f4f66c685e5abda663f433e1dcd6b",
 		"dag/pll":   "190d229ca7b22ba8620d8fd2b4087c434efddb1641533e6db94409110c7e6c07",
 		"dag/grail": "47eec035624b42d337ce82ab745e115a50acbfb4a146e127f91acb6ccb2c1d78",
 		"er/comp":   "a0cf24b8e8340debae2937b3b33f46bb916b879fa15e932dd0e8700b6bea9e52",
 		"er/succ":   "051446ff207899c9b77b1749e1a01b761ecfb3180cd07e4064e49b81b2581607",
 		"er/pred":   "f201ebb82f904acc3ec2acd9c936dd9bf3c0a6755a1e5203499096bbd4e84199",
 		"er/graph":  "9a1dd62ecfffc77a7fba2f715b94639a8a636ab0c58f3a3686cae18863681a7b",
-		"er/bfl":    "de05757f9ad5e79b0aa9d674ba0a68a405d8d3136050e297d1e85a0e24d4ed68",
+		"er/bfl":    "1df5e52449bb4ab88d345e69d126e664927bc9d23768706113351107574436ea",
 		"er/pll":    "506c29191e22812039c6e73e126edeaa3dc95b4d4b89cc35ef8f95f785f7acbc",
 		"er/grail":  "b390ef6eaa9f9c9f01fdcd6c23ce061f096494ffce592c082ef20a1b7136fbc4",
 	}

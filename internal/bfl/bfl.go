@@ -3,13 +3,16 @@
 // plain reachability indexing".
 //
 // Every vertex v owns one position in each filter's bit space, taken
-// from its postorder group, the run of consecutive ids it falls in (see
-// groups). Lout(v) is a Bloom filter over {bit(w) : w reachable from v},
-// computed in one reverse-topological pass (Lout(v) = own bit ∪
-// children's filters); Lin is the dual. The AP() contra-positive of §3.3
-// gives the definite negative: if Lout(t) ⊄ Lout(s) then Out(t) ⊄
-// Out(s), so t is not reachable from s — no false negatives by
-// construction.
+// from its postorder group, the run of consecutive ids it falls in. The
+// two filters partition the ids differently (see groups): Lout, whose
+// members are a vertex's descendants, a few runs of ids just below it,
+// by 4096 fine groups; Lin, whose members are ancestors scattered over
+// the ids above, by 336 coarse ones. Lout(v) is a Bloom filter over
+// {bit(w) : w reachable from v}, computed in one reverse-topological
+// pass (Lout(v) = own bit ∪ children's filters); Lin is the dual. The
+// AP() contra-positive of §3.3 gives the definite negative: if
+// Lout(t) ⊄ Lout(s) then Out(t) ⊄ Out(s), so t is not reachable from
+// s — no false negatives by construction.
 //
 // BFL indexes an SCC condensation, whose vertex ids are Tarjan's
 // emission order: a DFS postorder, so a reverse topological order. That
@@ -40,9 +43,11 @@ import (
 // Options configures BFL. The filter widths are not options: they are
 // what fits beside the interval's low end in one cache line (see record).
 type Options struct {
-	// Seed rotates the map from postorder groups to filter bits (see
-	// groups). A rotation only renames each filter's bits, so every seed
-	// refutes exactly the same pairs.
+	// Seed rotates the maps from postorder groups to filter bits (see
+	// groups), Lout's and Lin's by the same amount. A rotation only
+	// renames each filter's bits, so every seed refutes exactly the same
+	// pairs; the group counts, and so which vertices share a bit, do not
+	// depend on it.
 	Seed int64
 	// Workers caps the pool running the per-partition Bloom-filter merge
 	// passes (0 = GOMAXPROCS, 1 = serial). Each pass is a
@@ -60,8 +65,11 @@ type Options struct {
 // 256-bit Lout was measured against 192 bits at n=10⁶ (EXPERIMENTS.md
 // E23): the wider Lout decides more and probes faster. The vertex id is
 // the postorder, so no word holds one and Lin gets 224 bits (E28). v's
-// own bit in each filter is its postorder group's (see groups); a query
-// only tests subsets, so it reads records built with any bit map alike.
+// own bit in each filter is its postorder group's, Lout's from fine
+// groups and Lin's from coarse ones (see groups): the bit budget stays
+// 256 + 224 and only which vertices share a bit differs per filter. A
+// query only tests subsets, so it reads records built with any bit map
+// alike.
 type record struct {
 	min, in7 uint32
 	out      [4]uint64
@@ -93,50 +101,76 @@ func makeRecords(n int) []record {
 	return unsafe.Slice((*record)(unsafe.Pointer(&words[skip])), n)
 }
 
-// groups is G, the number of postorder groups a build splits its n ids
-// into: vertex v takes its filter bits from its group v/⌈n/G⌉ — Lout's
-// bit is the group mod 256, Lin's the group mod 224, both rotated by
-// Options.Seed. Ids are Tarjan's postorder, so a vertex's descendants are
-// a few runs of consecutive ids. Consecutive ids share a group and so a
-// bit: a run of descendants sets one bit per group it spans (at n = 10⁶,
-// one per 245 ids) where a mixed hash of the id set one bit per id. The
-// filters stay sparser and refute more pairs before the guided DFS.
+// groups is G_out, the number of postorder groups Lout's bits come
+// from, and linGroups is G_in, Lin's: vertex v sets Lout bit
+// (v/⌈n/G_out⌉ + rot) mod 256 and Lin bit (v/⌈n/G_in⌉ + rot) mod 224,
+// where rot comes from Options.Seed. Ids are Tarjan's postorder, so a
+// vertex's descendants are a few runs of consecutive ids just below it:
+// a run sets one Lout bit per group it spans (at n = 10⁶, one per 245
+// ids), where a mixed hash of the id set one bit per id, and Lout stays
+// sparse enough to refute. A vertex's ancestors are no such runs: they
+// are scattered over the ids above it, one here and one there. Fine Lin
+// groups give nearly every ancestor a bit of its own and fill Lin; wide
+// ones (at n = 10⁶, one per 2977 ids) let scattered ancestors share
+// bits, so Lin(t) stays sparser and the guided DFS, which tests
+// Lin(w) ⊆ Lin(t) at every vertex w it reaches, prunes earlier. The two
+// filters are filled by separate sweeps into separate words of the
+// record, so each can take its own partition with no change to the
+// record or the query.
 //
-// G is fixed by a count sweep (EXPERIMENTS.md E31, BenchmarkGroupSweep):
-// guided-DFS expansions per uniform pair, one RandomDAG seed per size.
+// G_out and G_in are fixed by a 2-D count sweep (EXPERIMENTS.md E31 for
+// G_out, E32 for G_in; BenchmarkGroupSweep): guided-DFS expansions per
+// uniform pair, one RandomDAG seed per size.
 //
-//	graph                   hash    G=1024  G=4096  G=16384  G=n
-//	RandomDAG 10⁴,  m=4n    0.329   0.250   0.259   0.332    0.332
-//	RandomDAG 10⁵,  m=4n    0.424   0.296   0.283   0.301    0.455
-//	RandomDAG 10⁶,  m=4n    0.434   0.309   0.270   0.280    0.485
-//	RandomDAG 10⁶,  m=8n    137.0   93.2    94.0    96.1     146.0
-//	LayeredDAG 200×500      131.0   99.2    123.4   130.0    131.8
-//	ScaleFree 10⁵, deg 3    0.004   0.045   0.019   0.010    0.004
+//	expansions per uniform pair at G_out = 4096 (G_in = 4096 is the
+//	one partition both filters shared before)
+//	graph                   G_in=112  224    336    448    1024   4096
+//	RandomDAG 10⁴,  m=4n    0.303     0.241  0.213  0.217  0.231  0.259
+//	RandomDAG 10⁵,  m=4n    0.290     0.215  0.184  0.191  0.244  0.283
+//	RandomDAG 10⁶,  m=4n    0.272     0.194  0.167  0.173  0.235  0.270
+//	RandomDAG 10⁵,  m=8n    19.0      14.0   13.6   16.8   26.2   29.8
+//	RandomDAG 10⁶,  m=8n    56.5      43.4   49.7   65.8   87.8   94.0
+//	LayeredDAG 200×500      120.4     114.8  103.6  107.1  118.2  123.4
 //
-// Rule: the G with the fewest expansions per uniform pair on RandomDAG
-// m = 4n at 10⁵ and 10⁶, the graphs the benchmark serves; at 10⁶ it
-// also has the fewest per known positive (3.97 against the hash's 4.37).
-// ER, BandedDAG and TreePlus expand the same at every G. ScaleFree is
-// the one family that pays: its hub-fed descendant sets are no runs, so
-// 0.23 % of its uniform pairs fall back where 0.11 % did, and a known
-// positive expands 7.3 vertices where it expanded 4.2.
-const groups = 4096
+//	expansions per uniform pair at G_in = 336
+//	graph                   G_out=1024  4096   16384
+//	RandomDAG 10⁵,  m=4n    0.203       0.184  0.190
+//	RandomDAG 10⁶,  m=4n    0.195       0.167  0.162
+//
+// Rule (E31's, applied to each axis): the count with the fewest
+// expansions per uniform pair on RandomDAG m = 4n at 10⁵ and 10⁶, the
+// graphs the benchmark serves. G_in = 336 is that count at both sizes
+// and at every G_out, and it also expands the fewest per known positive
+// there (2.89 and 3.38, against 3.30 and 3.97 at G_in = 4096). G_out
+// keeps E31's 4096: at G_in = 336, 16 384 reads 3 % fewer at 10⁶ and
+// 3 % more at 10⁵, a tie summed over the two. Coarse Lin decides a
+// little less (95.65 % of uniform pairs at 10⁶ against 96.15 %) but each
+// pair it leaves costs a shorter DFS. ER, BandedDAG, ScaleFree,
+// TreePlus and RandomDAG m = 2n expand the same at every G_in; RandomDAG
+// m = 8n at 10⁶ is the one graph whose minimum is elsewhere (G_in =
+// 224, 13 % below 336). ScaleFree still falls back more than with a
+// hash of the id (E31): its hub-fed descendant sets are no runs, which
+// is Lout's partition, not Lin's.
+const (
+	groups    = 4096
+	linGroups = 336
+)
 
 // New builds BFL over c's DAG, taking each vertex's interval from c.Min
-// and its filter bits from its postorder group (see groups).
+// and its filter bits from its postorder groups (see groups).
 func New(c *scc.Condensation, opts Options) *Index {
-	return newWith(c, opts, groupBits(c.DAG.N(), groups, opts.Seed))
+	return newWith(c, opts, groupBits(c.DAG.N(), groups, linGroups, opts.Seed))
 }
 
 // groupBits maps vertex v of an n-vertex DAG to its Lout and Lin bit
-// positions: v's group among count consecutive-id groups, rotated by
-// seed.
-func groupBits(n, count int, seed int64) func(graph.V) (out, in uint32) {
-	size := graph.V(max(1, (n+count-1)/count))
+// positions: v's group among outCount (for Lout) and inCount (for Lin)
+// consecutive-id groups, rotated by seed.
+func groupBits(n, outCount, inCount int, seed int64) func(graph.V) (out, in uint32) {
+	outSize := graph.V(max(1, (n+outCount-1)/outCount))
+	inSize := graph.V(max(1, (n+inCount-1)/inCount))
 	rot := (uint64(seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d) >> 32
 	return func(v graph.V) (uint32, uint32) {
-		x := uint64(v/size) + rot
-		return uint32(x % 256), uint32(x % 224)
+		return uint32((uint64(v/outSize) + rot) % 256), uint32((uint64(v/inSize) + rot) % 224)
 	}
 }
 

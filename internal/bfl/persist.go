@@ -26,10 +26,13 @@ import (
 // (a DFS postorder word where in7 now is, and a 192-bit Lin) are
 // refused: a snapshot caches a deterministic build, so rebuild it. Which
 // bit a vertex owns in each filter is no part of the layout: a query
-// only tests filter subsets and never recomputes a bit, so a version 4
+// only tests filter subsets and never recomputes a bit. So a version 4
 // snapshot written when bits came from a random hash of the id, before
-// postorder groups, still answers exactly and loads as it is
-// (TestLoadIndexAcceptsRandomHashSnapshot in the root package).
+// postorder groups, or from one partition shared by both filters, before
+// Lin took coarser groups of its own, still answers exactly and loads as
+// it is (TestLoadIndexAcceptsRandomHashSnapshot and
+// TestLoadIndexAcceptsOnePartitionSnapshot in the root package): no
+// version bump for either change of bit map.
 //
 // BFL is a partial index: the guided-DFS fallback needs the graph the
 // labels were computed over, so FromMapped re-binds the snapshot to a

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	reach "repro"
+	"repro/internal/gen"
 )
 
 func TestTable1RunsAndCoversAllKinds(t *testing.T) {
@@ -108,5 +109,41 @@ func TestTableFormatting(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "demo") || !strings.Contains(out, "3.14") {
 		t.Errorf("bad table output:\n%s", out)
+	}
+}
+
+// countingIndex answers every query true, but false on its wrongAt-th
+// call (counting from 1; 0 never), and counts its calls.
+type countingIndex struct {
+	calls, wrongAt int
+}
+
+func (c *countingIndex) Name() string { return "counting" }
+func (c *countingIndex) Reach(s, t reach.V) bool {
+	c.calls++
+	return c.calls != c.wrongAt
+}
+func (c *countingIndex) Stats() reach.Stats { return reach.Stats{} }
+
+// TestMeasureQueryTimeRunsEveryPass: measureQueryTime asks every query
+// once untimed and once per timed pass, and a wrong answer panics even
+// in the last query of the last pass.
+func TestMeasureQueryTimeRunsEveryPass(t *testing.T) {
+	qs := []gen.Query{{S: 1, T: 0, Want: true}, {S: 2, T: 0, Want: true}, {S: 3, T: 1, Want: true}}
+	passes := 1 + timedPasses
+	ix := &countingIndex{}
+	measureQueryTime(ix, qs)
+	if want := passes * len(qs); ix.calls != want {
+		t.Errorf("measureQueryTime asked %d queries, want %d (%d passes of %d)", ix.calls, want, passes, len(qs))
+	}
+	for _, at := range []int{1, passes * len(qs)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a wrong answer at call %d did not panic", at)
+				}
+			}()
+			measureQueryTime(&countingIndex{wrongAt: at}, qs)
+		}()
 	}
 }

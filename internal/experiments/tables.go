@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	reach "repro"
@@ -104,14 +105,32 @@ func measureCompleteness(ix reach.Index, qs []gen.Query) (decided, total int) {
 	return decided, total
 }
 
+// timedPasses is how many timed passes measureQueryTime takes the median
+// of, after one untimed pass.
+const timedPasses = 5
+
+// measureQueryTime returns ix's mean time per query over qs: one untimed
+// pass warms caches and pools, then the median of timedPasses timed
+// passes, so one slow pass (a GC, a preempted core) does not become the
+// figure. Every pass checks every answer and panics on a wrong one. A
+// table's build column is still a single build.
 func measureQueryTime(ix reach.Index, qs []gen.Query) time.Duration {
-	start := time.Now()
-	for _, q := range qs {
-		if got := ix.Reach(q.S, q.T); got != q.Want {
-			panic(fmt.Sprintf("%s: wrong answer for (%d,%d)", ix.Name(), q.S, q.T))
+	pass := func() time.Duration {
+		start := time.Now()
+		for _, q := range qs {
+			if got := ix.Reach(q.S, q.T); got != q.Want {
+				panic(fmt.Sprintf("%s: wrong answer for (%d,%d)", ix.Name(), q.S, q.T))
+			}
 		}
+		return time.Since(start)
 	}
-	return time.Since(start) / time.Duration(len(qs))
+	pass()
+	times := make([]time.Duration, timedPasses)
+	for i := range times {
+		times[i] = pass()
+	}
+	slices.Sort(times)
+	return times[timedPasses/2] / time.Duration(len(qs))
 }
 
 // Table2 is the LCR/RLC analogue of Table1, on a labeled digraph.

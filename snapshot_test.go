@@ -449,8 +449,24 @@ func TestLoadIndexRefusesOldLayouts(t *testing.T) {
 // only tests filter subsets and never hashes, so the bit map is no part
 // of the layout and the version stays 4.
 func TestLoadIndexAcceptsRandomHashSnapshot(t *testing.T) {
-	const path = "internal/bfl/testdata/v4-random-hash.snap"
-	g := gen.ErdosRenyi(gen.Config{N: 400, M: 600, Seed: 4001})
+	loadsExactly(t, "internal/bfl/testdata/v4-random-hash.snap", gen.ErdosRenyi(gen.Config{N: 400, M: 600, Seed: 4001}))
+}
+
+// TestLoadIndexAcceptsOnePartitionSnapshot: a BFL version 4 snapshot
+// written when both filters took their bits from one partition of the
+// ids, before Lin took coarser groups of its own (internal/bfl's
+// TestOnePartitionOracleWritesFixture shows that build writes it byte
+// for byte), loads through LoadIndex and LoadIndexMapped and answers
+// every pair exactly: no version bump.
+func TestLoadIndexAcceptsOnePartitionSnapshot(t *testing.T) {
+	loadsExactly(t, "internal/bfl/testdata/v4-one-partition.snap", gen.RandomDAG(gen.Config{N: 500, M: 1500, Seed: 4201}))
+}
+
+// loadsExactly loads the BFL snapshot at path, built over g, through
+// LoadIndex and LoadIndexMapped and checks every pair against the
+// transitive closure.
+func loadsExactly(t *testing.T, path string, g *Graph) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -462,6 +478,9 @@ func TestLoadIndexAcceptsRandomHashSnapshot(t *testing.T) {
 	mapped, err := LoadIndexMapped(path, g, Options{})
 	if err != nil {
 		t.Fatalf("LoadIndexMapped: %v", err)
+	}
+	if streamed.Name() != "BFL" || mapped.Name() != "BFL" {
+		t.Fatalf("loaded %s and %s, want BFL", streamed.Name(), mapped.Name())
 	}
 	oracle := tc.NewClosure(g)
 	for s := V(0); int(s) < g.N(); s++ {
