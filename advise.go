@@ -17,19 +17,11 @@ type (
 	// AdvisorReport is the advisor's full output: graph and workload
 	// profiles, the index-free baseline, every measured candidate, and
 	// the chosen/best/regret verdict. JSON-shaped for `reachcli advise
-	// -json` and /admin/advise.
+	// -json`.
 	AdvisorReport = advise.Report
-	// AdvisorCandidate is one short-listed kind with its measurements.
-	AdvisorCandidate = advise.Candidate
-	// GraphProfile is the structural feature vector of a graph.
-	GraphProfile = advise.GraphProfile
-	// WorkloadProfile summarizes a recorded trace's query mix.
-	WorkloadProfile = advise.WorkloadProfile
 	// ReplaySummary is the machine-readable result of replaying a
 	// capture against a DB (`reachcli replay -json`).
 	ReplaySummary = advise.ReplaySummary
-	// RouteSummary is one route's aggregate within a ReplaySummary.
-	RouteSummary = advise.RouteSummary
 )
 
 // AdviseConfig parameterizes one Advise run.
@@ -65,32 +57,20 @@ func Advise(ctx context.Context, g *Graph, recs []WorkloadRecord, cfg AdviseConf
 	if opt.Prepared == nil {
 		opt.Prepared = Prepare(g)
 	}
+	var kinds []string
+	for _, k := range cfg.Candidates {
+		kinds = append(kinds, string(k))
+	}
 	return advise.Run(ctx, opt.Prepared, recs, advise.Config{
-		Build:         buildFuncFor(g, opt),
-		Candidates:    kindNames(cfg.Candidates),
+		Build: func(ctx context.Context, kind string) (core.Index, error) {
+			return BuildCtx(ctx, Kind(kind), g, opt)
+		},
+		Candidates:    kinds,
 		MaxCandidates: cfg.MaxCandidates,
 		BuildTimeout:  cfg.BuildTimeout,
 		Budget:        cfg.Budget,
 		MaxReplay:     cfg.MaxReplay,
 	})
-}
-
-// kindNames is a kind list as internal/advise takes it; nil (no override)
-// stays nil.
-func kindNames(kinds []Kind) []string {
-	var names []string
-	for _, k := range kinds {
-		names = append(names, string(k))
-	}
-	return names
-}
-
-// buildFuncFor closes BuildCtx over the graph and shared options — the
-// builder injection internal/advise runs candidate construction through.
-func buildFuncFor(g *Graph, opt Options) advise.BuildFunc {
-	return func(ctx context.Context, kind string) (core.Index, error) {
-		return BuildCtx(ctx, Kind(kind), g, opt)
-	}
 }
 
 // ReplayWorkload re-runs a recorded trace against db, aggregating

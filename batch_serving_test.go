@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/gen"
@@ -49,8 +46,7 @@ func checkBatch(t *testing.T, db *DB, oracle *tc.Closure, pairs []Pair, when str
 }
 
 // TestDBBatchMatchesReachAndClosure: whatever serves the plain route — a
-// frozen index, the advisor's pick across forced hot swaps, the sharded
-// engine, a mutable DB's loaded state with an empty or a pinned overlay —
+// frozen index, the sharded engine, a mutable DB's loaded state with an empty or a pinned overlay —
 // DB.BatchReachCtx answers exactly what per-pair DB.Reach and the
 // internal/tc closure answer. Run under -race in CI.
 func TestDBBatchMatchesReachAndClosure(t *testing.T) {
@@ -71,44 +67,6 @@ func TestDBBatchMatchesReachAndClosure(t *testing.T) {
 				}
 				checkBatch(t, db, oracle, pairs, "frozen")
 			}
-		})
-
-		t.Run(name+"/autotuned-hot-swap", func(t *testing.T) {
-			// The tuner never ticks on its own; the test publishes.
-			db, err := NewDB(g, DBConfig{Metrics: true, AutoTune: &AutoTuneConfig{CheckInterval: time.Hour}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			var stop atomic.Bool
-			var batches atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < 3; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for !stop.Load() && !t.Failed() {
-						checkBatch(t, db, oracle, pairs, "across hot swap")
-						batches.Add(1)
-					}
-				}()
-			}
-			for i, kind := range []Kind{KindPLL, KindGRAIL, KindBFL, KindPLL} {
-				ix, err := Build(kind, g, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for seen := batches.Load(); batches.Load() == seen && !t.Failed(); {
-					time.Sleep(time.Millisecond) // at least one batch between swaps
-				}
-				db.aut.offer(db.cur.Load(), kind, ix)
-				if st, _ := db.AdvisorStatus(); st.CurrentKind != string(kind) {
-					t.Fatalf("swap %d: serving %q, want %q", i, st.CurrentKind, kind)
-				}
-			}
-			stop.Store(true)
-			wg.Wait()
-			checkBatch(t, db, oracle, pairs, "after the last swap")
 		})
 
 		for _, k := range []int{1, 3} {

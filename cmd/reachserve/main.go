@@ -9,14 +9,13 @@
 //	reachserve -graph g.txt -snapshot g.idx -mmap   # same, page-mapping the snapshot
 //	reachserve -graph g.txt -wal g.wal              # writable: POST /v1/mutate
 //	reachserve -graph g.txt -shards 4               # sharded plain engine
-//	reachserve -graph g.txt -autotune 30s           # workload-adaptive index
+//	reachserve -graph g.txt -record w.rec           # capture the workload
 //
 // Endpoints: /v1/reach?s=&t=, /v1/query?s=&t=&alpha=, /v1/allowed?s=&t=&labels=,
 // POST /v1/batch, /v1/path?s=&t=[&alpha=], POST /v1/mutate (with -wal),
 // /healthz, /readyz, /metrics (Prometheus text exposition 0.0.4, the only
 // form metrics are served in), /debug/traces, /debug/pprof/ (with -pprof),
-// /admin/stats, /admin/shards (with -shards), /admin/advise (with
-// -autotune), POST /admin/reload.
+// /admin/stats, /admin/shards (with -shards), POST /admin/reload.
 //
 // -shards k partitions the condensation DAG into k contiguous
 // topological ranges, builds one plain index per shard in parallel, and
@@ -24,7 +23,7 @@
 // vertices; answers are exact for every k. With -snapshot, each shard
 // warm-starts from <snapshot>.shard<i>. The sharded engine is handed to
 // the DB pre-built, and a pre-built engine has nothing that can rebuild
-// it: -shards refuses -wal and -autotune (reach.ErrPrebuiltEngine).
+// it: -shards refuses -wal (reach.ErrPrebuiltEngine).
 //
 // With -snapshot the graph's CSR arrays are also persisted to
 // <snapshot>.graph, so later boots page-map the adjacency instead of
@@ -34,22 +33,17 @@
 // -wal makes the DB writable: edge mutations group-commit to the named
 // write-ahead log before acknowledging, queries stay exact via a delta
 // overlay, and a restart on the same -wal (and -graph/-snapshot) replays
-// the log so acknowledged writes survive crashes. -cache and -autotune
-// work under -wal: every commit advances the serving epoch the cache keys
-// carry, and the reindexer rebuilds whichever kind the tuner has serving.
+// the log so acknowledged writes survive crashes. -cache works under
+// -wal: every commit advances the serving epoch the cache keys carry.
 // /admin/reload is disabled under -wal — a reload is a second DB, and a
 // second DB cannot replay the WAL the first one is writing.
 //
-// -autotune runs the index advisor over a rolling sample of the live
-// plain-query traffic at the given interval: candidates from the survey
-// taxonomy are shadow-built in the background and trace-replayed, and
-// the serving plain index is hot-swapped when the pick's measured p99
-// beats it by -autotune-margin. /admin/advise reports the tuner's state
-// and the last evaluation.
-//
 // Logs are structured (log/slog); -log-format json switches the sink to
 // JSON lines, -log-level sets the floor. -record captures the query
-// workload to a file replayable with `reachcli replay`.
+// workload to a file replayable with `reachcli replay`. Choosing the index
+// is offline: `reachcli advise -graph g.txt -trace w.rec` measures the
+// candidate kinds on that capture, and a restart with -index <kind>
+// serves the pick.
 //
 // SIGTERM or SIGINT drains gracefully: /readyz flips to 503, in-flight
 // requests finish, then the process exits 0.
@@ -91,7 +85,7 @@ func main() {
 	degraded := flag.Bool("degraded", false, "keep serving when an optional index build fails")
 	snapshot := flag.String("snapshot", "", "plain-index snapshot file: load when present, write after a fresh build (bfl/pll/dl kinds)")
 	mmapSnap := flag.Bool("mmap", false, "page-map the snapshot at load instead of reading it; the file layout is the same")
-	shards := flag.Int("shards", 0, "partition the DAG into this many shards with per-shard indexes and a boundary summary; 0 disables (a pre-built engine: refuses -wal and -autotune)")
+	shards := flag.Int("shards", 0, "partition the DAG into this many shards with per-shard indexes and a boundary summary; 0 disables (a pre-built engine: refuses -wal)")
 	walPath := flag.String("wal", "", "write-ahead log file; enables POST /v1/mutate and replays the log on start (unlabeled graphs, disables /admin/reload)")
 	walFsync := flag.String("wal-fsync", "always", "WAL durability: always (fsync before acking each group commit) or never (OS page cache)")
 	mutateBatch := flag.Int("mutate-batch", 0, "max mutation ops per group commit; 0 = default")
@@ -105,9 +99,6 @@ func main() {
 	traceBuf := flag.Int("trace-buffer", 256, "recent-trace ring size for /debug/traces; 0 disables tracing")
 	slowQuery := flag.Duration("slow-query", 250*time.Millisecond, "log and retain traces of requests slower than this; 0 disables the slow log")
 	record := flag.String("record", "", "capture the query workload to this file (replay with `reachcli replay`)")
-	autotune := flag.Duration("autotune", 0, "evaluate the index advisor over live traffic this often and hot-swap the plain index when its pick is faster; 0 disables")
-	autotuneMargin := flag.Float64("autotune-margin", 0, "min fractional p99 improvement before a hot swap (0 = default 0.10)")
-	autotuneBudget := flag.Int64("autotune-budget", 0, "index footprint budget in bytes for auto-tune candidates; 0 = unlimited")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	accessLog := flag.Bool("access-log", true, "log one structured line per request")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
@@ -125,10 +116,10 @@ func main() {
 	if *demo == (*graphPath != "") {
 		lg.Fatal("need exactly one of -graph or -demo")
 	}
-	if *shards > 0 && (*walPath != "" || *autotune > 0) {
-		// NewShardedDB takes neither option, so the DB's own check never
+	if *shards > 0 && *walPath != "" {
+		// NewShardedDB takes no Mutation, so the DB's own check never
 		// sees the pair; the refusal and its reason are the same.
-		lg.Fatalf("-shards with -wal or -autotune: %v", reach.ErrPrebuiltEngine)
+		lg.Fatalf("-shards with -wal: %v", reach.ErrPrebuiltEngine)
 	}
 
 	var tracer *obs.Tracer
@@ -158,14 +149,6 @@ func main() {
 		Tracing:        tracer != nil,
 		RecordWorkload: recorder,
 		CacheSize:      max(*cache, 0),
-	}
-	if *autotune > 0 {
-		cfg.AutoTune = &reach.AutoTuneConfig{
-			CheckInterval:  *autotune,
-			MinImprovement: *autotuneMargin,
-			Budget:         *autotuneBudget,
-		}
-		logger.Info("auto-tune enabled", "interval", *autotune, "margin", *autotuneMargin, "budget", *autotuneBudget)
 	}
 	if *walPath != "" {
 		fsync, err := parseFsync(*walFsync)

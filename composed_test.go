@@ -1,10 +1,10 @@
 package reach
 
-// Tests for the composed serving state: Mutation, the query-result cache
-// and AutoTune on one DB — the pairs that used to refuse each other —
-// checked against the internal/tc closure of a model edge set through
-// every producer of the serving snapshot (commit, reindexer, advisor).
-// See DESIGN.md, "Serving state".
+// Tests for the composed serving state: Mutation and the query-result
+// cache on one DB — the pair that used to refuse each other — checked
+// against the internal/tc closure of a model edge set through both
+// producers of the serving snapshot (commit, reindexer). See DESIGN.md,
+// "Serving state".
 
 import (
 	"context"
@@ -20,21 +20,10 @@ import (
 	"repro/internal/tc"
 )
 
-// composedConfigs are the feature sets that compose on a mutable DB.
-var composedConfigs = []struct {
-	name     string
-	cache    int
-	autotune bool
-}{
-	{"mutation+cache", 64, false},
-	{"mutation+autotune", 0, true},
-	{"mutation+cache+autotune", 64, true},
-}
-
-// newComposedDB builds a mutable DB with the given companions. Neither
-// background engine moves on its own — rebuilds at threshold (negative: only
-// when forced), the advisor never ticks — so a test decides every publish.
-func newComposedDB(t *testing.T, g *Graph, cache int, autotune bool, threshold int) *DB {
+// newComposedDB builds a mutable DB with a query-result cache of the given
+// size. The reindexer rebuilds at threshold (negative: only when forced),
+// so a test can decide every publish.
+func newComposedDB(t *testing.T, g *Graph, cache int, threshold int) *DB {
 	t.Helper()
 	cfg := DBConfig{
 		Metrics:   true,
@@ -44,9 +33,6 @@ func newComposedDB(t *testing.T, g *Graph, cache int, autotune bool, threshold i
 			RebuildThreshold: threshold,
 			Fsync:            FsyncNever,
 		},
-	}
-	if autotune {
-		cfg.AutoTune = &AutoTuneConfig{CheckInterval: time.Hour}
 	}
 	db, err := NewDB(g, cfg)
 	if err != nil {
@@ -115,79 +101,58 @@ func checkComposed(t *testing.T, db *DB, model *mutableCopy2, when string) {
 	}
 }
 
-// TestComposedAgainstOracle runs one seeded program of writes, flushes,
-// forced rebuilds and forced advisor publishes over every composed
-// configuration and checks all reads against the oracle after each step.
+// TestComposedAgainstOracle runs one seeded program of writes, flushes and
+// forced rebuilds on a mutable, cached DB and checks all reads against the
+// oracle after each step.
 func TestComposedAgainstOracle(t *testing.T) {
 	graphs := map[string]*Graph{
 		"dag":    gen.RandomDAG(gen.Config{N: 24, M: 40, Seed: 3}),
 		"cyclic": gen.ErdosRenyi(gen.Config{N: 24, M: 36, Seed: 4}),
 	}
-	kinds := []Kind{KindPLL, KindGRAIL, KindBFL}
+	const name = "mutation+cache"
 	ctx := context.Background()
-	for _, cc := range composedConfigs {
-		for gname, g := range graphs {
-			t.Run(cc.name+"/"+gname, func(t *testing.T) {
-				db := newComposedDB(t, g, cc.cache, cc.autotune, -1)
-				model := mutableCopy(g)
-				rng := rand.New(rand.NewSource(int64(len(cc.name) + g.M())))
-				checkComposed(t, db, model, "at boot")
-				cachedThenMutated(t, db, model)
-				swaps := 0
-				for step := 0; step < 40; step++ {
-					when := fmt.Sprintf("step %d", step)
-					epoch := db.Epoch()
-					switch op := rng.Intn(8); {
-					case op < 4:
-						ops := make([]EdgeOp, 1+rng.Intn(3))
-						for i := range ops {
-							ops[i] = seededOp(rng, model)
-						}
-						if err := db.Mutate(ctx, ops); err != nil {
-							t.Fatal(err)
-						}
-						when += " (commit)"
-					case op == 4:
-						if err := db.Flush(ctx); err != nil {
-							t.Fatal(err)
-						}
-						when += " (flush)"
-					case op == 5:
-						kind := db.cur.Load().kind
-						if err := db.mut.rebuildOnce(); err != nil {
-							t.Fatal(err)
-						}
-						if st := db.cur.Load(); st.kind != kind || !st.ov.Empty() {
-							t.Fatalf("%s: rebuild left kind %s (was %s), overlay %d", when, st.kind, kind, st.ov.Size())
-						}
-						when += " (rebuild)"
-					case cc.autotune && op == 6:
-						built, kind := db.cur.Load(), kinds[swaps%len(kinds)]
-						swaps++
-						ix, err := Build(kind, built.g, Options{Prepared: built.prep})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !db.aut.offer(built, kind, ix) {
-							t.Fatalf("%s: advisor candidate over the serving graph was dropped", when)
-						}
-						if _, ok := db.PlainIndex(kind); !ok {
-							t.Fatalf("%s: PlainIndex(%s) does not resolve the swapped-in kind", when, kind)
-						}
-						when += " (advisor swap)"
-					case cc.autotune && op == 7:
-						supersededCandidateDropped(t, db, model)
-						when += " (superseded candidate)"
+	for gname, g := range graphs {
+		t.Run(name+"/"+gname, func(t *testing.T) {
+			db := newComposedDB(t, g, 64, -1)
+			model := mutableCopy(g)
+			rng := rand.New(rand.NewSource(int64(len(name) + g.M())))
+			checkComposed(t, db, model, "at boot")
+			cachedThenMutated(t, db, model)
+			for step := 0; step < 40; step++ {
+				when := fmt.Sprintf("step %d", step)
+				epoch := db.Epoch()
+				switch op := rng.Intn(6); {
+				case op < 4:
+					ops := make([]EdgeOp, 1+rng.Intn(3))
+					for i := range ops {
+						ops[i] = seededOp(rng, model)
 					}
-					if db.Epoch() < epoch {
-						t.Fatalf("%s: epoch went from %d to %d", when, epoch, db.Epoch())
+					if err := db.Mutate(ctx, ops); err != nil {
+						t.Fatal(err)
 					}
-					checkComposed(t, db, model, when)
+					when += " (commit)"
+				case op == 4:
+					if err := db.Flush(ctx); err != nil {
+						t.Fatal(err)
+					}
+					when += " (flush)"
+				case op == 5:
+					if err := db.mut.rebuildOnce(); err != nil {
+						t.Fatal(err)
+					}
+					if st := db.cur.Load(); !st.ov.Empty() {
+						t.Fatalf("%s: rebuild left overlay %d", when, st.ov.Size())
+					}
+					when += " (rebuild)"
 				}
-				removeHeavyThenFold(t, db, model, rng)
-				cachedThenMutated(t, db, model)
-			})
-		}
+				if db.Epoch() < epoch {
+					t.Fatalf("%s: epoch went from %d to %d", when, epoch, db.Epoch())
+				}
+				checkComposed(t, db, model, when)
+			}
+			removeHeavyThenFold(t, db, model, rng)
+			cachedThenMutated(t, db, model)
+		})
 	}
 }
 
@@ -279,44 +244,8 @@ func cachedThenMutated(t *testing.T, db *DB, model *mutableCopy2) {
 	t.Fatal("no unreachable pair in the model")
 }
 
-// supersededCandidateDropped pins the producer rule on the advisor: a
-// candidate built over a graph the reindexer has since replaced is never
-// published — publish changes nothing and the drop is counted.
-func supersededCandidateDropped(t *testing.T, db *DB, model *mutableCopy2) {
-	t.Helper()
-	built := db.cur.Load()
-	ix, err := Build(KindPLL, built.g, Options{Prepared: built.prep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Toggle one edge, so the overlay is non-empty whatever the model holds.
-	op := EdgeOp{Remove: model.edges[[2]V{0, 1}], From: 0, To: 1}
-	if model.remove(0, 1); !op.Remove {
-		model.insert(0, 1)
-	}
-	if err := db.Mutate(context.Background(), []EdgeOp{op}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.mut.rebuildOnce(); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := db.AdvisorStatus()
-	cur := db.cur.Load()
-	if cur.g == built.g {
-		t.Fatal("the rebuild did not move the serving graph on")
-	}
-	if db.aut.offer(built, KindPLL, ix) {
-		t.Fatal("a candidate built over a superseded graph was published")
-	}
-	after, _ := db.AdvisorStatus()
-	if db.cur.Load() != cur || after.Metrics.SwapsSkipped != before.Metrics.SwapsSkipped+1 || after.Metrics.Swaps != before.Metrics.Swaps {
-		t.Fatalf("dropped candidate: snapshot changed = %v, swaps %d→%d, skipped %d→%d", db.cur.Load() != cur,
-			before.Metrics.Swaps, after.Metrics.Swaps, before.Metrics.SwapsSkipped, after.Metrics.SwapsSkipped)
-	}
-}
-
-// TestComposedConcurrent races 4 readers, 1 writer, background rebuilds and
-// advisor swaps on a DB with all three features on (run under -race in CI).
+// TestComposedConcurrent races 4 readers, 1 writer and background rebuilds
+// on a mutable, cached DB (run under -race in CI).
 // The writer moves one edge between a→b and a→c, both ops in one Mutate, so
 // at every epoch exactly one of the two pairs is reachable: a batch that
 // holds both must see exactly one, or it was answered across two epochs.
@@ -339,7 +268,7 @@ func TestComposedConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := newComposedDB(t, g, 256, true, 6)
+	db := newComposedDB(t, g, 256, 6)
 	model := mutableCopy(g)
 	ctx := context.Background()
 	var stop atomic.Bool
@@ -413,31 +342,13 @@ func TestComposedConcurrent(t *testing.T) {
 			}
 		})
 	}
-	// The advisor: shadow-build over whatever serves, offer it. A rebuild
-	// in between supersedes the candidate; offer must then drop it.
-	var swaps, dropped int
-	kinds := []Kind{KindPLL, KindGRAIL, KindBFL}
-	spawn(func() {
-		built, kind := db.cur.Load(), kinds[(swaps+dropped)%len(kinds)]
-		ix, err := Build(kind, built.g, Options{Prepared: built.prep})
-		if err != nil {
-			t.Errorf("shadow build: %v", err)
-			return
-		}
-		if db.aut.offer(built, kind, ix) {
-			swaps++
-		} else {
-			dropped++
-		}
-	})
-
 	time.Sleep(400 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
 	waitRebuilt(t, db)
 	ms, _ := db.MetricsSnapshot()
-	if swaps == 0 || ms.Mutation.Rebuilds == 0 {
-		t.Fatalf("the race never happened: %d advisor swaps (%d dropped), %d rebuilds", swaps, dropped, ms.Mutation.Rebuilds)
+	if ms.Mutation.Rebuilds == 0 {
+		t.Fatal("the race never happened: no background rebuild")
 	}
 	checkComposed(t, db, model, "after the race")
 }

@@ -35,9 +35,12 @@ type DB struct {
 	// check and serves the labeled routes (a labeled graph is never
 	// mutable). The graph plain reachability answers over is cur's.
 	g *Graph
+	// plain is the plain index's kind, fixed for the DB's life: a rebuild
+	// builds the same kind again.
+	plain Kind
 	// cur is the serving snapshot of the plain engine — graph, memo, index,
-	// kind, overlay, epoch — and wmu the lock its one writer, publish,
-	// holds (see serving.go). Every plain read loads cur exactly once.
+	// overlay, epoch — and wmu the lock its one writer, publish, holds
+	// (see serving.go). Every plain read loads cur exactly once.
 	cur atomic.Pointer[serving]
 	wmu sync.Mutex
 	lcr LCRIndex
@@ -62,19 +65,16 @@ type DB struct {
 	// recorder appends one workload record per completed query when
 	// DBConfig.RecordWorkload installed it; nil otherwise.
 	recorder *workload.Recorder
-	// timed is set when something consumes a query's latency — metrics,
-	// the recorder, or the auto-tuner's sample ring — so a DB with none of
-	// them never reads the clock.
+	// timed is set when something consumes a query's latency — metrics or
+	// the recorder — so a DB with neither never reads the clock.
 	timed bool
 	// unobserved is set when nothing watches a plain query: no cache, not
 	// timed, no tracing. Reach then goes straight to the probe.
 	unobserved bool
 	// mut is the live-mutation engine, nil unless DBConfig.Mutation
-	// enabled it (see mutable.go), and aut the auto-tuning engine, nil
-	// unless DBConfig.AutoTune enabled it (see autotune.go). Both only
-	// produce snapshots for cur; no read asks which of them is running.
+	// enabled it (see mutable.go). It only produces snapshots for cur; no
+	// read asks whether it is running.
 	mut *mutDB
-	aut *autoTuner
 }
 
 // CacheSnapshot re-exports the query-result cache counters; see
@@ -185,7 +185,7 @@ type DBConfig struct {
 	// RecordWorkload, when non-nil, appends one record per completed
 	// query — (s, t, constraint, route, outcome, latency) — to the given
 	// recorder: the capture `reachcli replay` re-runs against any index
-	// kind and the future workload-adaptive advisor consumes. The caller
+	// kind and `reachcli advise` picks an index from. The caller
 	// owns the recorder's lifecycle (Close flushes). Recording times
 	// every query (two clock reads each); see OBSERVABILITY.md.
 	RecordWorkload *WorkloadRecorder
@@ -211,7 +211,7 @@ type DBConfig struct {
 	// index's Name()). This is how NewShardedDB mounts the sharded
 	// scatter-gather engine behind the full DB surface. It replaces the
 	// snapshot warm starts, and an engine installed pre-built has no
-	// producer that can rebuild it: Mutation and AutoTune are refused with
+	// producer that can rebuild it: Mutation is refused with
 	// ErrPrebuiltEngine.
 	PlainIndex Index
 	// Mutation, when non-nil, makes the DB writable: AddEdge/RemoveEdge/
@@ -223,15 +223,6 @@ type DBConfig struct {
 	// PlainSnapshot load), so acknowledged mutations survive restarts. See
 	// mutable.go and DESIGN.md ("Mutation & durability").
 	Mutation *MutationConfig
-	// AutoTune, when non-nil, runs the workload-adaptive index advisor in
-	// the background: the DB samples its own plain-query traffic, and at
-	// every check interval the advisor shortlists and shadow-builds
-	// candidate kinds, replays the sampled trace against each, and
-	// hot-swaps the serving plain index when the pick's measured p99
-	// improves on the current index by the configured margin. On a
-	// mutable DB the reindexer rebuilds whichever kind is serving. See
-	// autotune.go and DESIGN.md ("Advisor").
-	AutoTune *AutoTuneConfig
 }
 
 // NewDB builds a DB over g. For unlabeled graphs only the plain index is
@@ -259,21 +250,19 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 	if cfg.LCR == "" {
 		cfg.LCR = LCRP2H
 	}
-	if cfg.PlainIndex != nil && (cfg.Mutation != nil || cfg.AutoTune != nil) {
+	if cfg.PlainIndex != nil && cfg.Mutation != nil {
 		return nil, ErrPrebuiltEngine
 	}
 	if err := checkMutationConfig(g, cfg); err != nil {
 		return nil, err
 	}
-	if err := checkAutoTuneConfig(cfg); err != nil {
-		return nil, err
-	}
 	db := &DB{
 		g:            g,
+		plain:        cfg.Plain,
 		cache:        qcache.New(cfg.CacheSize),
 		traceEnabled: cfg.Tracing,
 		recorder:     cfg.RecordWorkload,
-		timed:        cfg.Metrics || cfg.RecordWorkload != nil || cfg.AutoTune != nil,
+		timed:        cfg.Metrics || cfg.RecordWorkload != nil,
 	}
 	db.unobserved = db.cache == nil && !db.timed && !db.traceEnabled
 	if cfg.Metrics {
@@ -320,7 +309,7 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 			return nil, fmt.Errorf("%w: snapshot contains a %q index but Plain is %q (%s)", ErrBadOptions, got, cfg.Plain, want)
 		}
 	}
-	boot := &serving{g: g, prep: cfg.Options.Prepared, ix: db.instrument(plain, g), kind: cfg.Plain, ov: noOverlay}
+	boot := &serving{g: g, prep: cfg.Options.Prepared, ix: db.instrument(plain, g), ov: noOverlay}
 	db.publish(func(*serving) *serving { return boot })
 	if g.Labeled() {
 		if db.lcr, err = BuildLCRCtx(ctx, cfg.LCR, g, cfg.Options); err != nil {
@@ -354,9 +343,6 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 		if err := db.initMutation(cfg); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.AutoTune != nil {
-		db.initAutoTune(cfg)
 	}
 	return db, nil
 }
@@ -415,21 +401,19 @@ func (db *DB) Graph() *Graph { return db.cur.Load().g }
 // Options.Prepared to keep sharing the condensation.
 func (db *DB) Prepared() *PreparedGraph { return db.cur.Load().prep }
 
-// PlainIndex returns the serving plain index when kind is the serving
-// kind — the configured Plain until the advisor swaps another in; ok is
-// false for any other kind. On a mutable DB the index answers the graph it
-// was built over (Graph), not the pending overlay.
+// PlainIndex returns the serving plain index when kind is the configured
+// Plain; ok is false for any other kind. On a mutable DB the index answers
+// the graph it was built over (Graph), not the pending overlay.
 func (db *DB) PlainIndex(kind Kind) (ix Index, ok bool) {
-	st := db.cur.Load()
-	if kind != st.kind {
+	if kind != db.plain {
 		return nil, false
 	}
-	return st.ix, true
+	return db.cur.Load().ix, true
 }
 
 // Epoch returns the serving snapshot's epoch: it advances by one at every
-// commit (the WAL replay at boot is the first), background rebuild and
-// advisor swap, and never otherwise.
+// commit (the WAL replay at boot is the first) and background rebuild, and
+// never otherwise.
 func (db *DB) Epoch() uint64 { return db.cur.Load().epoch }
 
 // CacheStats snapshots the query-result cache counters; ok is false when
@@ -548,12 +532,11 @@ func (db *DB) traceFrom(ctx context.Context) *obs.Trace {
 	return obs.TraceFrom(ctx)
 }
 
-// record appends one workload record when capture is enabled, and feeds
-// the auto-tuner's in-memory sample ring on plain routes. cached marks a
-// result-cache hit: its latency is a cache-hit latency, so replay
-// scoring skips it (and the auto-tuner never samples it).
+// record appends one workload record when capture is enabled. cached
+// marks a result-cache hit: its latency is a cache-hit latency, so replay
+// scoring skips it.
 func (db *DB) record(s, t V, alpha string, labels []Label, route obs.RouteKind, res, cached bool, d time.Duration) {
-	if db.recorder == nil && db.aut == nil {
+	if db.recorder == nil {
 		return
 	}
 	var ls []uint16
@@ -563,7 +546,7 @@ func (db *DB) record(s, t V, alpha string, labels []Label, route obs.RouteKind, 
 			ls[i] = uint16(l)
 		}
 	}
-	rec := workload.Record{
+	db.recorder.Record(workload.Record{
 		S:       uint32(s),
 		T:       uint32(t),
 		Alpha:   alpha,
@@ -572,13 +555,7 @@ func (db *DB) record(s, t V, alpha string, labels []Label, route obs.RouteKind, 
 		Outcome: res,
 		Cached:  cached,
 		Latency: d,
-	}
-	if db.recorder != nil {
-		db.recorder.Record(rec)
-	}
-	if db.aut != nil && route == obs.RoutePlain && !cached && alpha == "" && ls == nil {
-		db.aut.observe(rec)
-	}
+	})
 }
 
 func (db *DB) countCanceled() {

@@ -38,12 +38,12 @@ var (
 // against a DB built without DBConfig.Mutation.
 var ErrNotMutable = errors.New("reach: DB is not mutable (no DBConfig.Mutation)")
 
-// ErrPrebuiltEngine is the one reason live mutation and auto-tuning refuse
-// a configuration: both change the serving index by building a new one of
-// a kind the DB knows how to build, and an engine handed over pre-built
+// ErrPrebuiltEngine is why live mutation refuses a configuration: its
+// reindexer replaces the serving index by building a new one of a kind the
+// DB knows how to build, and an engine handed over pre-built
 // (DBConfig.PlainIndex — how NewShardedDB mounts the sharded engine) has no
 // such producer. It wraps ErrBadOptions.
-var ErrPrebuiltEngine = fmt.Errorf("%w: an engine installed pre-built (PlainIndex, the sharded mount) has no producer that can rebuild it, which Mutation and AutoTune need", ErrBadOptions)
+var ErrPrebuiltEngine = fmt.Errorf("%w: an engine installed pre-built (PlainIndex, the sharded mount) has no producer that can rebuild it, which Mutation needs", ErrBadOptions)
 
 // validate rejects option values no technique can interpret. Zero values
 // are always fine (they select defaults); negatives are never meaningful.

@@ -9,8 +9,9 @@
 // The package is deliberately below the root: it speaks core.Index and
 // workload.Record, and the root package injects the actual builder
 // (reach.BuildCtx) as a BuildFunc, the same inversion internal/shard
-// uses. DBConfig.AutoTune (root autotune.go) reuses Run under live
-// traffic to shadow-build and hot-swap the pick.
+// uses. It runs offline, over a capture: `reachcli advise` and
+// reach.Advise call Run, and a server then serves the pick with
+// `reachserve -index <kind>`.
 package advise
 
 import (
@@ -33,7 +34,7 @@ type Config struct {
 	Build BuildFunc
 	// Candidates overrides the rule-table shortlist with an explicit kind
 	// list (used by benchmarks to measure the full field, and by
-	// AutoTune operators who want to restrict the search).
+	// operators who want to restrict the search).
 	Candidates []string
 	// MaxCandidates caps the rule-table shortlist. Default 5.
 	MaxCandidates int
@@ -47,18 +48,15 @@ type Config struct {
 	Budget int64
 	// MaxReplay caps the plain records replayed per candidate (0 = all).
 	MaxReplay int
-	// Reps is how many times each replayed query runs per latency sample
-	// (the per-record latency is the mean of Reps runs, damping clock
-	// granularity on sub-microsecond index probes). Default 8.
-	Reps int
-	// KeepChosen retains the winning candidate's built index, retrievable
-	// via Report.ChosenIndex — the auto-tuner's hot-swap input. Default
-	// false: all candidate indexes are released after measurement.
-	KeepChosen bool
 }
 
+// replayReps is how many times each replayed query runs per latency
+// sample: the per-record latency is the mean of replayReps runs, damping
+// clock granularity on sub-microsecond index probes.
+const replayReps = 8
+
 // Report is the advisor's full output, JSON-shaped for `reachcli advise
-// -json` and /admin/advise.
+// -json`.
 type Report struct {
 	Graph    GraphProfile    `json:"graph"`
 	Workload WorkloadProfile `json:"workload"`
@@ -75,14 +73,6 @@ type Report struct {
 	Best        string  `json:"best"`
 	BestP99NS   int64   `json:"best_p99_ns"`
 	Regret      float64 `json:"regret"` // ChosenP99NS / BestP99NS; 1.0 = optimal among measured
-
-	chosen core.Index // retained only under Config.KeepChosen
-}
-
-// ChosenIndex returns the built index of the chosen candidate when the
-// run was configured with KeepChosen.
-func (r *Report) ChosenIndex() (core.Index, bool) {
-	return r.chosen, r.chosen != nil
 }
 
 // ErrNoTrace is returned when the trace has no scorable plain records
@@ -105,9 +95,6 @@ func Run(ctx context.Context, prep *core.Prepared, recs []workload.Record, cfg C
 	}
 	if cfg.BuildTimeout <= 0 {
 		cfg.BuildTimeout = 30 * time.Second
-	}
-	if cfg.Reps <= 0 {
-		cfg.Reps = 8
 	}
 	g := prep.Graph()
 	rep := &Report{

@@ -20,12 +20,12 @@ type Measurement struct {
 	P99NS      int64 `json:"p99_ns"`
 }
 
-// MeasurePlain replays the plain pairs against ix. Each record's latency
+// measurePlain replays the plain pairs against ix. Each record's latency
 // sample is the mean of reps back-to-back probes — index probes run in
 // tens of nanoseconds, below the clock's useful resolution for a single
 // call, and the advisor compares p99s across candidates, so per-sample
 // noise must stay well under the real differences.
-func MeasurePlain(ix core.Index, pairs []workload.Record, reps int) Measurement {
+func measurePlain(ix core.Index, pairs []workload.Record, reps int) Measurement {
 	if reps <= 0 {
 		reps = 1
 	}
@@ -51,7 +51,7 @@ func MeasurePlain(ix core.Index, pairs []workload.Record, reps int) Measurement 
 // measureBaseline replays the pairs index-free: one BFS per query, the
 // cost of serving the trace with no index at all.
 func measureBaseline(g *graph.Digraph, pairs []workload.Record, reps int) Measurement {
-	return MeasurePlain(bfsIndex{g}, pairs, reps)
+	return measurePlain(bfsIndex{g}, pairs, reps)
 }
 
 type bfsIndex struct{ g *graph.Digraph }
@@ -66,7 +66,6 @@ func (b bfsIndex) Stats() (st core.Stats)  { return st }
 // build is contained by the builder (core.Recover in BuildCtx) and
 // arrives here as an error.
 func evaluate(ctx context.Context, rep *Report, shortlist []Candidate, pairs []workload.Record, cfg Config) {
-	built := make([]core.Index, len(shortlist))
 	for i := range shortlist {
 		cand := &shortlist[i]
 		bctx, cancel := context.WithTimeout(ctx, cfg.BuildTimeout)
@@ -85,8 +84,7 @@ func evaluate(ctx context.Context, rep *Report, shortlist []Candidate, pairs []w
 			cand.Bytes = ix.Stats().Bytes
 		}
 		cand.OverBudget = cfg.Budget > 0 && int64(cand.Bytes) > cfg.Budget
-		cand.Measurement = MeasurePlain(ix, pairs, cfg.Reps)
-		built[i] = ix
+		cand.Measurement = measurePlain(ix, pairs, replayReps)
 	}
 	rep.Candidates = shortlist
 
@@ -128,9 +126,6 @@ func evaluate(ctx context.Context, rep *Report, shortlist []Candidate, pairs []w
 		rep.Chosen = shortlist[chosen].Kind
 		rep.ChosenP50NS = shortlist[chosen].P50NS
 		rep.ChosenP99NS = shortlist[chosen].P99NS
-		if cfg.KeepChosen {
-			rep.chosen = built[chosen]
-		}
 	}
 
 	// Best is the raw p99 argmin over everything measured, budget or not:

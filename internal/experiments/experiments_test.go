@@ -126,24 +126,36 @@ func (c *countingIndex) Reach(s, t reach.V) bool {
 func (c *countingIndex) Stats() reach.Stats { return reach.Stats{} }
 
 // TestMeasureQueryTimeRunsEveryPass: measureQueryTime asks every query
-// once untimed and once per timed pass, and a wrong answer panics even
-// in the last query of the last pass.
+// the same number of times, reps, in the untimed pass and in each timed
+// pass, and repeats a list this short more than once (it lasts far less
+// than minPass). A wrong answer panics in the untimed pass, and queryPass
+// checks every answer of every repetition, the last one of the last
+// repetition too.
 func TestMeasureQueryTimeRunsEveryPass(t *testing.T) {
 	qs := []gen.Query{{S: 1, T: 0, Want: true}, {S: 2, T: 0, Want: true}, {S: 3, T: 1, Want: true}}
-	passes := 1 + timedPasses
 	ix := &countingIndex{}
 	measureQueryTime(ix, qs)
-	if want := passes * len(qs); ix.calls != want {
-		t.Errorf("measureQueryTime asked %d queries, want %d (%d passes of %d)", ix.calls, want, passes, len(qs))
+	perRep := (1 + timedPasses) * len(qs)
+	if ix.calls%perRep != 0 || ix.calls/perRep < 2 {
+		t.Errorf("measureQueryTime asked %d queries, want reps × %d (1 + %d passes of %d) with reps > 1", ix.calls, perRep, timedPasses, len(qs))
 	}
-	for _, at := range []int{1, passes * len(qs)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("a wrong answer at call %d did not panic", at)
-				}
-			}()
-			measureQueryTime(&countingIndex{wrongAt: at}, qs)
+	const reps = 4
+	ix = &countingIndex{}
+	queryPass(ix, qs, reps)
+	if want := reps * len(qs); ix.calls != want {
+		t.Errorf("queryPass asked %d queries, want %d (%d repetitions of %d)", ix.calls, want, reps, len(qs))
+	}
+	mustPanic := func(at int, run func(ix reach.Index)) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("a wrong answer at call %d did not panic", at)
+			}
 		}()
+		run(&countingIndex{wrongAt: at})
+	}
+	mustPanic(1, func(ix reach.Index) { measureQueryTime(ix, qs) })
+	for _, at := range []int{len(qs) + 1, reps * len(qs)} {
+		mustPanic(at, func(ix reach.Index) { queryPass(ix, qs, reps) })
 	}
 }

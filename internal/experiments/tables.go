@@ -109,28 +109,43 @@ func measureCompleteness(ix reach.Index, qs []gen.Query) (decided, total int) {
 // of, after one untimed pass.
 const timedPasses = 5
 
-// measureQueryTime returns ix's mean time per query over qs: one untimed
-// pass warms caches and pools, then the median of timedPasses timed
-// passes, so one slow pass (a GC, a preempted core) does not become the
-// figure. Every pass checks every answer and panics on a wrong one. A
-// table's build column is still a single build.
+// minPass is the least a pass of measureQueryTime lasts: a pass repeats
+// the query list until it does, so a row of 2 000 queries of a few
+// nanoseconds is not timed over a few microseconds.
+const minPass = 2 * time.Millisecond
+
+// measureQueryTime returns ix's mean time per query over qs. The untimed
+// pass warms caches and pools and sizes the timed ones: it repeats the
+// query list until it lasts minPass, and every timed pass repeats the list
+// as often. The figure is the median of timedPasses timed passes, so one
+// slow pass (a GC, a preempted core) does not become it. Every repetition
+// checks every answer and panics on a wrong one. A table's build column is
+// still a single build.
 func measureQueryTime(ix reach.Index, qs []gen.Query) time.Duration {
-	pass := func() time.Duration {
-		start := time.Now()
+	reps := 0
+	for start := time.Now(); reps == 0 || time.Since(start) < minPass; reps++ {
+		queryPass(ix, qs, 1)
+	}
+	times := make([]time.Duration, timedPasses)
+	for i := range times {
+		times[i] = queryPass(ix, qs, reps)
+	}
+	slices.Sort(times)
+	return times[timedPasses/2] / time.Duration(reps*len(qs))
+}
+
+// queryPass asks ix every query of qs, reps times over, and returns how
+// long that took. A wrong answer panics.
+func queryPass(ix reach.Index, qs []gen.Query, reps int) time.Duration {
+	start := time.Now()
+	for r := 0; r < reps; r++ {
 		for _, q := range qs {
 			if got := ix.Reach(q.S, q.T); got != q.Want {
 				panic(fmt.Sprintf("%s: wrong answer for (%d,%d)", ix.Name(), q.S, q.T))
 			}
 		}
-		return time.Since(start)
 	}
-	pass()
-	times := make([]time.Duration, timedPasses)
-	for i := range times {
-		times[i] = pass()
-	}
-	slices.Sort(times)
-	return times[timedPasses/2] / time.Duration(len(qs))
+	return time.Since(start)
 }
 
 // Table2 is the LCR/RLC analogue of Table1, on a labeled digraph.

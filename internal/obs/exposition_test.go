@@ -20,8 +20,8 @@ import (
 
 // TestServerMetricsDocument scrapes plain /metrics — no Accept header, no
 // query — from a server with every metrics source wired: the server's
-// admission counters, a tracer, and a DB with the result cache, a WAL and
-// the auto-tuner. The concatenated server + tracer + DB document must be
+// admission counters, a tracer, and a DB with the result cache and a WAL.
+// The concatenated server + tracer + DB document must be
 // one valid exposition, and every family in it must be catalogued in
 // OBSERVABILITY.md with the type it is emitted under. Nothing else is a
 // metrics surface: /debug/vars is gone, and the build-span tree is
@@ -37,7 +37,6 @@ func TestServerMetricsDocument(t *testing.T) {
 			RebuildThreshold: -1,
 			Fsync:            reach.FsyncNever,
 		},
-		AutoTune: &reach.AutoTuneConfig{CheckInterval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)

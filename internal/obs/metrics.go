@@ -274,7 +274,7 @@ type DBMetrics struct {
 	Panics   Counter // index panics contained at the query boundary (ErrIndexPanic)
 	Canceled Counter // builds/queries abandoned via context cancellation
 	// ServingEpoch is the epoch of the DB's serving snapshot: set at every
-	// publish (commit, background rebuild, advisor swap), nowhere else.
+	// publish (commit, background rebuild), nowhere else.
 	ServingEpoch Gauge
 
 	routes [NumRoutes]RouteMetrics
@@ -284,7 +284,6 @@ type DBMetrics struct {
 	degraded []string
 	cacheFn  func() CacheSnapshot
 	mutation *MutationMetrics
-	advisor  *AdvisorMetrics
 }
 
 // NewDBMetrics returns an empty metrics root.
@@ -332,7 +331,6 @@ type Snapshot struct {
 	Build    []PhaseSpan              `json:"build,omitempty"`
 	Cache    *CacheSnapshot           `json:"cache,omitempty"`
 	Mutation *MutationSnapshot        `json:"mutation,omitempty"`
-	Advisor  *AdvisorSnapshot         `json:"advisor,omitempty"`
 	Errors   int64                    `json:"errors"`
 	Panics   int64                    `json:"panics,omitempty"`
 	Canceled int64                    `json:"canceled,omitempty"`
@@ -362,7 +360,6 @@ func (m *DBMetrics) Snapshot() Snapshot {
 	}
 	cacheFn := m.cacheFn
 	mutation := m.mutation
-	advisor := m.advisor
 	m.mu.Unlock()
 	if cacheFn != nil {
 		cs := cacheFn()
@@ -371,10 +368,6 @@ func (m *DBMetrics) Snapshot() Snapshot {
 	if mutation != nil {
 		ms := mutation.Snapshot()
 		s.Mutation = &ms
-	}
-	if advisor != nil {
-		as := advisor.Snapshot()
-		s.Advisor = &as
 	}
 	for name, im := range cells {
 		s.Indexes[name] = im.Snapshot()

@@ -214,11 +214,7 @@ func (s Snapshot) WriteProm(w io.Writer, prefix string) {
 		s.Mutation.writeProm(p)
 	}
 
-	if s.Advisor != nil {
-		s.Advisor.writeProm(p)
-	}
-
-	p.int(p.family("serving_epoch", "Epoch of the serving snapshot: advances at every commit, background rebuild and advisor swap.", "gauge"), s.Epoch)
+	p.int(p.family("serving_epoch", "Epoch of the serving snapshot: advances at every commit and background rebuild.", "gauge"), s.Epoch)
 	f = p.family("errors_total", "Query and build errors.", "counter")
 	p.int(f, s.Errors)
 	f = p.family("panics_total", "Index panics contained at the query boundary.", "counter")

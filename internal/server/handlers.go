@@ -47,7 +47,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /admin/stats", s.handleStats)
 	mux.HandleFunc("GET /admin/shards", s.handleShards)
-	mux.HandleFunc("GET /admin/advise", s.handleAdvise)
 	mux.HandleFunc("POST /admin/reload", s.handleReload)
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	if s.cfg.EnablePprof {
@@ -344,7 +343,6 @@ type statsResponse struct {
 	Degraded  map[string]string      `json:"degraded,omitempty"`
 	Cache     *reach.CacheSnapshot   `json:"cache,omitempty"`
 	Mutation  *reach.MutationStats   `json:"mutation,omitempty"`
-	Advisor   *reach.AdvisorStatus   `json:"advisor,omitempty"`
 	Shards    *shardsResponse        `json:"shards,omitempty"`
 	Build     []obs.PhaseSpan        `json:"build,omitempty"`
 	Server    obs.ServerSnapshot     `json:"server"`
@@ -380,18 +378,6 @@ func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleAdvise serves the auto-tuner's state: serving/initial kind, the
-// reach_advisor_* counters, and the last evaluation's full report. 404
-// when the DB runs without DBConfig.AutoTune.
-func (s *Server) handleAdvise(w http.ResponseWriter, _ *http.Request) {
-	status, ok := s.DB().AdvisorStatus()
-	if !ok {
-		writeErr(w, http.StatusNotFound, "auto-tune disabled (start with -autotune > 0)")
-		return
-	}
-	writeJSON(w, http.StatusOK, status)
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	db := s.DB()
 	g := db.Graph()
@@ -416,9 +402,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	if ms, ok := db.MutationStats(); ok {
 		resp.Mutation = &ms
-	}
-	if as, ok := db.AdvisorStatus(); ok {
-		resp.Advisor = &as
 	}
 	resp.Shards = shardsOf(db)
 	if snap, ok := db.MetricsSnapshot(); ok {

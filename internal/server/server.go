@@ -216,8 +216,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Reload rebuilds the DB via Config.Rebuild and atomically swaps it in.
 // Requests running against the old DB finish there; requests admitted
 // after the swap see the new DB. The replaced DB is then closed, which
-// stops its background engines (the advisor loop, its ticker and shadow
-// builds) and nothing else — queries in flight on it keep working; a Close
+// stops its mutation engine (batcher, reindexer, WAL) and nothing else —
+// queries in flight on it keep working; a Close
 // that fails is logged and counted in server/reload_errors, the reload
 // itself has succeeded. At most one reload runs at a time
 // (ErrReloadInProgress otherwise); a failed rebuild leaves the old DB

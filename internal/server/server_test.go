@@ -3,17 +3,22 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	reach "repro"
 	"repro/internal/faultinject"
+	"repro/internal/mutate"
 )
 
 // fig1DB builds a DB over the paper's Figure 1(b) labeled graph.
@@ -379,42 +384,29 @@ func TestReloadDuringTraffic(t *testing.T) {
 	}
 }
 
-// TestReloadConflict verifies concurrent reloads serialize: the second
-// gets ErrReloadInProgress while the first is still rebuilding.
-// TestReloadRetiresReplacedDB: a reload closes the DB it replaces, so an
-// auto-tuned DB's advisor loop (its ticker and shadow builds) ends with the
-// reload instead of running on behind a DB nothing serves from. The old DB
-// keeps answering queries, as requests still in flight on it need.
+// TestReloadRetiresReplacedDB: a reload closes the DB it replaces, so a
+// mutable DB's engine (its group-commit batcher, reindexer and WAL) stops
+// with the reload instead of running on behind a DB nothing serves from.
+// The old DB keeps answering queries, as requests still in flight on it
+// need.
 func TestReloadRetiresReplacedDB(t *testing.T) {
-	tuned := func(ctx context.Context) (*reach.DB, error) {
-		return reach.NewDBCtx(ctx, reach.Fig1Plain(), reach.DBConfig{AutoTune: &reach.AutoTuneConfig{
-			CheckInterval: 2 * time.Millisecond,
-			MinSamples:    4,
-			Candidates:    []reach.Kind{reach.KindBFL},
-		}})
+	dir := t.TempDir()
+	var boots atomic.Int64
+	mutable := func(ctx context.Context) (*reach.DB, error) {
+		wal := filepath.Join(dir, fmt.Sprintf("boot%d.wal", boots.Add(1)))
+		return reach.NewDBCtx(ctx, reach.Fig1Plain(), reach.DBConfig{Mutation: &reach.MutationConfig{WALPath: wal}})
 	}
-	old, err := tuned(context.Background())
+	old, err := mutable(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := newTestServer(t, Config{DB: old, Rebuild: tuned})
+	s, _ := newTestServer(t, Config{DB: old, Rebuild: mutable})
 	t.Cleanup(func() { s.DB().Close() })
-	// passes is how many advisor passes db's loop has finished; traffic
-	// keeps its sample ring over MinSamples.
-	passes := func(db *reach.DB) int64 {
-		for v := reach.V(1); v < 9; v++ {
-			if _, err := db.Reach(0, v); err != nil {
-				t.Fatalf("Reach on a DB a reload replaced: %v", err)
-			}
-		}
-		st, _ := db.AdvisorStatus()
-		return st.Metrics.Evaluations + st.Metrics.Failures
+	if ok, _ := old.Reach(1, 0); ok {
+		t.Fatal("Figure 1 already reaches 0 from 1: the edge below would add nothing")
 	}
-	for deadline := time.Now().Add(10 * time.Second); passes(old) == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the advisor loop never ran")
-		}
-		time.Sleep(time.Millisecond)
+	if err := old.AddEdge(context.Background(), 1, 0); err != nil {
+		t.Fatalf("AddEdge before the reload: %v", err)
 	}
 	if err := s.Reload(context.Background()); err != nil {
 		t.Fatal(err)
@@ -422,16 +414,19 @@ func TestReloadRetiresReplacedDB(t *testing.T) {
 	if s.DB() == old {
 		t.Fatal("reload did not swap the DB")
 	}
-	before := passes(old)
-	time.Sleep(60 * time.Millisecond)
-	if after := passes(old); after != before {
-		t.Fatalf("the replaced DB's advisor loop still runs: %d passes, then %d", before, after)
+	if err := old.AddEdge(context.Background(), 2, 0); !errors.Is(err, mutate.ErrClosed) {
+		t.Fatalf("AddEdge on the replaced DB = %v, want ErrClosed", err)
+	}
+	if ok, err := old.Reach(1, 0); err != nil || !ok {
+		t.Fatalf("Reach(1,0) on the replaced DB = %v, %v; want its acknowledged edge", ok, err)
 	}
 	if n := s.Metrics().ReloadErrors.Load(); n != 0 {
 		t.Fatalf("reload_errors = %d after a clean reload", n)
 	}
 }
 
+// TestReloadConflict verifies concurrent reloads serialize: the second
+// gets ErrReloadInProgress while the first is still rebuilding.
 func TestReloadConflict(t *testing.T) {
 	block := make(chan struct{})
 	s, _ := newTestServer(t, Config{

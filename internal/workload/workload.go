@@ -4,8 +4,7 @@
 // needs to be actionable — which index wins depends on the workload's
 // query-class mix, decided-rate, and fallback cost, so the workload has
 // to be a recordable, replayable artifact, not a guess. The same format
-// is the input the workload-adaptive index advisor (ROADMAP item 5)
-// consumes.
+// is the input of the index advisor (internal/advise, `reachcli advise`).
 //
 // On disk a capture is an internal/persist container (format
 // "reach-workload") holding a run of "batch" sections, each a

@@ -301,63 +301,55 @@ func (mdb *mutDB) runRebuild() {
 }
 
 // rebuildOnce folds the serving overlay into a fresh frozen graph, builds
-// a new index of the serving kind over it off the hot path, and publishes
-// the result. Ops that commit during the build land in the live overlay
-// as usual; at publish time the live overlay is rebased onto the new graph
-// so no mutation — including one that reverts a folded change — is lost or
-// double-applied. Only this function changes the serving graph, so the
-// graph it folded forward from is still the one serving at publish; if the
-// advisor changed the serving kind meanwhile, the candidate is withdrawn
-// and the fold runs again for that kind. Panics anywhere inside (index
-// builders included) are contained as ErrIndexPanic.
+// a new index of the DB's plain kind over it off the hot path, and
+// publishes the result. Ops that commit during the build land in the live
+// overlay as usual; at publish time the live overlay is rebased onto the
+// new graph so no mutation — including one that reverts a folded change —
+// is lost or double-applied. Only this function changes the serving graph,
+// and runRebuild runs one at a time, so the graph it folded forward from
+// is still the one serving at publish: one fold, one publish. Panics
+// anywhere inside (index builders included) are contained as
+// ErrIndexPanic.
 func (mdb *mutDB) rebuildOnce() (err error) {
 	defer core.Recover(&err)
 	faultinject.Hit(mutate.SiteRebuild)
-	for {
-		snap := mdb.db.cur.Load()
-		if snap.ov.Empty() {
-			return nil
-		}
-		b := graph.Patched(snap.g, edgesOf(snap.ov.Removed()), edgesOf(snap.ov.Added()))
-		// Close cancels ctx and then waits for this goroutine, so look at
-		// ctx between the steps too: after the fold, after Freeze, and
-		// BuildCtx does on entry, after Prepare.
-		if err := mdb.ctx.Err(); err != nil {
-			return err
-		}
-		g1, err := b.Freeze()
-		if err == nil {
-			err = mdb.ctx.Err()
-		}
-		if err != nil {
-			return err
-		}
-		opts := mdb.opts
-		opts.Prepared = Prepare(g1)
-		// A background rebuild leaves one CPU to the writer and the
-		// readers it runs beside: at most GOMAXPROCS-1 workers, at least 1.
-		opts.Workers = max(1, min(par.Resolve(opts.Workers), runtime.GOMAXPROCS(0)-1))
-		ix1, err := BuildCtx(mdb.ctx, snap.kind, g1, opts)
-		if err != nil {
-			return err
-		}
-		ix1 = mdb.db.instrument(ix1, g1)
-		if hook := mdb.testHookPreSwap; hook != nil {
-			hook()
-		}
-		st := mdb.db.publish(func(cur *serving) *serving {
-			if cur.kind != snap.kind {
-				return nil
-			}
-			return &serving{g: g1, prep: opts.Prepared, ix: ix1, kind: snap.kind,
-				ov: mutate.Rebase(cur.ov, snap.ov)}
-		})
-		if st != nil {
-			mdb.m.Rebuilds.Inc()
-			mdb.setOverlayGauges(st.ov)
-			return nil
-		}
+	snap := mdb.db.cur.Load()
+	if snap.ov.Empty() {
+		return nil
 	}
+	b := graph.Patched(snap.g, edgesOf(snap.ov.Removed()), edgesOf(snap.ov.Added()))
+	// Close cancels ctx and then waits for this goroutine, so look at ctx
+	// between the steps too: after the fold, after Freeze, and BuildCtx
+	// does on entry, after Prepare.
+	if err := mdb.ctx.Err(); err != nil {
+		return err
+	}
+	g1, err := b.Freeze()
+	if err == nil {
+		err = mdb.ctx.Err()
+	}
+	if err != nil {
+		return err
+	}
+	opts := mdb.opts
+	opts.Prepared = Prepare(g1)
+	// A background rebuild leaves one CPU to the writer and the readers it
+	// runs beside: at most GOMAXPROCS-1 workers, at least 1.
+	opts.Workers = max(1, min(par.Resolve(opts.Workers), runtime.GOMAXPROCS(0)-1))
+	ix1, err := BuildCtx(mdb.ctx, mdb.db.plain, g1, opts)
+	if err != nil {
+		return err
+	}
+	ix1 = mdb.db.instrument(ix1, g1)
+	if hook := mdb.testHookPreSwap; hook != nil {
+		hook()
+	}
+	st := mdb.db.publish(func(cur *serving) *serving {
+		return &serving{g: g1, prep: opts.Prepared, ix: ix1, ov: mutate.Rebase(cur.ov, snap.ov)}
+	})
+	mdb.m.Rebuilds.Inc()
+	mdb.setOverlayGauges(st.ov)
+	return nil
 }
 
 // edgesOf unpacks a run of overlay edge keys; the order carries over.
@@ -442,16 +434,11 @@ func (db *DB) Flush(ctx context.Context) error {
 	return db.mut.submit(ctx, nil)
 }
 
-// Close shuts the background engines down. On a mutable DB, queued
-// submissions are committed and acknowledged, the background reindexer
-// is stopped, and the WAL is synced and closed; further mutations fail.
-// On an auto-tuned DB the advisor loop stops (the currently published
-// index serves forever). Queries keep working either way. On a plain DB
-// it is a no-op.
+// Close shuts the mutation engine down: queued submissions are committed
+// and acknowledged, the background reindexer is stopped, and the WAL is
+// synced and closed; further mutations fail. Queries keep working. On a
+// DB that is not mutable it is a no-op.
 func (db *DB) Close() error {
-	if db.aut != nil {
-		db.aut.close()
-	}
 	if db.mut == nil {
 		return nil
 	}
@@ -481,8 +468,8 @@ func (db *DB) MutationStats() (stats MutationStats, ok bool) {
 // BatchReachCtx evaluates many plain reachability queries against the
 // live graph, and has one route: load the serving snapshot once for the
 // whole batch and hand its index — behind the overlay decision while
-// mutations are pending — to BatchReachCtx. A commit, rebuild or advisor
-// swap mid-batch therefore never splits a batch across two epochs. The
+// mutations are pending — to BatchReachCtx. A commit or rebuild mid-batch
+// therefore never splits a batch across two epochs. The
 // batch is answered on the calling goroutine (one worker): a server's
 // parallelism comes from its concurrent requests, and a pool per request
 // competes with them for the same CPUs (through HTTP it cost batch-http

@@ -542,8 +542,12 @@ func TestMutableConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewDB(tc.g, tc.cfg); !errors.Is(err, ErrBadOptions) {
+			_, err := NewDB(tc.g, tc.cfg)
+			if !errors.Is(err, ErrBadOptions) {
 				t.Fatalf("NewDB = %v, want ErrBadOptions", err)
+			}
+			if prebuilt := tc.cfg.PlainIndex != nil; errors.Is(err, ErrPrebuiltEngine) != prebuilt {
+				t.Fatalf("NewDB = %v; ErrPrebuiltEngine wanted only for the pre-built engine", err)
 			}
 		})
 	}

@@ -7,9 +7,9 @@ package reach
 //	answer(s, t) == reach in (snapshot graph ± snapshot overlay), always
 //
 // Readers load one snapshot through the atomic pointer and never lock.
-// Group commit, the background reindexer (mutable.go) and the advisor
-// (autotune.go) are producers: each builds its candidate off the hot path
-// and hands it to publish. See DESIGN.md ("Serving state").
+// Group commit and the background reindexer (mutable.go) are the two
+// producers: each builds its candidate off the hot path and hands it to
+// publish. See DESIGN.md ("Serving state").
 
 import (
 	"context"
@@ -22,17 +22,15 @@ import (
 )
 
 // serving is one immutable snapshot of the plain engine: a frozen graph
-// with its preprocessing memo, the index built over it and that index's
-// kind, the overlay of mutations the index does not know (empty on a DB
-// that is not mutable, or right after a rebuild), and the epoch publish
-// stamped it with. A query loads exactly one snapshot, so every answer is
-// internally consistent while commits, rebuilds and advisor swaps publish
-// new ones.
+// with its preprocessing memo, the index built over it, the overlay of
+// mutations the index does not know (empty on a DB that is not mutable, or
+// right after a rebuild), and the epoch publish stamped it with. A query
+// loads exactly one snapshot, so every answer is internally consistent
+// while commits and rebuilds publish new ones.
 type serving struct {
 	g     *Graph
 	prep  *PreparedGraph
 	ix    Index
-	kind  Kind
 	ov    *mutate.Overlay
 	epoch uint64
 }
@@ -43,20 +41,14 @@ var noOverlay = mutate.NewOverlay()
 
 // publish is the only place the serving snapshot changes. Under the
 // writer lock it shows next the current snapshot and stores what next
-// returns, stamped with the following epoch; a nil return withdraws the
-// candidate and changes nothing. The rule every producer's next follows:
-// publish only over the graph you built on or folded forward from — the
-// reindexer folds cur.g forward and rebases cur.ov, a commit and the
-// advisor keep cur.g, and the advisor withdraws when cur.g is no longer
-// the graph its candidate was built over.
+// returns, stamped with the following epoch. A commit keeps cur.g and
+// grows cur.ov; the reindexer, the only producer that changes the graph,
+// folds forward from cur.g and rebases cur.ov onto the result.
 func (db *DB) publish(next func(cur *serving) *serving) *serving {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
 	cur := db.cur.Load()
 	st := next(cur)
-	if st == nil {
-		return nil
-	}
 	if cur != nil {
 		st.epoch = cur.epoch + 1
 	}

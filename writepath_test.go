@@ -83,6 +83,46 @@ func TestMutateCostFollowsBatchNotOverlay(t *testing.T) {
 	}
 }
 
+// TestEpochCountsPublishes: the serving epoch counts publishes, one per
+// acknowledged commit and one per fold. N sequential Mutate calls and R
+// forced rebuilds advance Epoch() (and reach_serving_epoch) by exactly
+// N + R and the rebuild counter by exactly R.
+func TestEpochCountsPublishes(t *testing.T) {
+	g := gen.RandomDAG(gen.Config{N: 30, M: 60, Seed: 44})
+	db := newMutableDB(t, g, MutationConfig{RebuildThreshold: -1, Fsync: FsyncNever}, true)
+	rebuilds := func() int64 {
+		snap, _ := db.MetricsSnapshot()
+		return snap.Mutation.Rebuilds
+	}
+	const n, every = 12, 3 // a forced rebuild after every third commit
+	epoch0, rebuilds0 := db.Epoch(), rebuilds()
+	rng := rand.New(rand.NewSource(45))
+	for i := 1; i <= n; i++ {
+		u, v := V(rng.Intn(g.N())), V(rng.Intn(g.N()))
+		for db.Graph().HasEdge(u, v) || u == v {
+			u, v = V(rng.Intn(g.N())), V(rng.Intn(g.N()))
+		}
+		if err := db.Mutate(context.Background(), []EdgeOp{{From: u, To: v}}); err != nil {
+			t.Fatal(err)
+		}
+		if i%every == 0 {
+			if err := db.mut.rebuildOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const r = n / every
+	if got := db.Epoch() - epoch0; got != n+r {
+		t.Errorf("%d commits and %d rebuilds advanced the epoch by %d, want %d", n, r, got, n+r)
+	}
+	if got := rebuilds() - rebuilds0; got != r {
+		t.Errorf("%d forced rebuilds advanced the rebuild counter by %d", r, got)
+	}
+	if snap, _ := db.MetricsSnapshot(); snap.Epoch != int64(db.Epoch()) {
+		t.Errorf("reach_serving_epoch %d, Epoch() %d", snap.Epoch, db.Epoch())
+	}
+}
+
 // TestCommitCountsTheSyncsThatHappened: reach_wal_fsyncs_total counts an
 // fsync once, where it succeeded. A barrier riding a batch under FsyncNever
 // whose fsync fails counts none and leaves nothing behind — not in the
