@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/gen"
+	"repro/internal/labelset"
 	"repro/internal/tc"
 )
 
@@ -48,9 +49,10 @@ func TestBatchReachNilIndexMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestBatchReachCtx pins the context contract on both the indexed and the
-// bit-parallel path: a live context changes nothing, a canceled one
-// returns its error and no results.
+// TestBatchReachCtx pins batchReach's context contract, the one
+// DB.BatchReachCtx serves, on both the indexed and the bit-parallel path:
+// a live context changes nothing, a canceled one returns its error and no
+// results.
 func TestBatchReachCtx(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 200, M: 600, Seed: 24})
 	ix, err := Build(KindBFL, g, Options{})
@@ -67,7 +69,7 @@ func TestBatchReachCtx(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, index := range []Index{ix, nil} {
-		got, err := BatchReachCtx(context.Background(), index, g, pairs, 2)
+		got, err := batchReach(context.Background(), index, g, pairs, 2)
 		if err != nil {
 			t.Fatalf("live ctx: %v", err)
 		}
@@ -78,7 +80,7 @@ func TestBatchReachCtx(t *testing.T) {
 		}
 		canceled, cancel := context.WithCancel(context.Background())
 		cancel()
-		if out, err := BatchReachCtx(canceled, index, g, pairs, 2); err == nil || out != nil {
+		if out, err := batchReach(canceled, index, g, pairs, 2); err == nil || out != nil {
 			t.Fatalf("canceled ctx: out=%v err=%v, want nil results and error", out, err)
 		}
 	}
@@ -176,7 +178,7 @@ func dbOracleQueries(t *testing.T, db *DB, g *Graph, oracle *tc.Oracle, rounds i
 			if err != nil {
 				t.Fatal(err)
 			}
-			mask := labelSetOf(0b11)
+			mask := labelset.Set(0b11)
 			if want := oracle.ReachLC(p.s, p.t, mask); got != want {
 				t.Fatalf("round %d: Query(%d,%d,(a|b)*) = %v, oracle %v", r, p.s, p.t, got, want)
 			}
@@ -185,7 +187,7 @@ func dbOracleQueries(t *testing.T, db *DB, g *Graph, oracle *tc.Oracle, rounds i
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := oracle.ReachLC(p.s, p.t, labelSetOf(0b101))
+			want := oracle.ReachLC(p.s, p.t, labelset.Set(0b101))
 			if p.s == p.t {
 				// plus semantics: the empty path does not witness (…)+.
 				want = db.g.Labeled() && plusSelf(db, p.s, 0b101)

@@ -4,14 +4,10 @@ import (
 	"context"
 
 	"repro/internal/core"
-	"repro/internal/labelset"
 	"repro/internal/par"
 	"repro/internal/scratch"
 	"repro/internal/traversal"
 )
-
-// labelSetOf adapts a raw 64-bit mask to the internal label-set type.
-func labelSetOf(mask uint64) labelset.Set { return labelset.Set(mask) }
 
 // Pair is one (source, target) query of a batch.
 type Pair = core.Pair
@@ -48,21 +44,16 @@ type Pair = core.Pair
 // then: a built index answers a pair faster than any sweep amortizes, so
 // DB.BatchReachCtx and /v1/batch never come here.
 func BatchReach(ix Index, g *Graph, pairs []Pair, workers int) (out []bool, err error) {
-	return BatchReachCtx(nil, ix, g, pairs, workers)
-}
-
-// BatchReachCtx is BatchReach under a context: workers poll ctx between
-// runs of pairs (a block, a grain of per-pair queries, or one 64-pair
-// sweep on the nil-index path) and the batch returns ctx.Err() with no
-// partial results when the context is canceled or past its deadline. A
-// nil ctx never cancels.
-func BatchReachCtx(ctx context.Context, ix Index, g *Graph, pairs []Pair, workers int) (out []bool, err error) {
 	defer core.Recover(&err)
-	return batchReach(ctx, ix, g, pairs, workers)
+	return batchReach(nil, ix, g, pairs, workers)
 }
 
-// batchReach is BatchReachCtx without the panic boundary, for callers that
-// bring their own (DB.BatchReachCtx counts the fault).
+// batchReach is BatchReach under a context and without the panic
+// boundary, for callers that bring their own (DB.BatchReachCtx counts the
+// fault): workers poll ctx between runs of pairs (a block, a grain of
+// per-pair queries, or one 64-pair sweep on the nil-index path) and the
+// batch returns ctx.Err() with no partial results when the context is
+// canceled or past its deadline. A nil ctx never cancels.
 func batchReach(ctx context.Context, ix Index, g *Graph, pairs []Pair, workers int) ([]bool, error) {
 	n := g.N()
 	for _, p := range pairs {
@@ -118,32 +109,4 @@ func batchKernel(ctx context.Context, g *Graph, pairs []Pair, out []bool, worker
 		return ctx.Err()
 	}
 	return nil
-}
-
-// LCRPair is one alternation-constrained query of a batch.
-type LCRPair struct {
-	S, T    V
-	Allowed uint64
-}
-
-// BatchReachLC is BatchReach for alternation-constrained queries.
-func BatchReachLC(ix LCRIndex, g *Graph, pairs []LCRPair, workers int) (out []bool, err error) {
-	n := g.N()
-	for _, p := range pairs {
-		if err := core.CheckPair(n, p.S, p.T); err != nil {
-			return nil, err
-		}
-	}
-	if workers < 0 {
-		workers = 0
-	}
-	defer core.Recover(&err)
-	out = make([]bool, len(pairs))
-	par.DoGrain(workers, len(pairs), core.BatchGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := pairs[i]
-			out[i] = p.S == p.T || ix.ReachLC(p.S, p.T, labelSetOf(p.Allowed))
-		}
-	})
-	return out, nil
 }

@@ -36,32 +36,6 @@ func TestBatchReachMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestBatchReachLC(t *testing.T) {
-	g := gen.Zipf(gen.ErdosRenyi(gen.Config{N: 80, M: 320, Seed: 3}), 4, 0.5, 4)
-	ix, err := BuildLCR(LCRP2H, g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := tc.NewGTC(g)
-	rng := rand.New(rand.NewSource(5))
-	pairs := make([]LCRPair, 2000)
-	for i := range pairs {
-		pairs[i] = LCRPair{V(rng.Intn(g.N())), V(rng.Intn(g.N())), uint64(rng.Intn(16))}
-	}
-	for _, workers := range []int{1, 3, 16} {
-		got, err := BatchReachLC(ix, g, pairs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, p := range pairs {
-			want := p.S == p.T || oracle.ReachLC(p.S, p.T, labelSetOf(p.Allowed))
-			if got[i] != want {
-				t.Fatalf("workers=%d: wrong answer at %d", workers, i)
-			}
-		}
-	}
-}
-
 func TestBatchEmpty(t *testing.T) {
 	g := Fig1Plain()
 	ix, _ := Build(KindPLL, g, Options{})

@@ -246,9 +246,9 @@ func BenchmarkTable2_RLC_Query(b *testing.B) {
 // Reach with metrics enabled and ~0 when disabled; compare these against
 // the matching BenchmarkTable1_*_Query rows.
 
-func benchQueryInstrumented(b *testing.B, k reach.Kind, opt reach.Options, m *reach.IndexMetrics) {
+func benchQueryInstrumented(b *testing.B, k reach.Kind, opt reach.Options, m *obs.IndexMetrics) {
 	g, qs, _ := dagWorkload()
-	ix := reach.Instrument(cachedIndex(b, k, opt), g, m)
+	ix := core.Instrument(cachedIndex(b, k, opt), g, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
@@ -259,11 +259,11 @@ func benchQueryInstrumented(b *testing.B, k reach.Kind, opt reach.Options, m *re
 }
 
 func BenchmarkObs_BFL_QueryInstrumented(b *testing.B) {
-	benchQueryInstrumented(b, reach.KindBFL, reach.Options{Bits: 256}, &reach.IndexMetrics{})
+	benchQueryInstrumented(b, reach.KindBFL, reach.Options{Bits: 256}, &obs.IndexMetrics{})
 }
 
 func BenchmarkObs_GRAIL_QueryInstrumented(b *testing.B) {
-	benchQueryInstrumented(b, reach.KindGRAIL, reach.Options{K: 3}, &reach.IndexMetrics{})
+	benchQueryInstrumented(b, reach.KindGRAIL, reach.Options{K: 3}, &obs.IndexMetrics{})
 }
 
 // Nil metrics exercise the disabled fast path: one pointer comparison.
@@ -629,35 +629,21 @@ func BenchmarkE14_DBHotPairs_Cached(b *testing.B)   { benchDBHotPairs(b, 4096) }
 
 // --- Tracing overhead (OBSERVABILITY.md, "Tracing") ---------------------
 
-// benchTraceDB builds a DB over the shared DAG workload with the given
-// tracing setting; queries run through ReachCtx like server traffic.
-func benchTraceDB(b *testing.B, tracing bool) (*reach.DB, []gen.Query) {
+// benchTraceDB builds a DB over the shared DAG workload with no cache,
+// metrics or capture; queries run through ReachCtx like server traffic.
+func benchTraceDB(b *testing.B) (*reach.DB, []gen.Query) {
 	g, qs, _ := dagWorkload()
-	db, err := reach.NewDB(g, reach.DBConfig{Tracing: tracing})
+	db, err := reach.NewDB(g, reach.DBConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return db, qs
 }
 
-// Tracing disabled: the per-query cost over an untraced DB is one bool
-// comparison — the PR 1 "disabled observability is ~free" bar.
-func BenchmarkTrace_ReachCtx_Disabled(b *testing.B) {
-	db, qs := benchTraceDB(b, false)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
-		if got, _ := db.ReachCtx(ctx, q.S, q.T); got != q.Want {
-			b.Fatal("wrong answer")
-		}
-	}
-}
-
-// Tracing enabled but the context carries no trace (e.g. a non-HTTP
-// caller): pays the context lookup, records nothing.
-func BenchmarkTrace_ReachCtx_EnabledNoTrace(b *testing.B) {
-	db, qs := benchTraceDB(b, true)
+// The context carries no trace (a caller outside the HTTP tier, or a
+// server without a Tracer): pays one context lookup, records nothing.
+func BenchmarkTrace_ReachCtx_NoTrace(b *testing.B) {
+	db, qs := benchTraceDB(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -671,7 +657,7 @@ func BenchmarkTrace_ReachCtx_EnabledNoTrace(b *testing.B) {
 // Fully traced: pooled Trace per query, phase Begin/End around the index
 // probe, ring insertion at Finish — the whole per-request pipeline.
 func BenchmarkTrace_ReachCtx_Traced(b *testing.B) {
-	db, qs := benchTraceDB(b, true)
+	db, qs := benchTraceDB(b)
 	tracer := obs.NewTracer(128, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -146,7 +146,6 @@ func main() {
 		Options:        reach.Options{K: *k, Bits: *bits, Workers: *workers, MaxSeq: *maxseq},
 		Metrics:        *metrics,
 		Degraded:       *degraded,
-		Tracing:        tracer != nil,
 		RecordWorkload: recorder,
 		CacheSize:      max(*cache, 0),
 	}
@@ -319,7 +318,6 @@ func openDB(ctx context.Context, graphPath string, demo bool, snapPath string, m
 			Options:        cfg.Options,
 			Metrics:        cfg.Metrics,
 			CacheSize:      cfg.CacheSize,
-			Tracing:        cfg.Tracing,
 			RecordWorkload: cfg.RecordWorkload,
 			SnapshotPrefix: snapPath,
 			Mapped:         mmapSnap,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/labelset"
 	"repro/internal/obs"
 	"repro/internal/qcache"
@@ -58,56 +59,20 @@ type DB struct {
 	// metrics is non-nil when DBConfig.Metrics enabled observability:
 	// routing counters, per-index query metrics, and build-phase spans.
 	metrics *obs.DBMetrics
-	// traceEnabled gates the per-request trace lookup (DBConfig.Tracing):
-	// when false — the default — query paths never walk the context for a
-	// trace, keeping disabled tracing at one bool comparison.
-	traceEnabled bool
 	// recorder appends one workload record per completed query when
 	// DBConfig.RecordWorkload installed it; nil otherwise.
 	recorder *workload.Recorder
 	// timed is set when something consumes a query's latency — metrics or
 	// the recorder — so a DB with neither never reads the clock.
 	timed bool
-	// unobserved is set when nothing watches a plain query: no cache, not
-	// timed, no tracing. Reach then goes straight to the probe.
+	// unobserved is set when nothing the DB owns watches a plain query: no
+	// cache, not timed. A call without a trace in its context then goes
+	// straight to the probe.
 	unobserved bool
 	// mut is the live-mutation engine, nil unless DBConfig.Mutation
 	// enabled it (see mutable.go). It only produces snapshots for cur; no
 	// read asks whether it is running.
 	mut *mutDB
-}
-
-// CacheSnapshot re-exports the query-result cache counters; see
-// DB.CacheStats and OBSERVABILITY.md.
-type CacheSnapshot = obs.CacheSnapshot
-
-// Request-tracing re-exports. A DB built with DBConfig.Tracing looks for
-// a *Trace in the context passed to its *Ctx entry points; library
-// callers mint traces from a Tracer and attach them with WithTrace —
-// the same machinery internal/server's middleware uses. See
-// OBSERVABILITY.md.
-type (
-	Trace          = obs.Trace
-	TraceRecord    = obs.TraceRecord
-	Tracer         = obs.Tracer
-	TracerSnapshot = obs.TracerSnapshot
-)
-
-// NewTracer returns a tracer keeping the most recent `capacity` finished
-// traces (and, when slowThreshold > 0, a second ring of traces at or
-// over the threshold).
-func NewTracer(capacity int, slowThreshold time.Duration) *Tracer {
-	return obs.NewTracer(capacity, slowThreshold)
-}
-
-// WithTrace returns a context carrying t for the *Ctx query entry points.
-func WithTrace(ctx context.Context, t *Trace) context.Context {
-	return obs.WithTrace(ctx, t)
-}
-
-// TraceFrom extracts the trace WithTrace attached, or nil.
-func TraceFrom(ctx context.Context) *Trace {
-	return obs.TraceFrom(ctx)
 }
 
 // Cache key route tags. Only routes whose (route, s, t, extra) tuple fully
@@ -175,12 +140,12 @@ type DBConfig struct {
 	// route's keys carry, so earlier entries are never read again and age
 	// out through CLOCK.
 	CacheSize int
-	// Tracing enables request-scoped trace recording: the *Ctx query
-	// entry points look for an obs.Trace in their context (placed there
-	// by the serving layer's per-request middleware, see internal/server)
-	// and append named phase timings — cache lookup, index probe,
-	// fallback traversal — to it. Disabled (the default), the query path
-	// pays one bool comparison and never walks the context.
+	// Deprecated: Tracing is ignored. The *Ctx query entry points append
+	// named phase timings (cache lookup, index probe, fallback traversal)
+	// to any obs.Trace their context carries; internal/server's middleware
+	// puts one there when its Config.Tracer is set, and a nil context is
+	// never searched. The field stays only because cmd/reachload, which
+	// changes only together with the benchmark, still sets it.
 	Tracing bool
 	// RecordWorkload, when non-nil, appends one record per completed
 	// query — (s, t, constraint, route, outcome, latency) — to the given
@@ -257,14 +222,13 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		g:            g,
-		plain:        cfg.Plain,
-		cache:        qcache.New(cfg.CacheSize),
-		traceEnabled: cfg.Tracing,
-		recorder:     cfg.RecordWorkload,
-		timed:        cfg.Metrics || cfg.RecordWorkload != nil,
+		g:        g,
+		plain:    cfg.Plain,
+		cache:    qcache.New(cfg.CacheSize),
+		recorder: cfg.RecordWorkload,
+		timed:    cfg.Metrics || cfg.RecordWorkload != nil,
 	}
-	db.unobserved = db.cache == nil && !db.timed && !db.traceEnabled
+	db.unobserved = db.cache == nil && !db.timed
 	if cfg.Metrics {
 		db.metrics = obs.NewDBMetrics()
 		if cfg.Options.Spans == nil {
@@ -312,14 +276,14 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 	boot := &serving{g: g, prep: cfg.Options.Prepared, ix: db.instrument(plain, g), ov: noOverlay}
 	db.publish(func(*serving) *serving { return boot })
 	if g.Labeled() {
-		if db.lcr, err = BuildLCRCtx(ctx, cfg.LCR, g, cfg.Options); err != nil {
+		if db.lcr, err = buildLCRCtx(ctx, cfg.LCR, g, cfg.Options); err != nil {
 			if !degradable(cfg, err) {
 				return nil, err
 			}
 			db.lcrErr = err
 			db.countFault(err)
 		}
-		if db.rlc, err = BuildRLCCtx(ctx, g, cfg.Options); err != nil {
+		if db.rlc, err = buildRLCCtx(ctx, g, cfg.Options); err != nil {
 			if !degradable(cfg, err) {
 				return nil, err
 			}
@@ -418,9 +382,9 @@ func (db *DB) Epoch() uint64 { return db.cur.Load().epoch }
 
 // CacheStats snapshots the query-result cache counters; ok is false when
 // DBConfig.CacheSize left the cache disabled.
-func (db *DB) CacheStats() (snap CacheSnapshot, ok bool) {
+func (db *DB) CacheStats() (snap obs.CacheSnapshot, ok bool) {
 	if db.cache == nil {
-		return CacheSnapshot{}, false
+		return obs.CacheSnapshot{}, false
 	}
 	return db.cache.Stats(), true
 }
@@ -482,17 +446,18 @@ func (db *DB) ReachCtx(ctx context.Context, s, t V) (res bool, err error) {
 	if err := core.CheckPair(db.g.N(), s, t); err != nil {
 		return false, err
 	}
+	var tr *obs.Trace
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			db.countCanceled()
 			return false, err
 		}
+		tr = obs.TraceFrom(ctx)
 	}
 	defer db.boundary(&err)
-	if db.unobserved {
+	if db.unobserved && tr == nil {
 		return db.cur.Load().reach(s, t), nil
 	}
-	tr := db.traceFrom(ctx)
 	var start time.Time
 	if db.timed {
 		start = time.Now()
@@ -520,16 +485,6 @@ func (db *DB) ReachCtx(ctx context.Context, s, t V) (res bool, err error) {
 		db.record(s, t, "", nil, obs.RoutePlain, res, hit, d)
 	}
 	return res, nil
-}
-
-// traceFrom resolves the request's trace: nil unless DBConfig.Tracing is
-// on AND the context carries one — the two-step gate that keeps the
-// disabled path at a bool comparison instead of a context walk.
-func (db *DB) traceFrom(ctx context.Context) *obs.Trace {
-	if !db.traceEnabled || ctx == nil {
-		return nil
-	}
-	return obs.TraceFrom(ctx)
 }
 
 // record appends one workload record when capture is enabled. cached
@@ -597,7 +552,7 @@ func (db *DB) QueryCtx(ctx context.Context, s, t V, alpha string) (res bool, err
 		}
 	}
 	defer db.boundary(&err)
-	tr := db.traceFrom(ctx)
+	tr := obs.TraceFrom(ctx)
 	if !db.timed {
 		res, route, _, err := db.query(ctx, tr, s, t, alpha)
 		if err == nil {
@@ -856,7 +811,7 @@ func (db *DB) ReachPath(s, t V) (path []V, err error) {
 // QueryPath returns the traversed edges of a path satisfying Qr(s, t, α),
 // or nil when no such path exists. For s == t with a star constraint the
 // empty edge list is returned.
-func (db *DB) QueryPath(s, t V, alpha string) (edges []GraphEdge, err error) {
+func (db *DB) QueryPath(s, t V, alpha string) (edges []graph.Edge, err error) {
 	if err := core.CheckPair(db.g.N(), s, t); err != nil {
 		return nil, err
 	}

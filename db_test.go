@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/labelset"
 	"repro/internal/obs"
@@ -418,8 +419,8 @@ func TestBatchReachInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m IndexMetrics
-	ix := Instrument(raw, g, &m)
+	var m obs.IndexMetrics
+	ix := core.Instrument(raw, g, &m)
 	qs := gen.Queries(g, 100, 22)
 	pairs := make([]Pair, len(qs))
 	for i, q := range qs {
@@ -471,25 +472,27 @@ func TestDBAlternativePlainAndLCRKinds(t *testing.T) {
 // queries answers them straight from the index, so each observer, on
 // alone, must still see every DB.Reach: N calls give N plain-route
 // observations with Metrics, N cache lookups with a cache, and N traces
-// with an index/probe phase with Tracing and a traced context.
+// with an index/probe phase when a DBConfig{} DB is asked through a
+// traced context.
 func TestReachObserversSeeEveryQuery(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 500, M: 1500, Seed: 31})
 	oracle := tc.NewClosure(g)
 	const n = 200
 	for _, c := range []struct {
-		name string
-		cfg  DBConfig
-		seen func(db *DB, tracer *obs.Tracer) int64
+		name   string
+		cfg    DBConfig
+		traced bool
+		seen   func(db *DB, tracer *obs.Tracer) int64
 	}{
-		{"metrics", DBConfig{Metrics: true}, func(db *DB, _ *obs.Tracer) int64 {
+		{"metrics", DBConfig{Metrics: true}, false, func(db *DB, _ *obs.Tracer) int64 {
 			snap, _ := db.MetricsSnapshot()
 			return snap.Routes[obs.RoutePlain.String()].Queries
 		}},
-		{"cache", DBConfig{CacheSize: 64}, func(db *DB, _ *obs.Tracer) int64 {
+		{"cache", DBConfig{CacheSize: 64}, false, func(db *DB, _ *obs.Tracer) int64 {
 			st, _ := db.CacheStats()
 			return st.Hits + st.Misses
 		}},
-		{"tracing", DBConfig{Tracing: true}, func(db *DB, tracer *obs.Tracer) int64 {
+		{"tracing", DBConfig{}, true, func(db *DB, tracer *obs.Tracer) int64 {
 			var probed int64
 			for _, rec := range tracer.Snapshot().Recent {
 				for _, p := range rec.Phases {
@@ -511,7 +514,7 @@ func TestReachObserversSeeEveryQuery(t *testing.T) {
 			s, tt := V(i*7%g.N()), V(i*13%g.N())
 			var got bool
 			var err error
-			if c.cfg.Tracing {
+			if c.traced {
 				tr := tracer.Start("")
 				got, err = db.ReachCtx(obs.WithTrace(context.Background(), tr), s, tt)
 				tracer.Finish(tr)

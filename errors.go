@@ -72,38 +72,6 @@ func checkPrepared(g *Graph, opt Options) error {
 	return nil
 }
 
-// StatusCode maps an error from this package's query and build entry
-// points to the HTTP status the serving layer (internal/server) reports:
-//
-//	nil                        → 200
-//	ErrVertexRange, ErrBadQuery,
-//	ErrBadOptions              → 400 (caller error; retrying is pointless)
-//	context.DeadlineExceeded,
-//	ErrBuildCanceled           → 504 (the per-request deadline fired)
-//	context.Canceled           → 499 (client went away; nobody is reading)
-//	ErrNotMutable              → 501 (endpoint exists, DB lacks the feature)
-//	ErrIndexPanic, anything else → 500
-//
-// Degraded-mode serving never reaches this table: a DB built with
-// DBConfig.Degraded answers its degraded routes with nil errors (exact,
-// index-free), so those requests stay 200.
-func StatusCode(err error) int {
-	switch {
-	case err == nil:
-		return 200
-	case errors.Is(err, ErrVertexRange), errors.Is(err, ErrBadQuery), errors.Is(err, ErrBadOptions):
-		return 400
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, ErrBuildCanceled):
-		return 504
-	case errors.Is(err, context.Canceled):
-		return 499
-	case errors.Is(err, ErrNotMutable):
-		return 501
-	default:
-		return 500
-	}
-}
-
 // checkBuild is the shared precondition gate of the Build* family: a
 // usable graph, valid options, and a context that is still live. A
 // context already canceled before any work maps to ErrBuildCanceled just

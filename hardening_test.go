@@ -80,14 +80,6 @@ func TestVertexRangeBatch(t *testing.T) {
 	if _, err := BatchReach(ix, pg, []Pair{{S: 0, T: 1}, {S: 0, T: V(pg.N())}}, 2); !errors.Is(err, ErrVertexRange) {
 		t.Errorf("BatchReach err = %v, want ErrVertexRange", err)
 	}
-	lg := Fig1Labeled()
-	lix, err := BuildLCR(LCRP2H, lg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BatchReachLC(lix, lg, []LCRPair{{S: V(lg.N() + 1)}}, 2); !errors.Is(err, ErrVertexRange) {
-		t.Errorf("BatchReachLC err = %v, want ErrVertexRange", err)
-	}
 }
 
 // TestBadOptionsAllKinds sweeps each negative option through every build
@@ -145,11 +137,11 @@ func TestBuildCtxPreCanceled(t *testing.T) {
 	}
 	lg := Fig1Labeled()
 	for _, k := range LCRKinds() {
-		if _, err := BuildLCRCtx(ctx, k, lg, Options{}); !errors.Is(err, ErrBuildCanceled) {
-			t.Errorf("BuildLCRCtx(%s) err = %v, want ErrBuildCanceled", k, err)
+		if _, err := buildLCRCtx(ctx, k, lg, Options{}); !errors.Is(err, ErrBuildCanceled) {
+			t.Errorf("buildLCRCtx(%s) err = %v, want ErrBuildCanceled", k, err)
 		}
 	}
-	if _, err := BuildRLCCtx(ctx, lg, Options{}); !errors.Is(err, ErrBuildCanceled) {
+	if _, err := buildRLCCtx(ctx, lg, Options{}); !errors.Is(err, ErrBuildCanceled) {
 		t.Errorf("BuildRLCCtx err = %v, want ErrBuildCanceled", err)
 	}
 	if _, err := NewDBCtx(ctx, pg, DBConfig{}); !errors.Is(err, ErrBuildCanceled) {
@@ -194,7 +186,7 @@ func TestCancelMidBuildZouGTC(t *testing.T) {
 	defer cancel()
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	_, err := BuildLCRCtx(ctx, LCRZouGTC, g, Options{})
+	_, err := buildLCRCtx(ctx, LCRZouGTC, g, Options{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrBuildCanceled) {
 		t.Fatalf("err = %v, want ErrBuildCanceled", err)
@@ -517,25 +509,6 @@ func TestFaultInjectionReadError(t *testing.T) {
 	faultinject.Deactivate()
 	if _, err := ReadGraph(strings.NewReader("0 1\n")); err != nil {
 		t.Fatalf("disarmed ReadGraph err = %v", err)
-	}
-}
-
-// TestReadGraphLimits: oversized inputs fail with errors, not allocation
-// blow-ups or panics.
-func TestReadGraphLimits(t *testing.T) {
-	lim := GraphLimits{MaxVertices: 100, MaxEdges: 4}
-	if _, err := ReadGraphLimited(strings.NewReader("0 4294967295\n"), lim); err == nil {
-		t.Error("oversized vertex id accepted")
-	}
-	if _, err := ReadGraphLimited(strings.NewReader("0 1\n1 2\n2 3\n3 4\n4 5\n"), lim); err == nil {
-		t.Error("oversized edge count accepted")
-	}
-	if _, err := ReadGraphLimited(strings.NewReader("0 1 a b c\n"), lim); err == nil {
-		t.Error("malformed line accepted")
-	}
-	g, err := ReadGraphLimited(strings.NewReader("0 1\n1 2\n"), lim)
-	if err != nil || g.N() != 3 {
-		t.Errorf("well-formed graph rejected: %v, %v", g, err)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"io"
 
 	reach "repro"
+	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/obs"
 )
 
 // E12 — the observability layer applied to the paper's §3.3/§5 claims:
@@ -37,8 +39,8 @@ func E12(w io.Writer, sc Scale, seed int64) {
 		if err != nil {
 			continue
 		}
-		var m reach.IndexMetrics
-		ix := reach.Instrument(raw, g, &m)
+		var m obs.IndexMetrics
+		ix := core.Instrument(raw, g, &m)
 		for _, q := range qs {
 			ix.Reach(q.S, q.T)
 		}
@@ -53,7 +55,7 @@ func E12(w io.Writer, sc Scale, seed int64) {
 	}
 	t.Write(w)
 
-	var spans reach.BuildSpans
+	var spans obs.Spans
 	if _, err := reach.Build(reach.KindBFL, g, reach.Options{Bits: 256, Seed: seed, Spans: &spans}); err == nil {
 		bt := NewTable("E12 — BFL build-phase spans", "phase", "depth", "duration")
 		for _, sp := range spans.Snapshot() {

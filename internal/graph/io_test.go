@@ -75,3 +75,22 @@ func TestReadOverlongLineNamesItsLine(t *testing.T) {
 		t.Fatalf("Read err = %v, want errors.Is bufio.ErrTooLong", err)
 	}
 }
+
+// TestReadLimits: oversized inputs fail with errors, not allocation
+// blow-ups or panics.
+func TestReadLimits(t *testing.T) {
+	lim := Limits{MaxVertices: 100, MaxEdges: 4}
+	if _, err := ReadLimited(strings.NewReader("0 4294967295\n"), lim); err == nil {
+		t.Error("oversized vertex id accepted")
+	}
+	if _, err := ReadLimited(strings.NewReader("0 1\n1 2\n2 3\n3 4\n4 5\n"), lim); err == nil {
+		t.Error("oversized edge count accepted")
+	}
+	if _, err := ReadLimited(strings.NewReader("0 1 a b c\n"), lim); err == nil {
+		t.Error("malformed line accepted")
+	}
+	g, err := ReadLimited(strings.NewReader("0 1\n1 2\n"), lim)
+	if err != nil || g.N() != 3 {
+		t.Errorf("well-formed graph rejected: %v, %v", g, err)
+	}
+}

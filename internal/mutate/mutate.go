@@ -54,3 +54,16 @@ type Op struct {
 	From, To uint32
 	Label    uint32
 }
+
+// Stats is the point-in-time mutation view reach.DB.MutationStats
+// reports and /admin/stats serves.
+type Stats struct {
+	OverlayAdded   int    `json:"overlay_added"`
+	OverlayRemoved int    `json:"overlay_removed"`
+	WALSeq         uint64 `json:"wal_seq"`
+	WALBytes       int64  `json:"wal_bytes"`
+	Replayed       int    `json:"replayed,omitempty"`
+	RecoveredTail  string `json:"recovered_tail,omitempty"`
+	Rebuilding     bool   `json:"rebuilding,omitempty"`
+	Degraded       bool   `json:"degraded,omitempty"`
+}

@@ -30,7 +30,6 @@ func TestServerMetricsDocument(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 40, M: 120, Seed: 5})
 	db, err := reach.NewDB(g, reach.DBConfig{
 		Metrics:   true,
-		Tracing:   true,
 		CacheSize: 64,
 		Mutation: &reach.MutationConfig{
 			WALPath:          filepath.Join(t.TempDir(), "doc.wal"),

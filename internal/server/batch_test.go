@@ -99,7 +99,7 @@ func referenceBatch(db *reach.DB, limit int, body []byte) (int, string, []reach.
 	}
 	out, err := db.BatchReachCtx(nil, pairs)
 	if err != nil {
-		writeErr(w, reach.StatusCode(err), firstLine(err))
+		writeErr(w, statusCode(err), firstLine(err))
 		return w.Code, w.Body.String(), nil
 	}
 	writeJSON(w, http.StatusOK, batchResponse{Results: out})
@@ -274,7 +274,7 @@ func TestBatchRefusedAtTheLimit(t *testing.T) {
 // encode phases.
 func TestBatchTelemetry(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 300, M: 900, Seed: 4})
-	db, err := reach.NewDB(g, reach.DBConfig{Metrics: true, Tracing: true})
+	db, err := reach.NewDB(g, reach.DBConfig{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	reach "repro"
+	"repro/internal/mutate"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // statusClientGone is the nginx-convention status for "client closed the
@@ -341,8 +343,8 @@ type statsResponse struct {
 	Indexes   map[string]reach.Stats `json:"indexes"`
 	Epoch     uint64                 `json:"epoch"`
 	Degraded  map[string]string      `json:"degraded,omitempty"`
-	Cache     *reach.CacheSnapshot   `json:"cache,omitempty"`
-	Mutation  *reach.MutationStats   `json:"mutation,omitempty"`
+	Cache     *obs.CacheSnapshot     `json:"cache,omitempty"`
+	Mutation  *mutate.Stats          `json:"mutation,omitempty"`
 	Shards    *shardsResponse        `json:"shards,omitempty"`
 	Build     []obs.PhaseSpan        `json:"build,omitempty"`
 	Server    obs.ServerSnapshot     `json:"server"`
@@ -353,9 +355,9 @@ type statsResponse struct {
 // shardsResponse is the /admin/shards JSON document (also embedded in
 // /admin/stats when the DB's plain engine is sharded).
 type shardsResponse struct {
-	K       int                     `json:"k"`
-	Shards  []reach.ShardStats      `json:"shards"`
-	Summary reach.ShardSummaryStats `json:"summary"`
+	K       int               `json:"k"`
+	Shards  []shard.ShardInfo `json:"shards"`
+	Summary shard.SummaryInfo `json:"summary"`
 }
 
 func shardsOf(db *reach.DB) *shardsResponse {
@@ -428,7 +430,7 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusConflict, reloadResponse{Error: err.Error()})
 		return
 	case err != nil:
-		status := reach.StatusCode(err)
+		status := statusCode(err)
 		if status == http.StatusBadRequest {
 			// A rebuild failing on its own configuration is a server-side
 			// fault from the client's point of view.
@@ -485,12 +487,44 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
 }
 
+// statusCode maps an error from the reach package's query and build entry
+// points to the HTTP status the server reports:
+//
+//	nil                        → 200
+//	ErrVertexRange, ErrBadQuery,
+//	ErrBadOptions              → 400 (caller error; retrying is pointless)
+//	context.DeadlineExceeded,
+//	ErrBuildCanceled           → 504 (the per-request deadline fired)
+//	context.Canceled           → 499 (client went away; nobody is reading)
+//	ErrNotMutable              → 501 (endpoint exists, DB lacks the feature)
+//	ErrIndexPanic, anything else → 500
+//
+// Degraded-mode serving never reaches this table: a DB built with
+// DBConfig.Degraded answers its degraded routes with nil errors (exact,
+// index-free), so those requests stay 200.
+func statusCode(err error) int {
+	switch {
+	case err == nil:
+		return http.StatusOK
+	case errors.Is(err, reach.ErrVertexRange), errors.Is(err, reach.ErrBadQuery), errors.Is(err, reach.ErrBadOptions):
+		return http.StatusBadRequest
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, reach.ErrBuildCanceled):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return statusClientGone
+	case errors.Is(err, reach.ErrNotMutable):
+		return http.StatusNotImplemented
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
 // writeQueryErr maps a DB error to its status. The request context is
 // consulted first: once it is done, the interesting classification is
 // why (client gone → 499, deadline → 504) rather than which checkpoint
 // or index surfaced the cancellation.
 func (s *Server) writeQueryErr(w http.ResponseWriter, r *http.Request, err error) {
-	status := reach.StatusCode(err)
+	status := statusCode(err)
 	if ctxErr := r.Context().Err(); ctxErr != nil && status != http.StatusBadRequest {
 		if errors.Is(ctxErr, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout

@@ -40,7 +40,7 @@ func tracedServer(t *testing.T, slowThreshold time.Duration) (*Server, *httptest
 	t.Helper()
 	buf := &syncBuffer{}
 	cfg := Config{
-		DB:        fig1DB(t, reach.DBConfig{Metrics: true, Tracing: true}),
+		DB:        fig1DB(t, reach.DBConfig{Metrics: true}),
 		Tracer:    obs.NewTracer(8, slowThreshold),
 		AccessLog: slog.New(slog.NewJSONHandler(buf, nil)),
 	}

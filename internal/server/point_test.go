@@ -33,7 +33,7 @@ func TestPointRequestAllocs(t *testing.T) {
 	}
 	const bound = 9
 	s, err := New(Config{
-		DB:        fig1DB(t, reach.DBConfig{Metrics: true, Tracing: true}),
+		DB:        fig1DB(t, reach.DBConfig{Metrics: true}),
 		Tracer:    obs.NewTracer(256, 250*time.Millisecond),
 		AccessLog: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})

@@ -9,7 +9,7 @@
 //     see DBConfig.Mutation and reachserve's -wal): edge add/remove
 //     batches group-commit durably before acknowledging, and queries
 //     answer exactly from the frozen index plus the live delta overlay;
-//   - typed errors mapped to status codes via reach.StatusCode (caller
+//   - typed errors mapped to status codes by statusCode (caller
 //     errors → 400, deadline → 504, contained index panics → 500 —
 //     degraded-mode DBs keep answering 200, index-free);
 //   - a semaphore admission controller with a bounded wait queue, so a
@@ -25,7 +25,10 @@
 //     a swap;
 //   - ops surfaces /healthz, /readyz, /metrics (Prometheus text
 //     exposition 0.0.4, the one form every metric leaves the process in)
-//     and /admin/stats.
+//     and /admin/stats;
+//   - per-request tracing, switched on by Config.Tracer alone: the trace
+//     rides the request context into the DB, which appends its phases
+//     to it, and GET /debug/traces serves the finished ones.
 //
 // See DESIGN.md ("Serving") for the architecture and OBSERVABILITY.md
 // for the server counters.
@@ -83,10 +86,11 @@ type Config struct {
 	// log.Default().
 	Log *log.Logger
 	// Tracer, when non-nil, turns on per-request tracing for the /v1/*
-	// query endpoints: each request gets an obs.Trace threaded through
-	// its context (pair it with reach.DBConfig.Tracing so the DB appends
-	// phase timings), finished traces feed the Tracer's ring buffers, and
-	// GET /debug/traces serves the recent/slow rings as JSON.
+	// query endpoints — the one tracing switch: each request gets an
+	// obs.Trace threaded through its context, the DB appends its phase
+	// timings to it (a DB has no tracing setting of its own), finished
+	// traces feed the Tracer's ring buffers, and GET /debug/traces serves
+	// the recent/slow rings as JSON.
 	Tracer *obs.Tracer
 	// AccessLog, when non-nil, receives one structured line per request
 	// (method, path, status, latency, bytes, trace ID, admission wait).

@@ -595,7 +595,32 @@ func TestRequestDeadlineRoutes(t *testing.T) {
 	}
 }
 
-// TestBadQueryStatus covers the reach.StatusCode mapping end to end for
+// TestStatusCode pins the whole error → status table, wrapped errors
+// included (entry points wrap the sentinels with detail).
+func TestStatusCode(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want int
+	}{
+		{nil, 200},
+		{fmt.Errorf("pair: %w", reach.ErrVertexRange), 400},
+		{reach.ErrBadQuery, 400},
+		{reach.ErrBadOptions, 400},
+		{reach.ErrPrebuiltEngine, 400},
+		{context.DeadlineExceeded, 504},
+		{fmt.Errorf("build: %w", reach.ErrBuildCanceled), 504},
+		{context.Canceled, 499},
+		{reach.ErrNotMutable, 501},
+		{reach.ErrIndexPanic, 500},
+		{errors.New("disk on fire"), 500},
+	} {
+		if got := statusCode(c.err); got != c.want {
+			t.Errorf("statusCode(%v) = %d, want %d", c.err, got, c.want)
+		}
+	}
+}
+
+// TestBadQueryStatus covers the statusCode mapping end to end for
 // the 400 family (vertex range and malformed constraint expressions).
 func TestBadQueryStatus(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

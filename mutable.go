@@ -76,19 +76,6 @@ type EdgeOp struct {
 	From, To V
 }
 
-// MutationStats is the point-in-time mutation view in DB.MutationStats
-// and /admin/stats.
-type MutationStats struct {
-	OverlayAdded   int    `json:"overlay_added"`
-	OverlayRemoved int    `json:"overlay_removed"`
-	WALSeq         uint64 `json:"wal_seq"`
-	WALBytes       int64  `json:"wal_bytes"`
-	Replayed       int    `json:"replayed,omitempty"`
-	RecoveredTail  string `json:"recovered_tail,omitempty"`
-	Rebuilding     bool   `json:"rebuilding,omitempty"`
-	Degraded       bool   `json:"degraded,omitempty"`
-}
-
 // mutDB is the mutation engine hanging off a DB.
 type mutDB struct {
 	db   *DB     // the serving snapshot this engine publishes to
@@ -447,13 +434,13 @@ func (db *DB) Close() error {
 
 // MutationStats reports the mutation engine's current state; ok is false
 // on a non-mutable DB.
-func (db *DB) MutationStats() (stats MutationStats, ok bool) {
+func (db *DB) MutationStats() (stats mutate.Stats, ok bool) {
 	if db.mut == nil {
-		return MutationStats{}, false
+		return mutate.Stats{}, false
 	}
 	mdb := db.mut
 	st := db.cur.Load()
-	return MutationStats{
+	return mutate.Stats{
 		OverlayAdded:   st.ov.AddedCount(),
 		OverlayRemoved: st.ov.RemovedCount(),
 		WALSeq:         mdb.wal.Seq(),

@@ -560,9 +560,6 @@ func TestMutableConfigValidation(t *testing.T) {
 	if err := plain.AddEdge(ctx, 0, 1); !errors.Is(err, ErrNotMutable) {
 		t.Fatalf("AddEdge on plain DB = %v, want ErrNotMutable", err)
 	}
-	if got := StatusCode(ErrNotMutable); got != 501 {
-		t.Fatalf("StatusCode(ErrNotMutable) = %d, want 501", got)
-	}
 	if err := plain.Flush(ctx); err != nil {
 		t.Fatalf("Flush on plain DB = %v, want nil no-op", err)
 	}

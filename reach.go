@@ -71,16 +71,10 @@ import (
 type (
 	// Graph is an immutable directed graph (optionally edge-labeled).
 	Graph = graph.Digraph
-	// GraphBuilder accumulates vertices and edges.
-	GraphBuilder = graph.Builder
 	// V is a vertex id.
 	V = graph.V
 	// Label is an edge-label id.
 	Label = graph.Label
-	// GraphEdge is a directed, optionally labeled edge.
-	GraphEdge = graph.Edge
-	// GraphLimits bounds what ReadGraphLimited accepts from untrusted input.
-	GraphLimits = graph.Limits
 	// Index answers plain reachability queries.
 	Index = core.Index
 	// PartialIndex exposes lookup-only answers (TryReach).
@@ -96,19 +90,6 @@ type (
 	// PreparedGraph memoizes per-graph preprocessing (SCC condensation)
 	// shared across index builds over the same graph; see Prepare.
 	PreparedGraph = core.Prepared
-
-	// BuildSpans records named build-phase durations (see OBSERVABILITY.md).
-	BuildSpans = obs.Spans
-	// IndexMetrics accumulates per-index query metrics.
-	IndexMetrics = obs.IndexMetrics
-	// DBMetrics is the DB-level metrics root.
-	DBMetrics = obs.DBMetrics
-	// PhaseSpan is one named, timed build phase.
-	PhaseSpan = obs.PhaseSpan
-	// MetricsSnapshot is a point-in-time view of a DB's metrics.
-	MetricsSnapshot = obs.Snapshot
-	// IndexMetricsSnapshot is the per-index slice of a MetricsSnapshot.
-	IndexMetricsSnapshot = obs.IndexSnapshot
 )
 
 // Graph constructors re-exported from the internal graph package.
@@ -119,9 +100,6 @@ var (
 	NewLabeledBuilder = graph.NewLabeledBuilder
 	// ReadGraph parses the edge-list exchange format under DefaultLimits.
 	ReadGraph = graph.Read
-	// ReadGraphLimited parses the edge-list format under explicit size
-	// limits (malformed or oversized input yields an error, never a panic).
-	ReadGraphLimited = graph.ReadLimited
 	// WriteGraph serializes a graph in the edge-list exchange format.
 	WriteGraph = graph.Write
 	// LoadGraphSnapshot page-maps a graph CSR snapshot (written with
@@ -225,7 +203,7 @@ type Options struct {
 	// Build/BuildLCR/BuildRLC (SCC condensation, order computation, filter
 	// passes, ...); see OBSERVABILITY.md for the span-name schema. Nil
 	// disables phase recording at zero cost.
-	Spans *BuildSpans
+	Spans *obs.Spans
 }
 
 // timed runs a direct (non-SCC-lifted) builder under an "index/build"
@@ -351,14 +329,6 @@ func BuildCtx(ctx context.Context, k Kind, g *Graph, opt Options) (ix Index, err
 	return nil, fmt.Errorf("reach: unknown index kind %q", k)
 }
 
-// Instrument wraps ix so every Reach records latency, outcome, and — for
-// partial indexes — probe-level decided/fallback/visited detail into m.
-// g must be the graph ix was built over (it is the adjacency the guided
-// fallback traverses); m must not be nil for recording to occur.
-func Instrument(ix Index, g *Graph, m *IndexMetrics) Index {
-	return core.Instrument(ix, g, m)
-}
-
 // BuildDynamic constructs a dynamic plain index (TOL, DAGGER, DBL). Note
 // the dynamic indexes operate on the graph as given (no SCC adapter): the
 // DAG-only DAGGER requires a DAG start, and updates that respect it.
@@ -403,13 +373,13 @@ func LCRKinds() []LCRKind {
 // BuildLCR constructs the requested alternation-constraint index. With
 // Options.Spans set, construction is recorded as an "lcr/build" span.
 func BuildLCR(k LCRKind, g *Graph, opt Options) (LCRIndex, error) {
-	return BuildLCRCtx(context.Background(), k, g, opt)
+	return buildLCRCtx(context.Background(), k, g, opt)
 }
 
-// BuildLCRCtx is BuildLCR under a context; the GTC and 2-hop LCR builds
-// (the quadratic ones the survey warns about) poll ctx at cooperative
-// checkpoints and abandon with ErrBuildCanceled.
-func BuildLCRCtx(ctx context.Context, k LCRKind, g *Graph, opt Options) (ix LCRIndex, err error) {
+// buildLCRCtx is BuildLCR under a context (NewDBCtx's); the GTC and 2-hop
+// LCR builds (the quadratic ones the survey warns about) poll ctx at
+// cooperative checkpoints and abandon with ErrBuildCanceled.
+func buildLCRCtx(ctx context.Context, k LCRKind, g *Graph, opt Options) (ix LCRIndex, err error) {
 	if err := checkBuild(ctx, g, opt); err != nil {
 		return nil, err
 	}
@@ -442,12 +412,12 @@ func BuildLCRCtx(ctx context.Context, k LCRKind, g *Graph, opt Options) (ix LCRI
 // BuildRLC constructs the concatenation-constraint (RLC) index. With
 // Options.Spans set, construction is recorded as an "rlc/build" span.
 func BuildRLC(g *Graph, opt Options) (RLCIndex, error) {
-	return BuildRLCCtx(context.Background(), g, opt)
+	return buildRLCCtx(context.Background(), g, opt)
 }
 
-// BuildRLCCtx is BuildRLC under a context: the per-sequence phase-product
-// labelings poll ctx and abandon with ErrBuildCanceled.
-func BuildRLCCtx(ctx context.Context, g *Graph, opt Options) (ix RLCIndex, err error) {
+// buildRLCCtx is BuildRLC under a context (NewDBCtx's): the per-sequence
+// phase-product labelings poll ctx and abandon with ErrBuildCanceled.
+func buildRLCCtx(ctx context.Context, g *Graph, opt Options) (ix RLCIndex, err error) {
 	if err := checkBuild(ctx, g, opt); err != nil {
 		return nil, err
 	}

@@ -20,20 +20,10 @@ import (
 	"repro/internal/shard"
 )
 
-// KindSharded is the Kind reported by a DB whose plain engine is the
+// kindSharded is the Kind reported by a DB whose plain engine is the
 // sharded scatter-gather index. It is not buildable through Build — use
 // NewShardedDB — but appears as the DB's plain kind.
-const KindSharded Kind = "sharded"
-
-// Sharded-engine census re-exports (see DB.ShardInfo, /admin/shards).
-type (
-	// ShardStats is one shard's census: sub-DAG size, boundary counts,
-	// local index footprint, and accumulated probe count.
-	ShardStats = shard.ShardInfo
-	// ShardSummaryStats describes the boundary summary graph and its
-	// 2-hop index.
-	ShardSummaryStats = shard.SummaryInfo
-)
+const kindSharded Kind = "sharded"
 
 // ShardedConfig configures NewShardedDB.
 type ShardedConfig struct {
@@ -51,8 +41,6 @@ type ShardedConfig struct {
 	Metrics bool
 	// CacheSize enables the DB's sharded query-result cache.
 	CacheSize int
-	// Tracing enables request-scoped trace recording (see DBConfig).
-	Tracing bool
 	// RecordWorkload captures completed queries (see DBConfig).
 	RecordWorkload *WorkloadRecorder
 	// SnapshotPrefix, when non-empty, warm-starts each shard's index
@@ -110,12 +98,11 @@ func NewShardedDBCtx(ctx context.Context, g *Graph, cfg ShardedConfig) (sdb *Sha
 		return nil, err
 	}
 	db, err := NewDBCtx(ctx, g, DBConfig{
-		Plain:          KindSharded,
+		Plain:          kindSharded,
 		PlainIndex:     engine,
 		Options:        cfg.Options,
 		Metrics:        cfg.Metrics,
 		CacheSize:      cfg.CacheSize,
-		Tracing:        cfg.Tracing,
 		RecordWorkload: cfg.RecordWorkload,
 	})
 	if err != nil {
@@ -224,13 +211,14 @@ func shardEngine(ix Index) (*shard.Index, bool) {
 	return nil, false
 }
 
-// ShardInfo reports the per-shard census and boundary summary when the
-// DB's plain engine is sharded; ok is false otherwise. The server's
-// /admin/shards endpoint serves this.
-func (db *DB) ShardInfo() (shards []ShardStats, summary ShardSummaryStats, ok bool) {
+// ShardInfo reports the per-shard census (sub-DAG size, boundary counts,
+// local index footprint, accumulated probe count) and the boundary
+// summary when the DB's plain engine is sharded; ok is false otherwise.
+// The server's /admin/shards endpoint serves this.
+func (db *DB) ShardInfo() (shards []shard.ShardInfo, summary shard.SummaryInfo, ok bool) {
 	sx, ok := shardEngine(db.cur.Load().ix)
 	if !ok {
-		return nil, ShardSummaryStats{}, false
+		return nil, shard.SummaryInfo{}, false
 	}
 	return sx.Shards(), sx.Summary(), true
 }

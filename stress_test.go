@@ -10,8 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/labelset"
+	"repro/internal/obs"
 	"repro/internal/tc"
 )
 
@@ -133,8 +135,8 @@ func TestStressMetricsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m IndexMetrics
-	ix := Instrument(raw, g, &m)
+	var m obs.IndexMetrics
+	ix := core.Instrument(raw, g, &m)
 	oracle := tc.NewClosure(g)
 
 	const workers, per = 8, 2000
@@ -157,7 +159,7 @@ func TestStressMetricsConcurrent(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var last IndexMetricsSnapshot
+		var last obs.IndexSnapshot
 		for i := 0; i < 500; i++ {
 			s := m.Snapshot()
 			// Decided is excluded: it is derived (Queries-Fallback) from

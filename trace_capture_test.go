@@ -10,10 +10,11 @@ import (
 
 // TestDBTracingPhases threads a trace through every query entry point
 // and checks the DB appends the phase timeline OBSERVABILITY.md
-// documents — and that with Tracing off, a trace in the context is
-// deliberately ignored (the disabled path never walks the context).
+// documents — and that a DB with nothing of its own watching (no
+// metrics, cache or capture) still records into a trace its context
+// carries: the trace in the context is the one switch.
 func TestDBTracingPhases(t *testing.T) {
-	db, err := NewDB(Fig1Labeled(), DBConfig{Tracing: true, Metrics: true, CacheSize: 16})
+	db, err := NewDB(Fig1Labeled(), DBConfig{Metrics: true, CacheSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,19 +59,18 @@ func TestDBTracingPhases(t *testing.T) {
 		t.Fatalf("QueryCtx phases %v missing parse", names)
 	}
 
-	// Tracing disabled: the same context-carried trace stays empty.
-	off, err := NewDB(Fig1Labeled(), DBConfig{})
+	bare, err := NewDB(Fig1Labeled(), DBConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tracer.Start("")
-	if _, err := off.ReachCtx(obs.WithTrace(context.Background(), tr), 0, 4); err != nil {
-		t.Fatalf("ReachCtx: %v", err)
+	names = phasesOf(func(ctx context.Context) {
+		if _, err := bare.ReachCtx(ctx, 0, 4); err != nil {
+			t.Fatalf("ReachCtx: %v", err)
+		}
+	})
+	if !has(names, "index/probe") || has(names, "cache/lookup") {
+		t.Fatalf("DBConfig{} ReachCtx phases %v, want index/probe and no cache/lookup", names)
 	}
-	if got := len(tr.Phases()); got != 0 {
-		t.Fatalf("untraced DB recorded %d phases", got)
-	}
-	tracer.Finish(tr)
 }
 
 // TestDBWorkloadCapture runs queries through a recording DB and checks
