@@ -17,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/labelset"
 	"repro/internal/obs"
+	"repro/internal/survey"
 	"repro/internal/tc"
 	"repro/internal/traversal"
 )
@@ -107,18 +108,18 @@ func BenchmarkTable1_IP_Build(b *testing.B)     { benchBuild(b, reach.KindIP, re
 func BenchmarkTable1_IP_Query(b *testing.B)     { benchQuery(b, reach.KindIP, reach.Options{K: 8}) }
 func BenchmarkTable1_PLL_Build(b *testing.B)    { benchBuild(b, reach.KindPLL, reach.Options{}) }
 func BenchmarkTable1_PLL_Query(b *testing.B)    { benchQuery(b, reach.KindPLL, reach.Options{}) }
-func BenchmarkTable1_TFL_Query(b *testing.B)    { benchQuery(b, reach.KindTFL, reach.Options{}) }
+func BenchmarkTable1_TFL_Query(b *testing.B)    { benchQuery(b, survey.KindTFL, reach.Options{}) }
 func BenchmarkTable1_TOL_Query(b *testing.B)    { benchQuery(b, reach.KindTOL, reach.Options{}) }
 func BenchmarkTable1_PReaCH_Query(b *testing.B) { benchQuery(b, reach.KindPReaCH, reach.Options{}) }
 func BenchmarkTable1_Feline_Query(b *testing.B) { benchQuery(b, reach.KindFeline, reach.Options{}) }
 func BenchmarkTable1_OReach_Query(b *testing.B) {
-	benchQuery(b, reach.KindOReach, reach.Options{K: 16})
+	benchQuery(b, survey.KindOReach, reach.Options{K: 16})
 }
 func BenchmarkTable1_PathTree_Query(b *testing.B) {
 	benchQuery(b, reach.KindPathTree, reach.Options{})
 }
 func BenchmarkTable1_DBL_Query(b *testing.B) {
-	benchQuery(b, reach.KindDBL, reach.Options{K: 32, Bits: 256})
+	benchQuery(b, survey.KindDBL, reach.Options{K: 32, Bits: 256})
 }
 
 // Baseline row of Table 1's discussion: online traversal.
@@ -351,7 +352,7 @@ func benchInsert(b *testing.B, k reach.Kind) {
 			inserts = append(inserts, op)
 		}
 	}
-	ix, err := reach.BuildDynamic(k, g, reach.Options{K: 2, Bits: 256})
+	ix, err := survey.BuildDynamic(k, g, reach.Options{K: 2, Bits: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -365,8 +366,8 @@ func benchInsert(b *testing.B, k reach.Kind) {
 }
 
 func BenchmarkE8_Insert_TOL(b *testing.B)    { benchInsert(b, reach.KindTOL) }
-func BenchmarkE8_Insert_DAGGER(b *testing.B) { benchInsert(b, reach.KindDAGGER) }
-func BenchmarkE8_Insert_DBL(b *testing.B)    { benchInsert(b, reach.KindDBL) }
+func BenchmarkE8_Insert_DAGGER(b *testing.B) { benchInsert(b, survey.KindDAGGER) }
+func BenchmarkE8_Insert_DBL(b *testing.B)    { benchInsert(b, survey.KindDBL) }
 
 // --- E2: label size vs TC (reported via metrics) -----------------------
 
@@ -485,10 +486,10 @@ func BenchmarkE13_IP_Build_W4(b *testing.B) {
 	benchBuildWorkers(b, reach.KindIP, reach.Options{K: 8}, 4)
 }
 func BenchmarkE13_OReach_Build_W1(b *testing.B) {
-	benchBuildWorkers(b, reach.KindOReach, reach.Options{K: 16}, 1)
+	benchBuildWorkers(b, survey.KindOReach, reach.Options{K: 16}, 1)
 }
 func BenchmarkE13_OReach_Build_W4(b *testing.B) {
-	benchBuildWorkers(b, reach.KindOReach, reach.Options{K: 16}, 4)
+	benchBuildWorkers(b, survey.KindOReach, reach.Options{K: 16}, 4)
 }
 func BenchmarkE13_BFL_Build_W1(b *testing.B) {
 	benchBuildWorkers(b, reach.KindBFL, reach.Options{Bits: 256}, 1)

@@ -72,8 +72,8 @@ func main() {
 	w := os.Stdout
 
 	runners := map[string]func(io.Writer){
-		"table1": func(w io.Writer) { experiments.Table1(w, sc.N(2000), *seed) },
-		"table2": func(w io.Writer) { experiments.Table2(w, sc.N(150), 8, *seed) },
+		"table1": func(w io.Writer) { experiments.Table1(sc.N(2000), *seed).Write(w) },
+		"table2": func(w io.Writer) { experiments.Table2(sc.N(150), 8, *seed).Write(w) },
 		"fig1":   func(w io.Writer) { experiments.Fig1(w) },
 		"e1":     func(w io.Writer) { experiments.E1(w, sc, *seed) },
 		"e2":     func(w io.Writer) { experiments.E2(w, sc, *seed) },

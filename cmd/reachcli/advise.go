@@ -8,15 +8,18 @@ import (
 	"os"
 	"strings"
 	"time"
+	"unicode"
 
 	reach "repro"
+	"repro/internal/advise"
+	"repro/internal/core"
 )
 
 // runAdvise implements `reachcli advise`: profile a graph and a recorded
 // workload, short-list plain index kinds from the survey's taxonomy,
 // shadow-build and trace-replay each candidate, and print the pick —
 // chosen kind, measured p50/p99, footprint, and the regret against the
-// best measured candidate. -json emits the full AdvisorReport.
+// best measured candidate. -json emits the full advise.Report.
 func runAdvise(args []string) {
 	fs := flag.NewFlagSet("reachcli advise", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "graph file (edge-list exchange format)")
@@ -56,20 +59,19 @@ func runAdvise(args []string) {
 		fail("read trace %s: %v", *tracePath, err)
 	}
 
-	cfg := reach.AdviseConfig{
-		Budget:        *budget,
-		BuildTimeout:  *timeout,
-		MaxCandidates: *maxCand,
-		MaxReplay:     *maxReplay,
-		Options:       reach.Options{K: *k, Bits: *bits, Workers: *workers},
-	}
-	if *candidates != "" {
-		for _, kind := range strings.Split(*candidates, ",") {
-			cfg.Candidates = append(cfg.Candidates, reach.Kind(strings.TrimSpace(kind)))
-		}
-	}
+	opt := reach.Options{K: *k, Bits: *bits, Workers: *workers, Prepared: reach.Prepare(g)}
+	kinds := strings.FieldsFunc(*candidates, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 
-	rep, err := reach.Advise(context.Background(), g, records, cfg)
+	rep, err := advise.Run(context.Background(), opt.Prepared, records, advise.Config{
+		Build: func(ctx context.Context, kind string) (core.Index, error) {
+			return reach.BuildCtx(ctx, reach.Kind(kind), g, opt)
+		},
+		Candidates:    kinds,
+		MaxCandidates: *maxCand,
+		BuildTimeout:  *timeout,
+		Budget:        *budget,
+		MaxReplay:     *maxReplay,
+	})
 	if err != nil {
 		if rep != nil {
 			for _, c := range rep.Candidates {

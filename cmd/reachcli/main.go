@@ -48,6 +48,7 @@ import (
 	"strings"
 
 	reach "repro"
+	_ "repro/internal/survey" // -index and -list take every Table 1 kind
 )
 
 func main() {

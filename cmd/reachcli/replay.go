@@ -8,6 +8,7 @@ import (
 	"time"
 
 	reach "repro"
+	"repro/internal/advise"
 )
 
 // runReplay implements `reachcli replay`: re-run a workload captured by
@@ -15,7 +16,7 @@ import (
 // report, per capture route, how replay latency compares to capture
 // latency, plus the replay index's decided rate — the experiment behind
 // "would index X have served this traffic better?". The aggregation is
-// reach.ReplayWorkload, the same evaluator the index advisor scores
+// advise.Replay, the same evaluator the index advisor scores
 // candidates with; -json emits its ReplaySummary struct directly.
 func runReplay(args []string) {
 	fs := flag.NewFlagSet("reachcli replay", flag.ExitOnError)
@@ -75,7 +76,7 @@ func runReplay(args []string) {
 			len(records), *workloadPath, *indexKind, buildNS.Round(time.Millisecond))
 	}
 
-	sum := reach.ReplayWorkload(db, records)
+	sum := advise.Replay(db, records)
 
 	if *jsonOut {
 		out := replayJSON{
@@ -125,9 +126,9 @@ func runReplay(args []string) {
 // replayJSON wraps the shared ReplaySummary with the run's provenance
 // for `reachcli replay -json`.
 type replayJSON struct {
-	Graph    string               `json:"graph"`
-	Workload string               `json:"workload"`
-	Index    string               `json:"index"`
-	BuildNS  int64                `json:"build_ns"`
-	Summary  *reach.ReplaySummary `json:"summary"`
+	Graph    string                `json:"graph"`
+	Workload string                `json:"workload"`
+	Index    string                `json:"index"`
+	BuildNS  int64                 `json:"build_ns"`
+	Summary  *advise.ReplaySummary `json:"summary"`
 }

@@ -43,7 +43,8 @@
 // workload to a file replayable with `reachcli replay`. Choosing the index
 // is offline: `reachcli advise -graph g.txt -trace w.rec` measures the
 // candidate kinds on that capture, and a restart with -index <kind>
-// serves the pick.
+// serves the pick. -index takes the kinds Table 1 marks as serving; any
+// other exits 2 naming them.
 //
 // SIGTERM or SIGINT drains gracefully: /readyz flips to 503, in-flight
 // requests finish, then the process exits 0.
@@ -61,10 +62,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
 	reach "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -104,6 +107,11 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	flag.Parse()
+	if row, _ := core.Plain(*indexKind); !row.Serves {
+		fmt.Fprintf(os.Stderr, "reachserve: -index %q is not a serving kind (serving kinds: %s)\n", *indexKind,
+			strings.Join(core.KindsWhere(func(r core.PlainKind) bool { return r.Serves }), ", "))
+		os.Exit(2)
+	}
 
 	logger, err := newLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {

@@ -247,9 +247,10 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 	var plain Index
 	var err error
 	warm := cfg.PlainSnapshot != nil || cfg.PlainSnapshotMapped != ""
-	if warm && cfg.PlainIndex == nil && !snapshottableKind(cfg.Plain) {
-		return nil, fmt.Errorf("%w: snapshot warm-start supports Plain in {%q, %q, %q}, not %q",
-			ErrBadOptions, KindBFL, KindPLL, KindDL, cfg.Plain)
+	row, _ := core.Plain(string(cfg.Plain))
+	if warm && cfg.PlainIndex == nil && row.Snapshot == "" {
+		return nil, fmt.Errorf("%w: snapshot warm-start supports Plain in %q, not %q",
+			ErrBadOptions, snapshotKinds(), cfg.Plain)
 	}
 	switch {
 	case cfg.PlainIndex != nil && warm:
@@ -268,10 +269,8 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if warm {
-		if want, got := plainKindName(cfg.Plain), plain.Name(); want != got {
-			return nil, fmt.Errorf("%w: snapshot contains a %q index but Plain is %q (%s)", ErrBadOptions, got, cfg.Plain, want)
-		}
+	if warm && row.Name != plain.Name() {
+		return nil, fmt.Errorf("%w: snapshot contains a %q index but Plain is %q (%s)", ErrBadOptions, plain.Name(), cfg.Plain, row.Name)
 	}
 	boot := &serving{g: g, prep: cfg.Options.Prepared, ix: db.instrument(plain, g), ov: noOverlay}
 	db.publish(func(*serving) *serving { return boot })
@@ -309,26 +308,6 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 		}
 	}
 	return db, nil
-}
-
-// snapshottableKind reports whether SaveIndex/LoadIndex have a codec for
-// this plain kind.
-func snapshottableKind(k Kind) bool {
-	return k == KindBFL || k == KindPLL || k == KindDL
-}
-
-// plainKindName maps a snapshottable kind to the Name() its loaded index
-// reports, so a warm start can detect a snapshot of the wrong kind.
-func plainKindName(k Kind) string {
-	switch k {
-	case KindBFL:
-		return "BFL"
-	case KindPLL:
-		return "PLL"
-	case KindDL:
-		return "DL"
-	}
-	return string(k)
 }
 
 // degradable reports whether cfg tolerates this build failure. Only

@@ -43,7 +43,7 @@ func ExampleNewDB() {
 // ExampleDB_ReachPath recovers the concrete witness path (A, D, H, G) the
 // paper names for Qr(A, G).
 func ExampleDB_ReachPath() {
-	db, _ := reach.NewDB(reach.Fig1Plain(), reach.DBConfig{Plain: reach.KindTreeCover})
+	db, _ := reach.NewDB(reach.Fig1Plain(), reach.DBConfig{Plain: reach.KindPathTree})
 	g := db.Graph()
 	a, _ := g.VertexByName("A")
 	t, _ := g.VertexByName("G")

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/survey"
 	"repro/internal/tc"
 )
 
@@ -28,9 +29,9 @@ func main() {
 	fmt.Printf("graph: n=%d m=%d; script: %d updates (mixed insert/delete)\n",
 		g.N(), g.M(), len(script))
 
-	indexes := []reach.Kind{reach.KindTOL, reach.KindDAGGER, reach.KindDBL}
+	indexes := []reach.Kind{reach.KindTOL, survey.KindDAGGER, survey.KindDBL}
 	for _, k := range indexes {
-		ix, err := reach.BuildDynamic(k, g, reach.Options{K: 2, Bits: 256, Seed: 23})
+		ix, err := survey.BuildDynamic(k, g, reach.Options{K: 2, Bits: 256, Seed: 23})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func main() {
 	}
 }
 
-func run(ix reach.DynamicIndex, g0 *reach.Graph, script []gen.UpdateOp) {
+func run(ix survey.DynamicIndex, g0 *reach.Graph, script []gen.UpdateOp) {
 	cur := graph.Mutate(g0)
 	rng := rand.New(rand.NewSource(31))
 	var updTime time.Duration

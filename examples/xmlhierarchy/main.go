@@ -21,6 +21,7 @@ import (
 
 	reach "repro"
 	"repro/internal/gen"
+	"repro/internal/survey"
 	"repro/internal/traversal"
 )
 
@@ -41,7 +42,7 @@ func main() {
 			want[i] = traversal.BFS(doc, ps[i].s, ps[i].t)
 		}
 		for _, kind := range []reach.Kind{
-			reach.KindDualLabel, reach.KindTreeSSPI, reach.KindGRAIL, reach.KindPLL,
+			survey.KindDualLabel, survey.KindTreeSSPI, reach.KindGRAIL, reach.KindPLL,
 		} {
 			ix, err := reach.Build(kind, doc, reach.Options{K: 2, Seed: 19})
 			if err != nil {

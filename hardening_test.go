@@ -15,7 +15,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/gen"
+	"repro/internal/scc"
 	"repro/internal/tc"
+)
+
+// The survey kinds these tests name by string: internal/survey registers
+// them, and survey_test.go links it into this test binary.
+const (
+	kindTwoHop Kind = "2hop"
+	kindTFL    Kind = "tfl"
 )
 
 // TestVertexRangePlainKinds drives every plain index kind through the DB
@@ -119,9 +127,6 @@ func TestBadOptionsAllKinds(t *testing.T) {
 	if _, err := NewDB(nil, DBConfig{}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("NewDB(nil graph) err = %v, want ErrBadOptions", err)
 	}
-	if _, err := BuildDynamic(KindTOL, pg, Options{K: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("BuildDynamic bad options err = %v, want ErrBadOptions", err)
-	}
 }
 
 // TestBuildCtxPreCanceled: a context canceled before the build starts
@@ -162,7 +167,7 @@ func TestCancelMidBuildTwoHop(t *testing.T) {
 	defer cancel()
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	_, err := BuildCtx(ctx, KindTwoHop, g, Options{})
+	_, err := BuildCtx(ctx, kindTwoHop, g, Options{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrBuildCanceled) {
 		t.Fatalf("err = %v, want ErrBuildCanceled", err)
@@ -393,7 +398,7 @@ func TestBatchPanicContainment(t *testing.T) {
 	}
 
 	g := gen.RandomDAG(gen.Config{N: 500, M: 2000, Seed: 14})
-	ix := core.ForGeneral(g, func(*Graph) Index { return panicBlockIndex{} })
+	ix := core.ForGeneralPrepared(g, nil, 0, 0, nil, func(*scc.Condensation) Index { return panicBlockIndex{} })
 	pairs := make([]Pair, n)
 	for i := range pairs {
 		pairs[i] = Pair{S: V(i % g.N()), T: V(i * 7 % g.N())}
@@ -474,7 +479,7 @@ func TestFaultInjectionLCRStress(t *testing.T) {
 func TestFaultInjectionCancelStress(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 400, M: 1200, Seed: 7})
 	sites := []string{"build/2hop", "build/pll", "build/tol"}
-	builds := map[string]Kind{"build/2hop": KindTwoHop, "build/pll": KindPLL, "build/tol": KindTOL}
+	builds := map[string]Kind{"build/2hop": kindTwoHop, "build/pll": KindPLL, "build/tol": KindTOL}
 	for seed := int64(0); seed < 24; seed++ {
 		plan := faultinject.DerivePlan(seed, sites, []faultinject.Kind{faultinject.Cancel}, 200)
 		ctx, cancel := context.WithCancel(context.Background())

@@ -7,11 +7,11 @@
 // The rules only prune the search space; measurement decides.
 //
 // The package is deliberately below the root: it speaks core.Index and
-// workload.Record, and the root package injects the actual builder
+// workload.Record, and its caller injects the actual builder
 // (reach.BuildCtx) as a BuildFunc, the same inversion internal/shard
-// uses. It runs offline, over a capture: `reachcli advise` and
-// reach.Advise call Run, and a server then serves the pick with
-// `reachserve -index <kind>`.
+// uses. It runs offline, over a capture: `reachcli advise` calls Run, and
+// a server then serves the pick with `reachserve -index <kind>`, so no
+// serving binary links it.
 package advise
 
 import (
@@ -23,9 +23,9 @@ import (
 	"repro/internal/workload"
 )
 
-// BuildFunc builds one plain index kind over the advisor's graph. The
-// root package supplies reach.BuildCtx closed over the graph and its
-// PreparedGraph memo, so every candidate build shares one condensation.
+// BuildFunc builds one plain index kind over the advisor's graph. Callers
+// supply reach.BuildCtx closed over the graph and its PreparedGraph memo,
+// so every candidate build shares one condensation.
 type BuildFunc func(ctx context.Context, kind string) (core.Index, error)
 
 // Config parameterizes one advisor run.

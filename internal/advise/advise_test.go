@@ -169,6 +169,36 @@ func TestShortlistRegimes(t *testing.T) {
 	}
 }
 
+// TestShortlistGatesPLLBySize: a 10⁶-vertex profile in every regime that
+// nominates PLL or DL gets neither (their build cannot finish in the
+// build box there), a small one still gets PLL, and every kind the rules
+// nominate is one Table 1 marks as serving.
+func TestShortlistGatesPLLBySize(t *testing.T) {
+	heavy := gen.DegreeStats{Skew: 50}
+	big := advise.GraphProfile{N: 1_000_000, M: 4_000_000, SCCs: 1_000_000, InDegree: heavy, OutDegree: heavy, Depth: 10, Width: 1000}
+	small := big
+	small.N, small.M, small.SCCs = 2000, 8000, 2000
+	for _, c := range advise.Shortlist(big, advise.WorkloadProfile{}, 100) {
+		if c.Kind == "pll" || c.Kind == "dl" {
+			t.Errorf("10⁶-vertex shortlist nominates %s: %s", c.Kind, c.Reason)
+		}
+	}
+	var pll bool
+	for _, wp := range []advise.WorkloadProfile{{}, {Plain: 100, PositiveShare: 0.1}} {
+		for _, gp := range []advise.GraphProfile{big, small} {
+			for _, c := range advise.Shortlist(gp, wp, 100) {
+				pll = pll || (gp.N == small.N && c.Kind == "pll")
+				if row, ok := core.Plain(c.Kind); !ok || !row.Serves {
+					t.Errorf("shortlist nominates %s, which is not a serving kind", c.Kind)
+				}
+			}
+		}
+	}
+	if !pll {
+		t.Error("a 2000-vertex shortlist misses pll")
+	}
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	g := gen.RandomDAG(gen.Config{N: 1500, M: 6000, Seed: 21})
 	prep := core.NewPrepared(g)

@@ -22,6 +22,12 @@ package advise
 //     probe advantage over TOL/PLL.
 //   - everything else → BFL, the survey's robust default, always listed.
 
+// pllMaxN is the largest graph the rules nominate PLL or DL (one build
+// under two names) for. On a RandomDAG with m = 4n (2 vCPUs) PLL built in
+// 0.68 s at n = 2·10⁴, 3.0 s at 5·10⁴, 8.0 s at 10⁵ and 21.3 s at 2·10⁵,
+// and at 10⁶ never inside the default 30 s build box.
+const pllMaxN = 100_000
+
 // Candidate is one short-listed kind plus the rule that nominated it;
 // measurement fields are filled by the evaluator.
 type Candidate struct {
@@ -48,15 +54,16 @@ func Shortlist(gp GraphProfile, wp WorkloadProfile, max int) []Candidate {
 	}
 
 	add("bfl", "robust default (approximate-TC filter + fallback)")
+	twoHop := gp.N <= pllMaxN
 
 	smallGraph := gp.N <= 4096
 	if smallGraph {
 		add("tol", "small graph: total-order 2-hop labels are affordable and probe fastest")
-		add("pll", "small graph: pruned landmark labels are affordable")
+		add("pll", "small graph: pruned landmark labels are affordable") // smallGraph implies twoHop
 	}
 
 	// Heavy degree tail on either side: degree-ordered 2-hop regimes.
-	if gp.InDegree.Skew >= 4 || gp.OutDegree.Skew >= 4 {
+	if twoHop && (gp.InDegree.Skew >= 4 || gp.OutDegree.Skew >= 4) {
 		add("pll", "heavy-tailed degrees: hub-ordered pruned 2-hop stays small")
 		add("dl", "heavy-tailed degrees: distribution labeling")
 	}
@@ -81,7 +88,9 @@ func Shortlist(gp GraphProfile, wp WorkloadProfile, max int) []Candidate {
 	}
 
 	// Guarantee a complete-index contender next to the partial ones.
-	add("pll", "pruned 2-hop contender")
+	if twoHop {
+		add("pll", "pruned 2-hop contender")
+	}
 
 	if max > 0 && len(out) > max {
 		out = out[:max]

@@ -11,27 +11,14 @@ import (
 	"repro/internal/scc"
 )
 
-// DAGBuilder constructs an index assuming its input is a DAG.
-type DAGBuilder func(dag *graph.Digraph) Index
-
-// CondensationBuilder constructs an index over a condensation's DAG; it
-// may also read the condensation's Tarjan order (scc.Condensation.Min).
-type CondensationBuilder func(c *scc.Condensation) Index
-
-// ForGeneral lifts a DAG-only index builder to general graphs via SCC
-// condensation (§3.1): Qr(s, t) is answered by first comparing the
+// ForGeneralPrepared lifts a DAG-only index builder to general graphs via
+// SCC condensation (§3.1): Qr(s, t) is answered by first comparing the
 // component ids of s and t (equal: one SCC; the source's id lower: no
 // path), then querying the DAG index on the component graph. This is the
 // standard reduction the paper notes "most plain reachability indexes in
-// literature assume".
-func ForGeneral(g *graph.Digraph, build DAGBuilder) Index {
-	return ForGeneralPrepared(g, nil, 0, 0, nil, func(c *scc.Condensation) Index { return build(c.DAG) })
-}
-
-// ForGeneralPrepared is ForGeneral with build-phase observability and the
-// condensation drawn from a shared preprocessing memo; build receives the
-// whole condensation, so an index may use Tarjan's order (BFL takes its
-// intervals from it) as well as the DAG. The SCC condensation and the
+// literature assume". build receives the whole condensation, so an index
+// may use Tarjan's order (BFL takes its intervals from it) as well as the
+// DAG, and the condensation may come from a shared preprocessing memo. The SCC condensation and the
 // inner index construction are recorded as the named spans
 // "scc/condense" and "index/build" (a nil recorder records nothing);
 // builders that expose their own internal phases nest them
@@ -47,7 +34,7 @@ func ForGeneral(g *graph.Digraph, build DAGBuilder) Index {
 // "scc/condense" span records whether this build hit the memo as its
 // `cached` attribute. A nil prep recomputes per build, which is the
 // pre-memo behavior the one-off Build path keeps.
-func ForGeneralPrepared(g *graph.Digraph, spans *obs.Spans, workers, buildWorkers int, prep *Prepared, build CondensationBuilder) Index {
+func ForGeneralPrepared(g *graph.Digraph, spans *obs.Spans, workers, buildWorkers int, prep *Prepared, build func(c *scc.Condensation) Index) Index {
 	// Phase-level fault-injection points: every index lifted through the
 	// condensation adapter (most of the catalogue) is panickable here by
 	// the stress harness even if its builder has no checkpoint of its own.

@@ -80,7 +80,8 @@ func (f *fakeIndex) Stats() core.Stats       { return core.Stats{Entries: 1, Byt
 func TestForGeneralCondensation(t *testing.T) {
 	g := gen.ErdosRenyi(gen.Config{N: 70, M: 280, Seed: 5})
 	built := 0
-	ix := core.ForGeneral(g, func(dag *graph.Digraph) core.Index {
+	ix := core.ForGeneralPrepared(g, nil, 0, 0, nil, func(c *scc.Condensation) core.Index {
+		dag := c.DAG
 		built++
 		// The builder must receive an acyclic graph.
 		if dag.N() > g.N() {

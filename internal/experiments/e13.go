@@ -9,6 +9,7 @@ import (
 	reach "repro"
 	"repro/internal/bitset"
 	"repro/internal/gen"
+	"repro/internal/survey"
 	"repro/internal/tc"
 	"repro/internal/traversal"
 )
@@ -50,13 +51,13 @@ func E13(w io.Writer, sc Scale, seed int64) {
 			mustBuild(reach.KindIP, g, reach.Options{K: 8, Seed: seed, Workers: ws})
 		}},
 		{"O'Reach", func(ws int) {
-			mustBuild(reach.KindOReach, g, reach.Options{K: 16, Workers: ws})
+			mustBuild(survey.KindOReach, g, reach.Options{K: 16, Workers: ws})
 		}},
 		{"BFL", func(ws int) {
 			mustBuild(reach.KindBFL, g, reach.Options{Bits: 256, Seed: seed, Workers: ws})
 		}},
 		{"DBL", func(ws int) {
-			mustBuild(reach.KindDBL, g, reach.Options{K: 16, Bits: 256, Seed: seed, Workers: ws})
+			mustBuild(survey.KindDBL, g, reach.Options{K: 16, Bits: 256, Seed: seed, Workers: ws})
 		}},
 		{"exact TC", func(ws int) { tc.NewClosureN(g, ws) }},
 	}

@@ -7,7 +7,10 @@ import (
 	"time"
 
 	reach "repro"
+	"repro/internal/advise"
+	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/survey"
 )
 
 // E15 — advisor regret: how close the advisor's rule-table shortlist gets
@@ -17,10 +20,10 @@ import (
 // backbone — interval and order kinds win). Regret is chosen p99 ÷ best
 // p99; 1.0 means the shortlist found the optimum.
 func E15(w io.Writer, sc Scale, seed int64) {
-	broad := []reach.Kind{
-		reach.KindBFL, reach.KindPLL, reach.KindDL, reach.KindTOL,
-		reach.KindGRAIL, reach.KindFerrari, reach.KindIP, reach.KindPReaCH,
-		reach.KindFeline, reach.KindOReach, reach.KindDBL,
+	broad := []string{
+		string(reach.KindBFL), string(reach.KindPLL), string(reach.KindDL), string(reach.KindTOL),
+		string(reach.KindGRAIL), string(reach.KindFerrari), string(reach.KindIP), string(reach.KindPReaCH),
+		string(reach.KindFeline), string(survey.KindOReach), string(survey.KindDBL),
 	}
 	n := sc.n(4000)
 	shapes := []struct {
@@ -39,8 +42,8 @@ func E15(w io.Writer, sc Scale, seed int64) {
 			recs[i] = reach.WorkloadRecord{S: uint32(q.S), T: uint32(q.T), Route: "plain", Outcome: q.Want}
 		}
 		opt := reach.Options{Seed: seed, Prepared: reach.Prepare(sh.g)}
-		chosen := mustAdvise(sh.g, recs, reach.AdviseConfig{Options: opt})
-		best := mustAdvise(sh.g, recs, reach.AdviseConfig{Candidates: broad, Options: opt})
+		chosen := mustAdvise(sh.g, recs, nil, opt)
+		best := mustAdvise(sh.g, recs, broad, opt)
 		// The broad sweep's argmin is the bar; if the shortlist run itself
 		// measured something faster, the bar moves, so regret is never < 1.
 		bestKind, bestP99 := best.Best, best.BestP99NS
@@ -60,8 +63,15 @@ func E15(w io.Writer, sc Scale, seed int64) {
 	t.Write(w)
 }
 
-func mustAdvise(g *reach.Graph, recs []reach.WorkloadRecord, cfg reach.AdviseConfig) *reach.AdvisorReport {
-	rep, err := reach.Advise(context.Background(), g, recs, cfg)
+// mustAdvise runs the advisor over candidates (the rule table's shortlist
+// when nil), every candidate built with opt.
+func mustAdvise(g *reach.Graph, recs []reach.WorkloadRecord, candidates []string, opt reach.Options) *advise.Report {
+	rep, err := advise.Run(context.Background(), opt.Prepared, recs, advise.Config{
+		Build: func(ctx context.Context, kind string) (core.Index, error) {
+			return reach.BuildCtx(ctx, reach.Kind(kind), g, opt)
+		},
+		Candidates: candidates,
+	})
 	if err != nil {
 		panic(err)
 	}

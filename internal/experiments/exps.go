@@ -11,6 +11,7 @@ import (
 	"repro/internal/labelset"
 	"repro/internal/reduction"
 	"repro/internal/scc"
+	"repro/internal/survey"
 	"repro/internal/tc"
 	"repro/internal/traversal"
 )
@@ -80,7 +81,7 @@ func E2(w io.Writer, sc Scale, seed int64) {
 	}
 	for name, g := range graphs {
 		pairs := tc.NewClosure(g).Pairs()
-		for _, k := range []reach.Kind{reach.KindPLL, reach.KindTFL, reach.KindTOL, reach.KindHL} {
+		for _, k := range []reach.Kind{reach.KindPLL, survey.KindTFL, reach.KindTOL, survey.KindHL} {
 			ix, _ := reach.Build(k, g, reach.Options{Seed: seed})
 			st := ix.Stats()
 			t.Row(name, g.N(), ix.Name(), st.Entries, pairs,
@@ -135,7 +136,7 @@ func E4(w io.Writer, sc Scale, seed int64) {
 	for _, pos := range []float64{0.1, 0.5, 0.9} {
 		qs := gen.QueriesWithRatio(g, 600, pos, seed+3)
 		for _, k := range []reach.Kind{reach.KindGRAIL, reach.KindFerrari, reach.KindIP,
-			reach.KindBFL, reach.KindFeline, reach.KindPReaCH, reach.KindOReach} {
+			reach.KindBFL, reach.KindFeline, reach.KindPReaCH, survey.KindOReach} {
 			ix, _ := reach.Build(k, g, reach.Options{K: 3, Bits: 256, Seed: seed})
 			qt := measureQueryTime(ix, qs)
 			dec, tot := measureCompleteness(ix, qs)
@@ -246,8 +247,8 @@ func E8(w io.Writer, sc Scale, seed int64) {
 	g := gen.RandomDAG(gen.Config{N: n, M: 3 * n, Seed: seed})
 	t := NewTable(fmt.Sprintf("E8 — dynamic maintenance, n=%d, 200 updates (§3/§5)", n),
 		"index", "build", "insert(avg)", "delete(avg)", "query(after)")
-	for _, k := range []reach.Kind{reach.KindTOL, reach.KindDAGGER, reach.KindDBL} {
-		ix, _ := reach.BuildDynamic(k, g, reach.Options{K: 2, Bits: 256, Seed: seed})
+	for _, k := range []reach.Kind{reach.KindTOL, survey.KindDAGGER, survey.KindDBL} {
+		ix, _ := survey.BuildDynamic(k, g, reach.Options{K: 2, Bits: 256, Seed: seed})
 		script := gen.UpdateScript(g, 200, true, seed+1)
 		var insTime, delTime time.Duration
 		ins, dels := 0, 0
@@ -281,13 +282,6 @@ func E8(w io.Writer, sc Scale, seed int64) {
 		t.Row(ix.Name(), ix.Stats().BuildTime, insTime/time.Duration(max(ins, 1)), del, qt)
 	}
 	t.Write(w)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // E9 — §3.1's "exactly k vs at most k intervals" design axis: GRAIL and

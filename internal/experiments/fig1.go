@@ -7,6 +7,7 @@ import (
 	reach "repro"
 	"repro/internal/labelset"
 	"repro/internal/lcrgtc"
+	"repro/internal/survey"
 	"repro/internal/tc"
 )
 
@@ -27,7 +28,7 @@ func Fig1(w io.Writer) {
 	if err != nil {
 		panic(err)
 	}
-	plainDB, err := reach.NewDB(plain, reach.DBConfig{Plain: reach.KindTreeCover})
+	plainDB, err := reach.NewDB(plain, reach.DBConfig{Plain: survey.KindTreeCover})
 	if err != nil {
 		panic(err)
 	}

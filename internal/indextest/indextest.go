@@ -12,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/labelset"
+	"repro/internal/scc"
 	"repro/internal/tc"
 )
 
@@ -94,14 +95,15 @@ func twoSCCs() *graph.Digraph {
 
 // CheckDAGIndex validates a DAG-only index builder: exhaustive all-pairs
 // agreement with the transitive closure on every DAG in the suite, and —
-// lifted through core.ForGeneral — on every cyclic graph too.
-func CheckDAGIndex(t *testing.T, build core.DAGBuilder) {
+// lifted through core.ForGeneralPrepared — on every cyclic graph too.
+func CheckDAGIndex(t *testing.T, build func(dag *graph.Digraph) core.Index) {
 	t.Helper()
 	for name, g := range DAGSuite() {
 		checkAllPairs(t, name, build(g), g)
 	}
 	for name, g := range CyclicSuite() {
-		checkAllPairs(t, name, core.ForGeneral(g, build), g)
+		ix := core.ForGeneralPrepared(g, nil, 0, 0, nil, func(c *scc.Condensation) core.Index { return build(c.DAG) })
+		checkAllPairs(t, name, ix, g)
 	}
 }
 

@@ -48,7 +48,7 @@ type Index struct {
 }
 
 // New builds the tree-cover index with the DFS heuristic. The input must
-// be a DAG (use core.ForGeneral for general graphs).
+// be a DAG (reach.Build lifts it to general graphs).
 func New(dag *graph.Digraph) *Index { return NewWithHeuristic(dag, HeuristicDFS) }
 
 // NewWithHeuristic builds the tree-cover index with a chosen spanning-

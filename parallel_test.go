@@ -11,6 +11,7 @@ import (
 	reach "repro"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/survey"
 	"repro/internal/tc"
 )
 
@@ -22,9 +23,9 @@ var parallelKinds = []struct {
 	{reach.KindGRAIL, reach.Options{K: 3, Seed: 11}},
 	{reach.KindFerrari, reach.Options{K: 3}},
 	{reach.KindIP, reach.Options{K: 8, Seed: 11}},
-	{reach.KindOReach, reach.Options{K: 16}},
+	{survey.KindOReach, reach.Options{K: 16}},
 	{reach.KindBFL, reach.Options{Bits: 256, Seed: 11}},
-	{reach.KindDBL, reach.Options{K: 16, Bits: 256, Seed: 11}},
+	{survey.KindDBL, reach.Options{K: 16, Bits: 256, Seed: 11}},
 }
 
 // answers evaluates ix on every (s, t) pair of g.

@@ -31,18 +31,14 @@ package reach
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bfl"
 	"repro/internal/core"
-	"repro/internal/dagger"
-	"repro/internal/dbl"
-	"repro/internal/duallabel"
 	"repro/internal/feline"
 	"repro/internal/ferrari"
 	"repro/internal/grail"
 	"repro/internal/graph"
-	"repro/internal/gripp"
 	"repro/internal/ip"
 	"repro/internal/lcrbloom"
 	"repro/internal/lcrdecomp"
@@ -50,21 +46,15 @@ import (
 	"repro/internal/lcrlandmark"
 	"repro/internal/lcrtree"
 	"repro/internal/obs"
-	"repro/internal/oreach"
 	"repro/internal/p2h"
 	"repro/internal/par"
-	"repro/internal/pathhop"
 	"repro/internal/pathtree"
 	"repro/internal/pll"
 	"repro/internal/preach"
 	"repro/internal/rlc"
 	"repro/internal/rpqindex"
 	"repro/internal/scc"
-	"repro/internal/sspi"
-	"repro/internal/threehop"
 	"repro/internal/tol"
-	"repro/internal/treecover"
-	"repro/internal/twohop"
 )
 
 // Re-exported fundamental types.
@@ -79,8 +69,6 @@ type (
 	Index = core.Index
 	// PartialIndex exposes lookup-only answers (TryReach).
 	PartialIndex = core.Partial
-	// DynamicIndex supports edge insertions/deletions.
-	DynamicIndex = core.Dynamic
 	// LCRIndex answers alternation-constrained queries.
 	LCRIndex = core.LCRIndex
 	// RLCIndex answers concatenation-constrained queries.
@@ -123,29 +111,19 @@ func Prepare(g *Graph) *PreparedGraph { return core.NewPrepared(g) }
 // Kind names a plain reachability indexing technique (a Table 1 row).
 type Kind string
 
-// Plain index kinds, grouped by framework as in Table 1.
+// The plain kinds the root serves, grouped by framework as in Table 1.
+// The other twelve rows of the table are internal/survey's; a program
+// that imports it can build them too.
 const (
 	// Tree-cover framework (§3.1).
-	KindTreeCover Kind = "treecover" // Agrawal et al. [2], complete
-	KindTreeSSPI  Kind = "sspi"      // Tree+SSPI [9], partial
-	KindDualLabel Kind = "duallabel" // dual labeling [17], complete
-	KindGRIPP     Kind = "gripp"     // GRIPP [43], partial, general input
-	KindPathTree  Kind = "pathtree"  // path-tree family [24,27], complete
-	KindGRAIL     Kind = "grail"     // GRAIL [50], partial
-	KindFerrari   Kind = "ferrari"   // FERRARI [40], partial
-	KindDAGGER    Kind = "dagger"    // DAGGER [51], partial, dynamic
+	KindPathTree Kind = "pathtree" // path-tree family [24,27], complete
+	KindGRAIL    Kind = "grail"    // GRAIL [50], partial
+	KindFerrari  Kind = "ferrari"  // FERRARI [40], partial
 
 	// 2-hop framework (§3.2).
-	KindTwoHop   Kind = "2hop"    // Cohen et al. [14], complete, general
-	KindThreeHop Kind = "3hop"    // 3-hop [26], complete
-	KindPathHop  Kind = "pathhop" // path-hop [8], complete
-	KindTFL      Kind = "tfl"     // TF-label-style topo order [13]
-	KindDL       Kind = "dl"      // distribution labeling [25]
-	KindPLL      Kind = "pll"     // pruned landmark labeling [49]
-	KindTOL      Kind = "tol"     // total-order labeling [55], dynamic
-	KindDBL      Kind = "dbl"     // DBL [29], partial, insert-only
-	KindOReach   Kind = "oreach"  // O'Reach [18], partial
-	KindHL       Kind = "hl"      // hierarchical labeling [25]
+	KindDL  Kind = "dl"  // distribution labeling [25]
+	KindPLL Kind = "pll" // pruned landmark labeling [49]
+	KindTOL Kind = "tol" // total-order labeling [55], dynamic
 
 	// Approximate transitive closure (§3.3).
 	KindIP  Kind = "ip"  // IP label [46,47], partial
@@ -156,15 +134,49 @@ const (
 	KindPReaCH Kind = "preach" // PReaCH [31], partial
 )
 
-// Kinds returns every plain index kind in a stable order.
+// servingKinds are the root's rows of Table 1.
+var servingKinds = []core.PlainKind{
+	{Kind: string(KindPathTree), Name: "Path-Tree", Framework: "Tree cover", Input: "DAG", Dynamic: "No", Serves: true, Lift: true,
+		Build: func(a core.BuildArgs) Index { return pathtree.New(a.G) }},
+	{Kind: string(KindGRAIL), Name: "GRAIL", Framework: "Tree cover", Input: "DAG", Dynamic: "No", Serves: true, Lift: true, Parallel: true,
+		Build: func(a core.BuildArgs) Index {
+			return grail.New(a.G, grail.Options{K: a.K, Seed: a.Seed, Workers: a.Workers})
+		}},
+	{Kind: string(KindFerrari), Name: "FERRARI", Framework: "Tree cover", Input: "DAG", Dynamic: "No", Serves: true, Lift: true, Parallel: true,
+		Build: func(a core.BuildArgs) Index { return ferrari.New(a.G, ferrari.Options{K: a.K, Workers: a.Workers}) }},
+	{Kind: string(KindDL), Name: "DL", Framework: "2-Hop", Input: "General", Dynamic: "No", Serves: true, Snapshot: "pll",
+		Build: func(a core.BuildArgs) Index {
+			return pll.New(a.G, pll.Options{Order: pll.OrderDegree, Name: "DL", Check: a.Check})
+		}},
+	{Kind: string(KindPLL), Name: "PLL", Framework: "2-Hop", Input: "General", Dynamic: "No", Serves: true, Snapshot: "pll",
+		Build: func(a core.BuildArgs) Index { return pll.New(a.G, pll.Options{Order: pll.OrderDegree, Check: a.Check}) }},
+	{Kind: string(KindTOL), Name: "TOL", Framework: "2-Hop", Input: "DAG", Dynamic: "Yes", Serves: true,
+		Build: func(a core.BuildArgs) Index { return tol.NewChecked(a.G, a.Check) }},
+	{Kind: string(KindIP), Name: "IP", Framework: "Approximate TC", Input: "DAG", Dynamic: "Partial", Serves: true, Lift: true, Parallel: true,
+		Build: func(a core.BuildArgs) Index { return ip.New(a.G, ip.Options{K: a.K, Seed: a.Seed, Workers: a.Workers}) }},
+	// BFL reads the condensation's Tarjan intervals, not only its DAG.
+	{Kind: string(KindBFL), Name: "BFL", Framework: "Approximate TC", Input: "DAG", Dynamic: "No", Serves: true, Lift: true, Parallel: true, Snapshot: "bfl",
+		Build: func(a core.BuildArgs) Index {
+			return bfl.New(a.Cond, bfl.Options{Seed: a.Seed, Spans: a.Spans, Workers: a.Workers})
+		}},
+	{Kind: string(KindFeline), Name: "FELINE", Framework: "Coordinates", Input: "DAG", Dynamic: "No", Serves: true, Lift: true,
+		Build: func(a core.BuildArgs) Index { return feline.New(a.G) }},
+	{Kind: string(KindPReaCH), Name: "PReaCH", Framework: "Pruned search", Input: "DAG", Dynamic: "No", Serves: true, Lift: true,
+		Build: func(a core.BuildArgs) Index { return preach.New(a.G) }},
+}
+
+func init() {
+	core.RegisterPlain(servingKinds...)
+	core.LCRKinds = lcrKinds
+}
+
+// Kinds returns every plain index kind the program links, sorted: the
+// root's, and internal/survey's when the program imports it.
 func Kinds() []Kind {
-	ks := []Kind{
-		KindTreeCover, KindTreeSSPI, KindDualLabel, KindGRIPP, KindPathTree,
-		KindGRAIL, KindFerrari, KindDAGGER, KindTwoHop, KindThreeHop,
-		KindPathHop, KindTFL, KindDL, KindPLL, KindTOL, KindDBL, KindOReach,
-		KindHL, KindIP, KindBFL, KindFeline, KindPReaCH,
+	var ks []Kind
+	for _, r := range core.PlainKinds() {
+		ks = append(ks, Kind(r.Kind))
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
 }
 
@@ -206,24 +218,6 @@ type Options struct {
 	Spans *obs.Spans
 }
 
-// timed runs a direct (non-SCC-lifted) builder under an "index/build"
-// span; a nil recorder makes it a plain call.
-func timed(spans *obs.Spans, build func() Index) Index {
-	end := spans.Start("index/build")
-	ix := build()
-	end()
-	return ix
-}
-
-// timedN is timed for builders with a parallel construction phase: the
-// span records the resolved worker count as its `workers` attribute.
-func timedN(spans *obs.Spans, workers int, build func() Index) Index {
-	end := spans.StartN("index/build", workers)
-	ix := build()
-	end()
-	return ix
-}
-
 // Build constructs the requested plain index over g. DAG-only techniques
 // are lifted to general graphs through SCC condensation automatically
 // (§3.1); techniques accepting general graphs run on g directly. With
@@ -244,108 +238,29 @@ func BuildCtx(ctx context.Context, k Kind, g *Graph, opt Options) (ix Index, err
 		return nil, err
 	}
 	defer core.Recover(&err)
-	chk := core.NewCheck(ctx, "build/"+string(k))
-	sp := opt.Spans
+	row, ok := core.Plain(string(k))
+	if !ok {
+		return nil, fmt.Errorf("reach: unknown index kind %q", k)
+	}
+	a := core.BuildArgs{G: g, K: opt.K, Bits: opt.Bits, Seed: opt.Seed, Workers: opt.Workers,
+		Spans: opt.Spans, Check: core.NewCheck(ctx, "build/"+string(k))}
 	w := par.Resolve(opt.Workers)
-	// lift condenses g on w workers and builds the DAG index over the
-	// condensation's DAG; buildWorkers is w for builders with a parallel
-	// phase, 0 for serial ones (the "index/build" span's `workers`
-	// attribute).
-	lift := func(buildWorkers int, build core.DAGBuilder) (Index, error) {
-		return core.ForGeneralPrepared(g, sp, w, buildWorkers, opt.Prepared,
-			func(c *scc.Condensation) Index { return build(c.DAG) }), nil
+	// buildWorkers is the "index/build" span's `workers` attribute: w for
+	// builders with a parallel phase, 0 for serial ones.
+	buildWorkers := 0
+	if row.Parallel {
+		buildWorkers = w
 	}
-	switch k {
-	case KindTreeCover:
-		return lift(0, func(d *Graph) Index { return treecover.New(d) })
-	case KindTreeSSPI:
-		return lift(0, func(d *Graph) Index { return sspi.New(d) })
-	case KindDualLabel:
-		return lift(0, func(d *Graph) Index { return duallabel.New(d) })
-	case KindGRIPP:
-		return timed(sp, func() Index { return gripp.New(g) }), nil
-	case KindPathTree:
-		return lift(0, func(d *Graph) Index { return pathtree.New(d) })
-	case KindGRAIL:
-		return lift(w, func(d *Graph) Index {
-			return grail.New(d, grail.Options{K: opt.K, Seed: opt.Seed, Workers: opt.Workers})
-		})
-	case KindFerrari:
-		return lift(w, func(d *Graph) Index {
-			return ferrari.New(d, ferrari.Options{K: opt.K, Workers: opt.Workers})
-		})
-	case KindDAGGER:
-		return lift(0, func(d *Graph) Index {
-			return dagger.New(d, dagger.Options{K: opt.K, Seed: opt.Seed})
-		})
-	case KindTwoHop:
-		return timed(sp, func() Index { return twohop.NewChecked(g, chk) }), nil
-	case KindThreeHop:
-		return lift(0, func(d *Graph) Index { return threehop.NewChecked(d, chk) })
-	case KindPathHop:
-		return lift(0, func(d *Graph) Index { return pathhop.New(d) })
-	case KindTFL:
-		return lift(0, func(d *Graph) Index {
-			return pll.New(d, pll.Options{Order: pll.OrderTopological, Check: chk})
-		})
-	case KindDL:
-		return timed(sp, func() Index {
-			return pll.New(g, pll.Options{Order: pll.OrderDegree, Name: "DL", Check: chk})
+	if row.Lift {
+		return core.ForGeneralPrepared(g, opt.Spans, w, buildWorkers, opt.Prepared, func(c *scc.Condensation) Index {
+			a.G, a.Cond = c.DAG, c
+			return row.Build(a)
 		}), nil
-	case KindPLL:
-		return timed(sp, func() Index {
-			return pll.New(g, pll.Options{Order: pll.OrderDegree, Check: chk})
-		}), nil
-	case KindHL:
-		return lift(0, func(d *Graph) Index {
-			return pll.New(d, pll.Options{Order: pll.OrderDegreeProduct, Name: "HL", Check: chk})
-		})
-	case KindTOL:
-		return timed(sp, func() Index {
-			return tol.NewChecked(g, chk)
-		}), nil
-	case KindDBL:
-		return timedN(sp, w, func() Index {
-			return dbl.New(g, dbl.Options{K: opt.K, Bits: opt.Bits, Seed: opt.Seed, Workers: opt.Workers})
-		}), nil
-	case KindOReach:
-		return lift(w, func(d *Graph) Index {
-			return oreach.New(d, oreach.Options{K: opt.K, Workers: opt.Workers})
-		})
-	case KindIP:
-		return lift(w, func(d *Graph) Index {
-			return ip.New(d, ip.Options{K: opt.K, Seed: opt.Seed, Workers: opt.Workers})
-		})
-	case KindBFL:
-		// BFL reads the condensation's Tarjan intervals, not only its DAG.
-		return core.ForGeneralPrepared(g, sp, w, w, opt.Prepared, func(c *scc.Condensation) Index {
-			return bfl.New(c, bfl.Options{Seed: opt.Seed, Spans: sp, Workers: opt.Workers})
-		}), nil
-	case KindFeline:
-		return lift(0, func(d *Graph) Index { return feline.New(d) })
-	case KindPReaCH:
-		return lift(0, func(d *Graph) Index { return preach.New(d) })
 	}
-	return nil, fmt.Errorf("reach: unknown index kind %q", k)
-}
-
-// BuildDynamic constructs a dynamic plain index (TOL, DAGGER, DBL). Note
-// the dynamic indexes operate on the graph as given (no SCC adapter): the
-// DAG-only DAGGER requires a DAG start, and updates that respect it.
-func BuildDynamic(k Kind, g *Graph, opt Options) (ix DynamicIndex, err error) {
-	if err := checkBuild(nil, g, opt); err != nil {
-		return nil, err
-	}
-	defer core.Recover(&err)
-	switch k {
-	case KindTOL:
-		return tol.New(g), nil
-	case KindDAGGER:
-		return dagger.New(g, dagger.Options{K: opt.K, Seed: opt.Seed}), nil
-	case KindDBL:
-		return dbl.New(g, dbl.Options{K: opt.K, Bits: opt.Bits, Seed: opt.Seed, Workers: opt.Workers}), nil
-	}
-	return nil, fmt.Errorf("reach: %q is not a dynamic index kind", k)
+	end := opt.Spans.StartN("index/build", buildWorkers)
+	ix = row.Build(a)
+	end()
+	return ix, nil
 }
 
 // LCRKind names an alternation-constrained indexing technique (Table 2).
@@ -365,9 +280,35 @@ const (
 	LCRBloom LCRKind = "lcrbloom"
 )
 
-// LCRKinds returns every LCR index kind in a stable order.
+// lcrKinds is Table 2: every LCR kind, in the table's order.
+var lcrKinds = []core.LCRKind{
+	{Kind: string(LCRZouGTC), Name: "Zou-GTC", Framework: "GTC", Input: "General", Dynamic: "Yes (rebuild)",
+		Build: func(a core.BuildArgs) LCRIndex { return lcrgtc.NewChecked(a.G, a.Check) }},
+	{Kind: string(LCRLandmark), Name: "Landmark", Framework: "GTC", Input: "General", Dynamic: "No",
+		Build: func(a core.BuildArgs) LCRIndex {
+			return lcrlandmark.New(a.G, lcrlandmark.Options{K: a.K, Workers: a.Workers})
+		}},
+	{Kind: string(LCRP2H), Name: "P2H+", Framework: "2-Hop", Input: "General", Dynamic: "No",
+		Build: func(a core.BuildArgs) LCRIndex { return p2h.NewChecked(a.G, a.Check) }},
+	{Kind: string(LCRDLCR), Name: "DLCR", Framework: "2-Hop", Input: "General", Dynamic: "Yes",
+		Build: func(a core.BuildArgs) LCRIndex { return p2h.NewDynamicChecked(a.G, a.Check) }},
+	{Kind: string(LCRJinTree), Name: "Jin-Tree", Framework: "Tree cover", Input: "General", Dynamic: "No",
+		Build: func(a core.BuildArgs) LCRIndex { return lcrtree.New(a.G) }},
+	{Kind: string(LCRDecomp), Name: "Chen-Decomp", Framework: "Tree cover", Input: "General", Dynamic: "No",
+		Build: func(a core.BuildArgs) LCRIndex { return lcrdecomp.New(a.G) }},
+	{Kind: string(LCRBloom), Name: "LCR-Bloom", Framework: "Approximate GTC (§5 prototype)", Input: "General", Dynamic: "No",
+		Build: func(a core.BuildArgs) LCRIndex {
+			return lcrbloom.New(a.G, lcrbloom.Options{Bits: a.Bits, Seed: a.Seed})
+		}},
+}
+
+// LCRKinds returns every LCR index kind in Table 2's order.
 func LCRKinds() []LCRKind {
-	return []LCRKind{LCRZouGTC, LCRLandmark, LCRP2H, LCRDLCR, LCRJinTree, LCRDecomp, LCRBloom}
+	var ks []LCRKind
+	for _, r := range lcrKinds {
+		ks = append(ks, LCRKind(r.Kind))
+	}
+	return ks
 }
 
 // BuildLCR constructs the requested alternation-constraint index. With
@@ -387,26 +328,14 @@ func buildLCRCtx(ctx context.Context, k LCRKind, g *Graph, opt Options) (ix LCRI
 		return nil, fmt.Errorf("%w: LCR index %q needs an edge-labeled graph", ErrBadOptions, k)
 	}
 	defer core.Recover(&err)
-	chk := core.NewCheck(ctx, "build/lcr/"+string(k))
+	i := slices.IndexFunc(lcrKinds, func(r core.LCRKind) bool { return r.Kind == string(k) })
+	if i < 0 {
+		return nil, fmt.Errorf("reach: unknown LCR index kind %q", k)
+	}
 	end := opt.Spans.Start("lcr/build")
 	defer end()
-	switch k {
-	case LCRZouGTC:
-		return lcrgtc.NewChecked(g, chk), nil
-	case LCRLandmark:
-		return lcrlandmark.New(g, lcrlandmark.Options{K: opt.K, Workers: opt.Workers}), nil
-	case LCRP2H:
-		return p2h.NewChecked(g, chk), nil
-	case LCRDLCR:
-		return p2h.NewDynamicChecked(g, chk), nil
-	case LCRJinTree:
-		return lcrtree.New(g), nil
-	case LCRDecomp:
-		return lcrdecomp.New(g), nil
-	case LCRBloom:
-		return lcrbloom.New(g, lcrbloom.Options{Bits: opt.Bits, Seed: opt.Seed}), nil
-	}
-	return nil, fmt.Errorf("reach: unknown LCR index kind %q", k)
+	return lcrKinds[i].Build(core.BuildArgs{G: g, K: opt.K, Bits: opt.Bits, Seed: opt.Seed, Workers: opt.Workers,
+		Check: core.NewCheck(ctx, "build/lcr/"+string(k))}), nil
 }
 
 // BuildRLC constructs the concatenation-constraint (RLC) index. With

@@ -42,25 +42,6 @@ func TestBuildUnknownKind(t *testing.T) {
 	}
 }
 
-func TestBuildDynamicKinds(t *testing.T) {
-	g := gen.RandomDAG(gen.Config{N: 40, M: 100, Seed: 4})
-	for _, k := range []Kind{KindTOL, KindDAGGER, KindDBL} {
-		ix, err := BuildDynamic(k, g, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", k, err)
-		}
-		if err := ix.InsertEdge(0, 1); err != nil {
-			t.Fatalf("%s insert: %v", k, err)
-		}
-		if !ix.Reach(0, 1) {
-			t.Fatalf("%s: inserted edge not reachable", k)
-		}
-	}
-	if _, err := BuildDynamic(KindBFL, g, Options{}); err == nil {
-		t.Fatal("BFL is not dynamic; BuildDynamic should fail")
-	}
-}
-
 func TestBuildLCRKinds(t *testing.T) {
 	g := gen.Zipf(gen.ErdosRenyi(gen.Config{N: 40, M: 140, Seed: 5}), 4, 0.7, 6)
 	oracle := tc.NewGTC(g)

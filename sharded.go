@@ -82,9 +82,9 @@ func NewShardedDBCtx(ctx context.Context, g *Graph, cfg ShardedConfig) (sdb *Sha
 	if cfg.Plain == "" {
 		cfg.Plain = KindBFL
 	}
-	if cfg.SnapshotPrefix != "" && !snapshottableKind(cfg.Plain) {
-		return nil, fmt.Errorf("%w: per-shard snapshots need Plain in {%q, %q, %q}, not %q",
-			ErrBadOptions, KindBFL, KindPLL, KindDL, cfg.Plain)
+	if row, _ := core.Plain(string(cfg.Plain)); cfg.SnapshotPrefix != "" && row.Snapshot == "" {
+		return nil, fmt.Errorf("%w: per-shard snapshots need Plain in %q, not %q",
+			ErrBadOptions, snapshotKinds(), cfg.Plain)
 	}
 	if err := checkBuild(ctx, g, cfg.Options); err != nil {
 		return nil, err

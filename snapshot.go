@@ -65,8 +65,13 @@ func snapshotTarget(ix Index) (io.WriterTo, error) {
 		}
 		return t, nil
 	}
-	return nil, fmt.Errorf("%w: index %q has no snapshot format (snapshottable kinds: %q, %q, %q)",
-		ErrBadOptions, ix.Name(), KindBFL, KindPLL, KindDL)
+	return nil, fmt.Errorf("%w: index %q has no snapshot format (snapshottable kinds: %q)",
+		ErrBadOptions, ix.Name(), snapshotKinds())
+}
+
+// snapshotKinds lists the kinds Table 1 gives a snapshot format.
+func snapshotKinds() []string {
+	return core.KindsWhere(func(r core.PlainKind) bool { return r.Snapshot != "" })
 }
 
 // SaveIndex writes a snapshot of ix. Snapshottable kinds are KindBFL —

@@ -150,7 +150,7 @@ func TestSaveIndexUnsupportedKind(t *testing.T) {
 // refuse it rather than persist silently-corrupt labels.
 func TestSaveIndexRefusesCondensedPLL(t *testing.T) {
 	g := gen.ErdosRenyi(gen.Config{N: 200, M: 800, Seed: 11}) // cyclic
-	ix, err := Build(KindTFL, g, Options{})
+	ix, err := Build(kindTFL, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,48 +83,6 @@ func TestStressAllLCRKinds(t *testing.T) {
 	}
 }
 
-func TestStressDynamicInterleaved(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress sweep")
-	}
-	// Interleave updates and query audits on every dynamic kind across
-	// multiple seeds; DBL only sees insertions.
-	for seed := int64(300); seed < 303; seed++ {
-		for _, k := range []Kind{KindTOL, KindDAGGER} {
-			g := gen.RandomDAG(gen.Config{N: 70, M: 170, Seed: seed})
-			ix, err := BuildDynamic(k, g, Options{K: 2, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			script := gen.UpdateScript(g, 40, true, seed+1)
-			cur := mutableCopy(g)
-			rng := rand.New(rand.NewSource(seed * 17))
-			for i, op := range script {
-				if op.Insert {
-					cur.insert(op.Edge.From, op.Edge.To)
-					if err := ix.InsertEdge(op.Edge.From, op.Edge.To); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					cur.remove(op.Edge.From, op.Edge.To)
-					if err := ix.DeleteEdge(op.Edge.From, op.Edge.To); err != nil {
-						t.Fatal(err)
-					}
-				}
-				oracle := tc.NewClosure(cur.freeze())
-				for q := 0; q < 50; q++ {
-					s := V(rng.Intn(g.N()))
-					tt := V(rng.Intn(g.N()))
-					if got, want := ix.Reach(s, tt), oracle.Reach(s, tt); got != want {
-						t.Fatalf("seed %d %s op %d: (%d,%d) = %v want %v",
-							seed, k, i, s, tt, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestStressMetricsConcurrent hammers an instrumented index from many
 // goroutines while another goroutine snapshots the metrics continuously:
 // snapshots must be race-free (run under -race in CI) and every counter

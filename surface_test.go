@@ -67,20 +67,15 @@ func TestRootSurface(t *testing.T) {
 
 // rootSurface is the package's exported top-level names, sorted.
 var rootSurface = []string{
-	"Advise",
-	"AdviseConfig",
-	"AdvisorReport",
 	"BatchReach",
 	"Build",
 	"BuildConstraint",
 	"BuildCtx",
-	"BuildDynamic",
 	"BuildLCR",
 	"BuildRLC",
 	"ConstraintIndex",
 	"DB",
 	"DBConfig",
-	"DynamicIndex",
 	"EdgeOp",
 	"ErrBadOptions",
 	"ErrBadQuery",
@@ -99,27 +94,15 @@ var rootSurface = []string{
 	"IndexSizes",
 	"Kind",
 	"KindBFL",
-	"KindDAGGER",
-	"KindDBL",
 	"KindDL",
-	"KindDualLabel",
 	"KindFeline",
 	"KindFerrari",
 	"KindGRAIL",
-	"KindGRIPP",
-	"KindHL",
 	"KindIP",
-	"KindOReach",
 	"KindPLL",
 	"KindPReaCH",
-	"KindPathHop",
 	"KindPathTree",
-	"KindTFL",
 	"KindTOL",
-	"KindThreeHop",
-	"KindTreeCover",
-	"KindTreeSSPI",
-	"KindTwoHop",
 	"Kinds",
 	"LCRBloom",
 	"LCRDLCR",
@@ -151,8 +134,6 @@ var rootSurface = []string{
 	"RLCIndex",
 	"ReadGraph",
 	"ReadWorkload",
-	"ReplaySummary",
-	"ReplayWorkload",
 	"SaveIndex",
 	"ShardedConfig",
 	"ShardedDB",
